@@ -121,8 +121,9 @@ def _check_cross_invariants(case: CurveCase, report: dict, plan: FieldPlan, fail
 
     # saturation-defect formula against the brute-force oracle
     if d <= ORACLE_MAX_DEGREE:
+        functionals: dict = {}  # shared by every j of this curve
         for j in range(0, T + 1):
-            oracle = n_dim_saturation_oracle(f, j)
+            oracle = n_dim_saturation_oracle(f, j, functionals=functionals)
             if n_at(j) != oracle:
                 failures.append(f"n_{j} = {n_at(j)} but saturation oracle gives {oracle}")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, NotReducedError
 from .fields import Field, FieldPlan, QQ
-from .linalg import ExactMatrix, kernel_basis
+from .linalg import ExactMatrix, kernel_basis, rank
 from .poly import HomogPoly, choose2, dim_S, monomial_basis, monomial_index
 from .syzygy import ar_dim, jacobian_matrix, mdr, milnor_dim, rank_jacobian
 
@@ -99,21 +99,21 @@ def n_dim(f: HomogPoly, j: int, tau: int, field: Field | FieldPlan = QQ) -> int:
     return value
 
 
-def _saturation_subspace(f: HomogPoly, j: int, e: int, field: Field) -> tuple:
-    """Canonical basis of {g in S_j : x^e g, y^e g, z^e g all lie in J_f}."""
-    d = f.degree
+def _saturation_dim(f: HomogPoly, j: int, e: int, field: Field, functionals: dict) -> int:
+    """dim {g in S_j : x^e g, y^e g, z^e g all lie in J_f}."""
     target = j + e
-    src = target - d + 1
-    if src < 0:
-        jac = ExactMatrix.zeros(field, dim_S(target), 0)
-    else:
-        jac = jacobian_matrix(f, src, field)
-    # Functionals cutting out J at the target degree.
-    left_null = kernel_basis(jac.transpose())
+    if target not in functionals:
+        src = target - f.degree + 1
+        if src < 0:
+            jac = ExactMatrix.zeros(field, dim_S(target), 0)
+        else:
+            jac = jacobian_matrix(f, src, field)
+        # Functionals cutting out J at the target degree.
+        functionals[target] = kernel_basis(jac.transpose())
+    left_null = functionals[target]
     n_j = dim_S(j)
     if not left_null:
-        identity = ExactMatrix.zeros(field, 0, n_j)
-        return tuple(kernel_basis(identity))
+        return n_j
     tgt_index = monomial_index(target)
     rows = []
     for axis in range(3):
@@ -124,31 +124,46 @@ def _saturation_subspace(f: HomogPoly, j: int, e: int, field: Field) -> tuple:
         ]
         for functional in left_null:
             rows.append([functional[c] for c in shifted])
-    constraints = ExactMatrix.from_rows(field, rows)
-    return tuple(kernel_basis(constraints))
+    return n_j - rank(ExactMatrix.from_rows(field, rows))
 
 
-def n_dim_saturation_oracle(f: HomogPoly, j: int, field: Field = QQ) -> int:
+def n_dim_saturation_oracle(
+    f: HomogPoly, j: int, field: Field = QQ, functionals: dict | None = None
+) -> int:
     """Brute-force n(f)_j: saturate the Jacobian ideal degree by degree.
 
-    Starting from e = max(1, T+1-j), the subspace of degree-j polynomials
-    pushed into J_f by all three e-th variable powers is recomputed with
-    increasing e until two consecutive rounds agree; the defect is its
-    dimension minus dim (J_f)_j.
+    The functionals on S_t that vanish on (J_f)_t, a left null space of
+    the Jacobian matrix, are computed once per target degree t.  Composed
+    with multiplication by x^e, y^e and z^e they cut (J_f : m^e)_j out of
+    S_j at t = j+e.  Starting from e = max(1, T+1-j), e grows until two
+    consecutive rounds have equal dimension; the rounds are nested, so
+    equal dimension means equal subspace.  The defect is that dimension
+    minus dim (J_f)_j.  The Euler-characteristic formula is not used.
+
+    `functionals` maps a target degree to its functionals.  One dict,
+    owned by the caller and shared by every j of one curve over one
+    field, computes each target once: every j <= T probes T+1, T+2, ...
     """
     if j < 0:
         raise ValueError("degree must be non-negative")
+    if functionals is None:
+        functionals = {}
     d = f.degree
     T = 3 * (d - 2)
     dim_j_f = rank_jacobian(f, j - d + 1, field)
     e = max(1, T + 1 - j)
-    previous = None
+    previous = _saturation_dim(f, j, e, field, functionals)
     while True:
-        basis = _saturation_subspace(f, j, e, field)
-        if previous is not None and basis == previous:
-            return len(basis) - dim_j_f
-        previous = basis
         e += 1
+        current = _saturation_dim(f, j, e, field, functionals)
+        if current < previous:
+            raise InternalInconsistencyError(
+                f"(J : m^{e})_{j} has dimension {current} < {previous} = "
+                f"dim (J : m^{e - 1})_{j}, but saturation rounds are nested"
+            )
+        if current == previous:
+            return current - dim_j_f
+        previous = current
 
 
 def delta_dim(f: HomogPoly, k: int, r: int, field: Field | FieldPlan = QQ) -> int:

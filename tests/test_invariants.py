@@ -2,7 +2,8 @@
 
 import pytest
 
-from freecurve.errors import NotReducedError
+from freecurve import invariants
+from freecurve.errors import InternalInconsistencyError, NotReducedError
 from freecurve.fields import FieldPlan
 from freecurve.invariants import (
     compute_bundle,
@@ -117,8 +118,34 @@ def test_formula_equals_oracle_on_small_curves():
         f = parse_poly(expr)
         tau = tjurina(f)
         T = 3 * (f.degree - 2)
+        shared: dict = {}
         for j in range(T + 1):
-            assert n_dim(f, j, tau) == n_dim_saturation_oracle(f, j), (expr, j)
+            oracle = n_dim_saturation_oracle(f, j)
+            assert n_dim(f, j, tau) == oracle, (expr, j)
+            assert n_dim_saturation_oracle(f, j, functionals=shared) == oracle, (expr, j)
+        # every j <= T settles after probing the targets T+1 and T+2
+        assert sorted(shared) == [T + 1, T + 2], expr
+
+
+@pytest.mark.parametrize("f", [TRIANGLE, CUSP, FERMAT3, parse_poly("x*y*z*(x+y+z)")])
+def test_oracle_vanishes_above_T(f):
+    tau = tjurina(f)
+    T = 3 * (f.degree - 2)
+    for j in (T + 1, T + 2):
+        assert n_dim_saturation_oracle(f, j) == 0 == n_dim(f, j, tau)
+
+
+def test_oracle_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        n_dim_saturation_oracle(CUSP, -1)
+
+
+def test_oracle_asserts_nesting(monkeypatch):
+    # (J : m^e)_j can only grow with e; a shrinking round is a bug
+    dims = iter([5, 4])
+    monkeypatch.setattr(invariants, "_saturation_dim", lambda *args: next(dims))
+    with pytest.raises(InternalInconsistencyError):
+        n_dim_saturation_oracle(CUSP, 1)
 
 
 def test_delta_examples():
