@@ -73,12 +73,15 @@ from .poly import (
 )
 from .report import analyze, render_json, render_text
 from .syzygy import (
+    RankProfile,
     Reducedness,
     Syzygy,
     ar_dim,
     jacobian_matrix,
     mdr,
     milnor_dim,
+    rank_jacobian,
+    rank_profile,
     reducedness_check,
     syzygy_basis,
 )

@@ -8,27 +8,21 @@ theorems of one another, so any disagreement aborts loudly.  Free
 verdicts are then verified structurally through the exterior pairing of
 syzygies (a Saito-style determinant check) and nearly free verdicts by
 exhibiting the three generating syzygies and matching the graded
-dimensions of the module they span.
+dimensions of the module they span.  Every number the criteria read comes
+from the curve's invariant bundle; only the structural checks build
+syzygies, once per verdict over the bundle's field plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInconsistencyError, NotReducedError
-from .fields import Field, FieldPlan, QQ
+from .errors import InternalInconsistencyError
+from .fields import Field, QQ
 from .linalg import ExactMatrix, _rref_generic, kernel_basis, solve_exact
-from .poly import Gradient, HomogPoly, dim_S, dim_choose2, monomial_basis, partials
-from .invariants import delta_dim, thresholds, tjurina
-from .syzygy import (
-    Reducedness,
-    Syzygy,
-    ar_dim,
-    jacobian_matrix,
-    mdr,
-    reducedness_check,
-    syzygy_basis,
-)
+from .poly import Gradient, HomogPoly, dim_choose2, monomial_basis, partials
+from .invariants import InvariantBundle, delta_dim
+from .syzygy import RankProfile, Syzygy, jacobian_matrix, syzygy_basis
 
 FREE = "Free"
 NEARLY_FREE = "NearlyFree"
@@ -87,12 +81,12 @@ def ctst_test(ct: int | None, st: int, d: int) -> str:
     )
 
 
-def delta_test(f: HomogPoly, r: int, field: Field | FieldPlan = QQ) -> str:
+def delta_test(p: RankProfile, r: int) -> str:
     """Classification by the quotient dimensions delta at d-r-1 and d-r."""
     if r < 1:
         raise ValueError("requires r = mdr(f) >= 1")
-    d = f.degree
-    at_gap = delta_dim(f, d - r - 1, r, field)
+    d = p.d
+    at_gap = delta_dim(p, d - r - 1, r)
     if at_gap >= 1:
         if at_gap != 1:
             raise InternalInconsistencyError(
@@ -103,7 +97,7 @@ def delta_test(f: HomogPoly, r: int, field: Field | FieldPlan = QQ) -> str:
                 f"free verdict with 2r = {2 * r} >= d = {d} is impossible"
             )
         return FREE
-    if delta_dim(f, d - r, r, field) >= 2:
+    if delta_dim(p, d - r, r) >= 2:
         if 2 * r > d:
             raise InternalInconsistencyError(
                 f"nearly free verdict with 2r = {2 * r} > d = {d} is impossible"
@@ -230,18 +224,6 @@ def _echelon_complement(f: HomogPoly, rho1: Syzygy, degree: int, field: Field) -
     return [tuple(row) for row in canon]
 
 
-def _syzygy_from_vector(f: HomogPoly, degree: int, vec, field: Field) -> Syzygy:
-    n = dim_S(degree)
-    syz = Syzygy(
-        HomogPoly.from_vector(field, degree, vec[:n]),
-        HomogPoly.from_vector(field, degree, vec[n : 2 * n]),
-        HomogPoly.from_vector(field, degree, vec[2 * n :]),
-    )
-    if not syz.holds_for(f):
-        raise InternalInconsistencyError("complement vector is not a relation")
-    return syz
-
-
 def nearly_free_resolution_dim(d: int, r: int, k: int) -> int:
     """Graded dimension of the module generated by syzygies of degrees
     (r, d-r, d-r) subject to a single relation in degree d-r+1."""
@@ -252,126 +234,92 @@ def nearly_free_resolution_dim(d: int, r: int, k: int) -> int:
     )
 
 
-def nearly_free_generators(f: HomogPoly, r: int, field: Field = QQ) -> tuple[Syzygy, Syzygy, Syzygy]:
-    """The three generating syzygies of a nearly free curve.
-
-    rho1 is the canonical minimal-degree relation; rho2, rho3 span the
-    canonical echelon complement of S_(d-2r) * rho1 inside AR(f)_(d-r).
-    Generation is certified by matching ar(f)_k against the resolution
-    dimension count for every k <= d + 2.
-    """
-    d = f.degree
+def _generators(f: HomogPoly, r: int, degree: int, count: int, field: Field) -> tuple[Syzygy, ...]:
+    """The canonical minimal-degree relation rho1, then the `count`
+    vectors of the canonical echelon complement of S_(degree-r) * rho1
+    inside AR(f)_degree; any other complement dimension aborts."""
     basis = syzygy_basis(f, r, field)
     if not basis:
         raise ValueError(f"no relation in degree {r}; is r really mdr(f)?")
-    rho1 = basis[0]
-    complement = _echelon_complement(f, rho1, d - r, field)
-    if len(complement) != 2:
+    complement = _echelon_complement(f, basis[0], degree, field)
+    if len(complement) != count:
         raise InternalInconsistencyError(
-            f"complement of the minimal relation in degree {d - r} has "
-            f"dimension {len(complement)}, expected 2"
+            f"complement of the minimal relation in degree {degree} has "
+            f"dimension {len(complement)}, expected {count}"
         )
-    rho2 = _syzygy_from_vector(f, d - r, complement[0], field)
-    rho3 = _syzygy_from_vector(f, d - r, complement[1], field)
-    for k in range(0, d + 3):
-        expected = nearly_free_resolution_dim(d, r, k)
-        actual = ar_dim(f, k, field)
-        if actual != expected:
-            raise InternalInconsistencyError(
-                f"ar_{k} = {actual} but the generated module has dimension "
-                f"{expected}; the three syzygies do not generate"
-            )
-    return rho1, rho2, rho3
+    return (basis[0], *(Syzygy.from_vector(f, degree, vec, field) for vec in complement))
 
 
-def _free_structure_ok(f: HomogPoly, r: int, field: Field) -> bool:
-    d = f.degree
-    basis = syzygy_basis(f, r, field)
-    if not basis:
-        return False
-    rho1 = basis[0]
-    complement = _echelon_complement(f, rho1, d - 1 - r, field)
-    if len(complement) != 1:
-        return False
-    rho2 = _syzygy_from_vector(f, d - 1 - r, complement[0], field)
-    return saito_verify(f, rho1, rho2)
+def nearly_free_generators(f: HomogPoly, r: int, field: Field = QQ) -> tuple[Syzygy, Syzygy, Syzygy]:
+    """The three generating syzygies of a nearly free curve: rho1 of
+    degree r and rho2, rho3 of degree d-r.  That they generate is
+    certified separately, from the rank profile (`resolution_matches`)."""
+    return _generators(f, r, f.degree - r, 2, field)
 
 
-def _nearly_free_structure_ok(f: HomogPoly, r: int, field: Field) -> bool:
-    try:
-        nearly_free_generators(f, r, field)
-    except InternalInconsistencyError:
-        return False
-    return True
+def resolution_matches(p: RankProfile, r: int) -> bool:
+    """Whether ar(f)_k equals the dimension of the module generated by
+    nearly free generators of degrees (r, d-r, d-r), for every k <= d+2."""
+    return all(p.ar(k) == nearly_free_resolution_dim(p.d, r, k) for k in range(p.d + 3))
 
 
 def free_pair(f: HomogPoly, r: int, field: Field = QQ) -> tuple[Syzygy, Syzygy]:
     """The canonical generating pair (degrees r and d-1-r) of a free curve."""
-    d = f.degree
-    rho1 = syzygy_basis(f, r, field)[0]
-    complement = _echelon_complement(f, rho1, d - 1 - r, field)
-    if len(complement) != 1:
-        raise InternalInconsistencyError(
-            f"expected a 1-dimensional complement in degree {d - 1 - r}, "
-            f"got {len(complement)}"
-        )
-    return rho1, _syzygy_from_vector(f, d - 1 - r, complement[0], field)
+    return _generators(f, r, f.degree - 1 - r, 1, field)
 
 
-def classify(f: HomogPoly, field: Field | FieldPlan = QQ) -> Classification:
-    """Run the full decision pipeline on a reduced curve.
+def _structure_ok(f: HomogPoly, r: int, verdict: str, field: Field) -> bool:
+    """Structural check of a Free or NearlyFree verdict over one field."""
+    try:
+        if verdict == FREE:
+            return saito_verify(f, *free_pair(f, r, field))
+        nearly_free_generators(f, r, field)
+        return True
+    except InternalInconsistencyError:
+        return False
 
-    Smooth curves (tau = 0) and unions of concurrent lines short-circuit;
-    otherwise all three criteria run and must agree, the exponents are
-    attached, and the verdict-specific structural verification is run.
-    Raises NotReducedError for non-reduced input.
+
+def classify(b: InvariantBundle) -> Classification:
+    """Run the full decision pipeline on the invariants of a reduced curve.
+
+    Unions of concurrent lines (r = 0) and smooth curves (tau = 0)
+    short-circuit; otherwise all three criteria run and must agree, the
+    exponents are attached, and the verdict-specific structural
+    verification is run once, agreed over the profile's field plan.
     """
-    red = reducedness_check(f, field)
-    if red is Reducedness.NON_REDUCED:
-        raise NotReducedError("cannot classify a non-reduced curve")
-    if red is Reducedness.PENCIL_OF_LINES:
+    p = b.profile
+    d, r, tau = b.d, b.r, b.tau
+    if r == 0:
         return Classification(PENCIL_OF_LINES, None, None, False, None)
-    d = f.degree
-    r = mdr(f, field)
-    tau = tjurina(f, field)
     if tau == 0:
         return Classification(SMOOTH, None, None, r == 1, None)
-    ct, st = thresholds(f, tau, field)
     verdicts = {
         "tau_test": tau_test(d, r, tau),
-        "ctst_test": ctst_test(ct, st, d),
-        "delta_test": delta_test(f, r, field),
+        "ctst_test": ctst_test(b.ct, b.st, d),
+        "delta_test": delta_test(p, r),
     }
     if len(set(verdicts.values())) != 1:
         raise InternalInconsistencyError(
             "criteria disagree, which falsifies the implementation: "
             + ", ".join(f"{k} = {v}" for k, v in verdicts.items())
-            + f" (d = {d}, r = {r}, tau = {tau}, ct = {ct}, st = {st})"
+            + f" (d = {d}, r = {r}, tau = {tau}, ct = {b.ct}, st = {b.st})"
         )
     verdict = verdicts["tau_test"]
     exponents: tuple[int, int] | None = None
     verified: bool | None = None
-    if verdict == FREE:
-        exponents = (r, d - 1 - r)
-        expected_tau = (d - 1) ** 2 - exponents[0] * exponents[1]
+    if verdict in (FREE, NEARLY_FREE):
+        if verdict == FREE:
+            exponents = (r, d - 1 - r)
+            expected_tau = (d - 1) ** 2 - r * (d - 1 - r)
+        else:
+            exponents = (r, d - r)
+            expected_tau = (d - 1) ** 2 - r * (d - r - 1) - 1
         if tau != expected_tau:
             raise InternalInconsistencyError(
-                f"free exponent identity violated: tau = {tau} != {expected_tau}"
+                f"{verdict} exponent identity violated: tau = {tau} != {expected_tau}"
             )
-        if isinstance(field, FieldPlan):
-            verified = field.agree(lambda F: _free_structure_ok(f, r, F))
-        else:
-            verified = _free_structure_ok(f, r, field)
-    elif verdict == NEARLY_FREE:
-        exponents = (r, d - r)
-        expected_tau = (d - 1) ** 2 - exponents[0] * (exponents[1] - 1) - 1
-        if tau != expected_tau:
-            raise InternalInconsistencyError(
-                f"nearly free exponent identity violated: tau = {tau} != {expected_tau}"
-            )
-        if isinstance(field, FieldPlan):
-            verified = field.agree(lambda F: _nearly_free_structure_ok(f, r, F))
-        else:
-            verified = _nearly_free_structure_ok(f, r, field)
+        verified = (verdict == FREE or resolution_matches(p, r)) and p.plan.agree(
+            lambda F: _structure_ok(p.f, r, verdict, F)
+        )
     criteria = {name: v == verdict for name, v in verdicts.items()}
     return Classification(verdict, exponents, criteria, r == 1, verified)

@@ -27,6 +27,7 @@ from .fields import FieldPlan
 from .invariants import tjurina
 from .parser import parse_poly
 from .report import SCHEMA_VERSION, analyze, render_json, render_text
+from .syzygy import rank_profile
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -62,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="K",
-        help="top degree of the reported tables (default 2d)",
+        help="top degree of the reported tables (default 2d); out of range exits 2",
     )
     _add_field_args(p_an)
 
@@ -143,7 +144,7 @@ def _cmd_terao(args) -> int:
         payload["multiplicities"] = lattice.multiplicity_counts()
         # rational lines admit the algebraic pipeline; cross-run it
         plan = FieldPlan.from_mode(args.field, args.seed)
-        algebraic_tau = tjurina(arrangement_poly(lines), plan)
+        algebraic_tau = tjurina(rank_profile(arrangement_poly(lines), plan))
         payload["algebraic_tau"] = algebraic_tau
         payload["agreement"] = algebraic_tau == tau
     result = terao_rigidity(d, tau)

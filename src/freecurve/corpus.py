@@ -93,7 +93,7 @@ def _check_expectations(case: CurveCase, report: dict, failures: list[str]) -> N
             failures.append(f"exponents {cls['exponents']} != expected {expected}")
 
 
-def _check_cross_invariants(case: CurveCase, report: dict, plan: FieldPlan, failures: list[str]) -> None:
+def _check_cross_invariants(case: CurveCase, report: dict, failures: list[str]) -> None:
     cls = report.get("classification")
     if not cls or cls["verdict"] not in (FREE, NEARLY_FREE, NEITHER):
         return
@@ -105,11 +105,10 @@ def _check_cross_invariants(case: CurveCase, report: dict, plan: FieldPlan, fail
     verdict = cls["verdict"]
     ar_table = report["tables"]["ar"]["values"]
     delta_table = report["tables"]["delta"]["values"]
-    # the report's n table is clipped to 2d; the checks need all of [0, T]
-    n_full = [n_dim(f, j, tau, plan) for j in range(T + 1)]
-
     def n_at(j: int) -> int:
-        return n_full[j] if 0 <= j <= T else 0
+        # the report's n table is clipped to 2d; the formula reads the ar
+        # table, which covers every degree it needs (up to 2d-5)
+        return n_dim(d, j, tau, ar_table.__getitem__)
 
     # threshold trichotomy
     total = report["ct"] + report["st"]
@@ -184,7 +183,7 @@ def run_case(case: CurveCase, plan: FieldPlan, table_max: int | None = None) -> 
         result.report = report
         _check_expectations(case, report, result.failures)
         if report.get("classification"):
-            _check_cross_invariants(case, report, plan, result.failures)
+            _check_cross_invariants(case, report, result.failures)
     except FreecurveError as exc:
         result.failures.append(f"{type(exc).__name__}: {exc}")
     return result

@@ -197,25 +197,29 @@ class FieldPlan:
       results differ (an unlucky prime can only lose rank), recompute over
       Q and use that;
     * mode "pp"   -- like "auto" but without the rational fallback; a
-      disagreement aborts instead.
+      disagreement aborts instead;
+    * mode "prime" -- evaluate once over a single prime field, without a
+      cross-check (a bare `PrimeField` handed to the library).
 
     The callable must return a plainly comparable value (int, bool, tuple).
     """
 
-    __slots__ = ("mode", "seed", "fields", "fallbacks", "touched")
+    __slots__ = ("mode", "seed", "fields", "fallbacks")
 
     def __init__(self, mode: str, fields: tuple[Field, ...], seed: int | None = None):
         self.mode = mode
         self.fields = fields
         self.seed = seed
         self.fallbacks = 0
-        # (poly, degree) pairs whose Jacobian rank fed a decision; used by
-        # verification harnesses to re-check primes against Q.
-        self.touched: set = set()
+
+    @classmethod
+    def over(cls, field: Field) -> "FieldPlan":
+        """The plan that evaluates once over `field` itself."""
+        return cls("qq" if field.char == 0 else "prime", (field,))
 
     @classmethod
     def rationals(cls) -> "FieldPlan":
-        return cls("qq", (QQ,))
+        return cls.over(QQ)
 
     @classmethod
     def primes(cls, seed: int = 0, fallback: bool = True) -> "FieldPlan":
@@ -237,8 +241,8 @@ class FieldPlan:
         raise ValueError(f"unknown field mode {mode!r}")
 
     def agree(self, compute: Callable[[Field], T]) -> T:
-        if self.mode == "qq":
-            return compute(QQ)
+        if len(self.fields) == 1:
+            return compute(self.fields[0])
         first = second = None
         unlucky = False
         try:
@@ -261,11 +265,10 @@ class FieldPlan:
         return compute(QQ)
 
     def describe(self) -> dict:
-        info: dict = {"mode": self.mode, "fallbacks": self.fallbacks}
-        if self.mode == "qq":
-            info["primes"] = None
-        else:
+        info: dict = {"mode": self.mode, "fallbacks": self.fallbacks, "primes": None}
+        if self.mode != "qq":
             info["primes"] = [f.p for f in self.fields]
+        if self.seed is not None:
             info["seed"] = self.seed
         return info
 

@@ -1,23 +1,24 @@
 """Derived numerical invariants of a reduced plane curve.
 
-Everything in this module is a function of the graded Jacobian ranks: the
-global Tjurina number (the stable value of the Milnor algebra dimensions),
-the coincidence and stability thresholds measured against the smooth
-Hilbert function, the saturation defects n(f)_k obtained either from an
-Euler-characteristic identity or from a brute-force ideal saturation, the
-quotient dimensions delta(f)_k, and the du Plessis-Wall bounds with their
-defect.
+Everything in this module is an integer function of one `RankProfile`:
+the global Tjurina number (the stable value of the Milnor algebra
+dimensions), the coincidence and stability thresholds measured against
+the smooth Hilbert function, the saturation defects n(f)_k from an
+Euler-characteristic identity, the quotient dimensions delta(f)_k, and
+the du Plessis-Wall bounds with their defect.  Only the brute-force
+saturation oracle, an independent check of n(f)_k, computes ranks itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import InternalInconsistencyError, NotReducedError
-from .fields import Field, FieldPlan, QQ
+from .fields import Field, QQ
 from .linalg import ExactMatrix, kernel_basis, rank
 from .poly import HomogPoly, choose2, dim_S, monomial_basis, monomial_index
-from .syzygy import ar_dim, jacobian_matrix, mdr, milnor_dim, rank_jacobian
+from .syzygy import RankProfile, jacobian_matrix, mdr, milnor_plateau, rank_jacobian
 
 
 def smooth_reference(d: int, k: int) -> int:
@@ -32,51 +33,38 @@ def smooth_reference(d: int, k: int) -> int:
     return dim_S(k) - 3 * dim_S(k - e) + 3 * dim_S(k - 2 * e) - dim_S(k - 3 * e)
 
 
-def _stable_milnor(f: HomogPoly, field: Field | FieldPlan) -> tuple[int, int]:
-    """(stable value of m(f)_k, degree from which it was confirmed).
-
-    The stable value is read at 3d-5 and confirmed on the next two
-    degrees; a failed window is retried shifted by d, three times, after
-    which the input cannot have been reduced.
-    """
-    d = f.degree
-    for attempt in range(4):
-        k0 = 3 * d - 5 + attempt * d
-        vals = [milnor_dim(f, k, field) for k in range(k0, k0 + 3)]
-        if vals[0] == vals[1] == vals[2]:
-            return vals[0], k0
-    raise NotReducedError(
-        "Milnor algebra dimensions do not stabilise; the curve is not reduced"
-    )
+def tjurina(p: RankProfile) -> int:
+    """Global Tjurina number: the constant value of the Milnor window."""
+    tau = milnor_plateau(p)
+    if tau is None:
+        raise NotReducedError(
+            "Milnor algebra dimensions do not stabilise; the curve is not reduced"
+        )
+    return tau
 
 
-def tjurina(f: HomogPoly, field: Field | FieldPlan = QQ) -> int:
-    """Global Tjurina number: the stable Milnor algebra dimension."""
-    return _stable_milnor(f, field)[0]
-
-
-def thresholds(f: HomogPoly, tau: int, field: Field | FieldPlan = QQ) -> tuple[int | None, int]:
+def thresholds(p: RankProfile) -> tuple[int | None, int]:
     """(ct, st): agreement threshold against the smooth reference, and the
     degree from which m(f) stays equal to tau.
 
     ct is None (infinite) exactly when f is smooth, i.e. when m(f) agrees
     with the smooth reference through degree T+1 = 3d-5.
     """
-    d = f.degree
+    d = p.d
     T = 3 * (d - 2)
+    tau = tjurina(p)
     ct: int | None = None
     for k in range(0, T + 2):
-        if milnor_dim(f, k, field) != smooth_reference(d, k):
+        if p.m(k) != smooth_reference(d, k):
             ct = k - 1
             break
-    _, stable_from = _stable_milnor(f, field)
-    q = stable_from
-    while q > 0 and milnor_dim(f, q - 1, field) == tau:
-        q -= 1
-    return ct, q
+    st = 3 * d - 5
+    while st > 0 and p.m(st - 1) == tau:
+        st -= 1
+    return ct, st
 
 
-def n_dim(f: HomogPoly, j: int, tau: int, field: Field | FieldPlan = QQ) -> int:
+def n_dim(d: int, j: int, tau: int, ar: Callable[[int], int]) -> int:
     """Saturation defect dimension n(f)_j via the Euler characteristic.
 
     n(f)_j = ar(f)_{j-d+1} + ar(f)_{2d-5-j}
@@ -85,13 +73,14 @@ def n_dim(f: HomogPoly, j: int, tau: int, field: Field | FieldPlan = QQ) -> int:
     where the bracket is a signed polynomial (negative values of the
     choose2 arguments are meaningful) while the ar terms are honest
     dimensions, zero in negative degrees.  Zero outside [0, 3(d-2)].
+    `ar(k)` gives dim AR(f)_k for 0 <= k <= 2d-5: a profile's `ar`, or
+    the lookup of a reported ar table.
     """
-    d = f.degree
     T = 3 * (d - 2)
     if j < 0 or j > T:
         return 0
     chi = 3 * choose2(j - d + 3) - choose2(j + 2) + tau
-    value = ar_dim(f, j - d + 1, field) + ar_dim(f, 2 * d - 5 - j, field) - chi
+    value = sum(ar(k) for k in (j - d + 1, 2 * d - 5 - j) if k >= 0) - chi
     if value < 0:
         raise InternalInconsistencyError(
             f"negative saturation defect n_{j} = {value} for degree-{d} curve"
@@ -166,15 +155,13 @@ def n_dim_saturation_oracle(
         previous = current
 
 
-def delta_dim(f: HomogPoly, k: int, r: int, field: Field | FieldPlan = QQ) -> int:
+def delta_dim(p: RankProfile, k: int, r: int) -> int:
     """dim of AR(f)_k modulo the free line generated by a minimal syzygy.
 
     The submodule spanned by one degree-r syzygy is free, so its graded
     dimension is dim S_{k-r} and no quotient needs to be built.
     """
-    if k < 0:
-        return 0
-    value = ar_dim(f, k, field) - dim_S(k - r)
+    value = p.ar(k) - dim_S(k - r)
     if value < 0:
         raise InternalInconsistencyError(
             f"delta_{k} = {value} < 0: multiplication by the minimal syzygy "
@@ -239,27 +226,27 @@ class InvariantBundle:
     m: GradedTable
     n: GradedTable
     delta: GradedTable
+    profile: RankProfile
 
 
-def compute_bundle(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | None = None) -> InvariantBundle:
-    """Compute the full invariant bundle of a reduced curve.
+def compute_bundle(p: RankProfile) -> InvariantBundle:
+    """The full invariant bundle of a reduced curve, read from its profile.
 
-    `table_max` bounds the reported ar/m/delta tables (default 2d); the
-    n table always spans [0, T] internally so that its shape constraints
-    can be checked.
+    The ar/m/delta tables span 0..K, the profile's table degree; the n
+    table always spans [0, T] so that its shape constraints can be
+    checked.  Raises NotReducedError for a non-reduced curve.
     """
-    d = f.degree
+    d, K = p.d, p.table_max
     T = 3 * (d - 2)
-    r = mdr(f, field)
-    tau = tjurina(f, field)
-    ct, st = thresholds(f, tau, field)
-    kmax = 2 * d if table_max is None else table_max
-    ar = GradedTable("ar", 0, tuple(ar_dim(f, k, field) for k in range(kmax + 1)))
-    m = GradedTable("m", 0, tuple(milnor_dim(f, k, field) for k in range(kmax + 1)))
-    n = GradedTable("n", 0, tuple(n_dim(f, j, tau, field) for j in range(max(T, 0) + 1)))
-    delta = GradedTable("delta", 0, tuple(delta_dim(f, k, r, field) for k in range(kmax + 1)))
+    tau = tjurina(p)
+    r = mdr(p)
+    ct, st = thresholds(p)
+    ar = GradedTable("ar", 0, tuple(p.ar(k) for k in range(K + 1)))
+    m = GradedTable("m", 0, tuple(p.m(k) for k in range(K + 1)))
+    n = GradedTable("n", 0, tuple(n_dim(d, j, tau, p.ar) for j in range(max(T, 0) + 1)))
+    delta = GradedTable("delta", 0, tuple(delta_dim(p, k, r) for k in range(K + 1)))
     e = defect(d, r, tau) if r >= 1 else 0
-    return InvariantBundle(d=d, r=r, tau=tau, ct=ct, st=st, T=T, e_defect=e, ar=ar, m=m, n=n, delta=delta)
+    return InvariantBundle(d=d, r=r, tau=tau, ct=ct, st=st, T=T, e_defect=e, ar=ar, m=m, n=n, delta=delta, profile=p)
 
 
 def validate_bundle(b: InvariantBundle) -> None:

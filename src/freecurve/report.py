@@ -8,7 +8,7 @@ from .classify import Classification, classify
 from .fields import Field, FieldPlan, QQ
 from .invariants import InvariantBundle, compute_bundle, dpw_bounds, validate_bundle
 from .poly import HomogPoly, poly_str
-from .syzygy import Reducedness, reducedness_check
+from .syzygy import Reducedness, rank_profile, reducedness_check
 
 SCHEMA_VERSION = 1
 
@@ -21,27 +21,29 @@ def analyze(
 ) -> dict:
     """Full analysis of one curve, returned as a JSON-ready dict.
 
-    Non-reduced input yields a minimal report with the classification and
-    invariants omitted; everything else gets the complete bundle, the
-    classification with its criteria, and the graded tables.
+    Every invariant is read from one rank profile with tables up to
+    `table_max` (default 2d).  Non-reduced input yields a minimal report
+    with the classification and invariants omitted; everything else gets
+    the complete bundle, the classification with its criteria, and the
+    graded tables.  `field` describes the plan used and its fallbacks.
     """
-    plan = field
-    red = reducedness_check(f, plan)
+    profile = rank_profile(f, field, table_max)
+    red = reducedness_check(profile)
     report: dict = {
         "schema": SCHEMA_VERSION,
         "input": source if source is not None else poly_str(f),
         "degree": f.degree,
         "reducedness": red.value,
-        "field": plan.describe() if isinstance(plan, FieldPlan) else {"mode": "qq", "primes": None, "fallbacks": 0},
     }
     if red is Reducedness.NON_REDUCED:
         report["classification"] = None
-        return report
-    bundle = compute_bundle(f, plan, table_max)
-    classification = classify(f, plan)
-    validate_bundle(bundle)
-    report.update(_bundle_dict(bundle))
-    report["classification"] = _classification_dict(classification)
+    else:
+        bundle = compute_bundle(profile)
+        classification = classify(bundle)
+        validate_bundle(bundle)
+        report.update(_bundle_dict(bundle))
+        report["classification"] = _classification_dict(classification)
+    report["field"] = profile.plan.describe()
     return report
 
 

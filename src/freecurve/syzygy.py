@@ -6,18 +6,24 @@ kernel AR(f)_k collects the degree-k relations (syzygies) among the
 partials; the cokernel dimensions m(f)_k are the graded dimensions of the
 quotient of the polynomial ring by the Jacobian ideal.  Everything here
 reduces to exact ranks and kernels of those multiplication matrices.
+The pipeline agrees on them once per curve, as a `RankProfile`; the
+per-degree functions over one field serve checks independent of it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import InternalInconsistencyError
+from .errors import InputError, InternalInconsistencyError
 from .fields import Field, FieldPlan, QQ
 from .linalg import ExactMatrix, kernel_basis, rank
-from .poly import Gradient, HomogPoly, dim_S, monomial_basis, monomial_index, partials
+from .poly import HomogPoly, dim_S, monomial_basis, monomial_index, partials
+
+# Cells of the largest Jacobian matrix a rank profile may build.  2^25
+# int64 cells are 256 MiB; the bound admits every d <= 32 at the default
+# table degree 2d.
+MAX_PROFILE_CELLS = 2**25
 
 
 @dataclass(frozen=True)
@@ -32,6 +38,18 @@ class Syzygy:
     def degree(self) -> int:
         return self.a.degree
 
+    @classmethod
+    def from_vector(cls, f: HomogPoly, k: int, vec, field: Field) -> "Syzygy":
+        """The degree-k triple with coefficient blocks a, b, c in `vec`,
+        re-verified against f."""
+        n = dim_S(k)
+        syz = cls(*(HomogPoly.from_vector(field, k, vec[i * n : (i + 1) * n]) for i in range(3)))
+        if not syz.holds_for(f):
+            raise InternalInconsistencyError(
+                f"vector at degree {k} fails the defining relation"
+            )
+        return syz
+
     def components(self) -> tuple[HomogPoly, HomogPoly, HomogPoly]:
         return (self.a, self.b, self.c)
 
@@ -40,11 +58,6 @@ class Syzygy:
         fx, fy, fz = partials(f.map_field(field))
         total = self.a * fx + self.b * fy + self.c * fz
         return total.is_zero()
-
-
-@lru_cache(maxsize=None)
-def _gradient_over(f: HomogPoly, field: Field) -> Gradient:
-    return partials(f.map_field(field))
 
 
 def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ) -> ExactMatrix:
@@ -58,7 +71,7 @@ def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ) -> ExactMatrix:
     d = f.degree
     if d < 1:
         raise ValueError("curve degree must be at least 1")
-    grad = _gradient_over(f, field)
+    grad = partials(f.map_field(field))
     src = monomial_basis(k)
     tgt_index = monomial_index(k + d - 1)
     n_src = len(src)
@@ -73,68 +86,114 @@ def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ) -> ExactMatrix:
     return M
 
 
-@lru_cache(maxsize=None)
-def _rank_jacobian_cached(f: HomogPoly, k: int, field: Field) -> int:
-    return rank(jacobian_matrix(f, k, field))
-
-
-def rank_jacobian(f: HomogPoly, k: int, field: Field | FieldPlan = QQ) -> int:
+def rank_jacobian(f: HomogPoly, k: int, field: Field = QQ) -> int:
     """Rank of the degree-k Jacobian multiplication matrix (0 for k < 0)."""
     if k < 0:
         return 0
-    if isinstance(field, FieldPlan):
-        field.touched.add((f, k))
-        return field.agree(lambda F: _rank_jacobian_cached(f, k, F))
-    return _rank_jacobian_cached(f, k, field)
+    return rank(jacobian_matrix(f, k, field))
 
 
-def ar_dim(f: HomogPoly, k: int, field: Field | FieldPlan = QQ) -> int:
+def ar_dim(f: HomogPoly, k: int, field: Field = QQ) -> int:
     """dim AR(f)_k, the number of independent degree-k relations."""
-    if k < 0:
-        return 0
     return 3 * dim_S(k) - rank_jacobian(f, k, field)
 
 
 def syzygy_basis(f: HomogPoly, k: int, field: Field = QQ) -> list[Syzygy]:
     """Canonical echelon basis of AR(f)_k; every triple is re-verified."""
-    vectors = kernel_basis(jacobian_matrix(f, k, field))
-    n = dim_S(k)
-    out = []
-    for vec in vectors:
-        syz = Syzygy(
-            HomogPoly.from_vector(field, k, vec[:n]),
-            HomogPoly.from_vector(field, k, vec[n : 2 * n]),
-            HomogPoly.from_vector(field, k, vec[2 * n :]),
-        )
-        if not syz.holds_for(f):
-            raise InternalInconsistencyError(
-                f"kernel vector at degree {k} fails the defining relation"
-            )
-        out.append(syz)
-    return out
+    return [Syzygy.from_vector(f, k, vec, field) for vec in kernel_basis(jacobian_matrix(f, k, field))]
 
 
-def milnor_dim(f: HomogPoly, k: int, field: Field | FieldPlan = QQ) -> int:
+def milnor_dim(f: HomogPoly, k: int, field: Field = QQ) -> int:
     """Graded dimension of S/J_f at degree k."""
-    if k < 0:
-        return 0
     return dim_S(k) - rank_jacobian(f, k - f.degree + 1, field)
 
 
-def mdr(f: HomogPoly, field: Field | FieldPlan = QQ) -> int:
+@dataclass(frozen=True)
+class RankProfile:
+    """The Jacobian ranks of one curve at source degrees 0..top, agreed once.
+
+    `plan` is the field plan the ranks were agreed over; the structural
+    checks of a verdict run over the same plan.  `table_max` is the top
+    degree of the reported tables.
+    """
+
+    f: HomogPoly
+    plan: FieldPlan
+    table_max: int
+    ranks: tuple[int, ...]
+
+    @property
+    def d(self) -> int:
+        return self.f.degree
+
+    def rank(self, k: int) -> int:
+        if k >= len(self.ranks):
+            raise ValueError(f"degree {k} is above the profile's top {len(self.ranks) - 1}")
+        return self.ranks[k] if k >= 0 else 0
+
+    def ar(self, k: int) -> int:
+        """dim AR(f)_k, zero in negative degrees."""
+        return 3 * dim_S(k) - self.rank(k)
+
+    def m(self, k: int) -> int:
+        """dim (S/J_f)_k, zero in negative degrees."""
+        return dim_S(k) - self.rank(k - self.d + 1)
+
+
+def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | None = None) -> RankProfile:
+    """Agree once on the Jacobian ranks of f at source degrees 0..top.
+
+    top = max(2d-1, K), where K = `table_max` (default 2d) is the top of
+    the reported tables and 2d-1 the last degree the reducedness window
+    reads.  A bare field is computed over once; a plan agrees on the whole
+    tuple at once.  A constant f, K < 0, or a largest matrix
+    (dim S_(top+d-1) rows by 3 dim S_top columns) above MAX_PROFILE_CELLS
+    raises InputError before any matrix is built.
+    """
+    d = f.degree
+    if d < 1:
+        raise InputError("a constant defines no curve")
+    K = 2 * d if table_max is None else table_max
+    if K < 0:
+        raise InputError(f"table degree {K} is negative")
+    top = max(2 * d - 1, K)
+    rows, cols = dim_S(top + d - 1), 3 * dim_S(top)
+    if rows * cols > MAX_PROFILE_CELLS:
+        raise InputError(
+            f"degree {d} with tables to {K} needs a {rows}x{cols} matrix, more than {MAX_PROFILE_CELLS} cells"
+        )
+    plan = field if isinstance(field, FieldPlan) else FieldPlan.over(field)
+    ranks = plan.agree(lambda F: tuple(rank_jacobian(f, k, F) for k in range(top + 1)))
+    return RankProfile(f, plan, K, ranks)
+
+
+def mdr(p: RankProfile) -> int:
     """Minimal degree of a relation among the partials of f.
 
     The search is capped at d-1, where the Koszul relations live; running
     past the cap means the arithmetic itself is broken.
     """
-    d = f.degree
-    for k in range(d):
-        if ar_dim(f, k, field) > 0:
+    for k in range(p.d):
+        if p.ar(k) > 0:
             return k
     raise InternalInconsistencyError(
-        f"no relation found through degree {d - 1}; the Koszul relations "
+        f"no relation found through degree {p.d - 1}; the Koszul relations "
         "guarantee one, so this is an arithmetic bug"
     )
+
+
+def milnor_plateau(p: RankProfile) -> int | None:
+    """m(f)_k on the window [3d-5, 3d-2] if it is constant there, else None.
+
+    For a reduced curve m(f)_k equals the global Tjurina number for every
+    k >= 3(d-2) (Dimca, Syzygies of Jacobian ideals and defects of linear
+    systems, 2013), so the window is constant.  A repeated component
+    makes m(f) grow linearly; a non-constant window therefore proves the
+    curve non-reduced, and no later window is consulted.
+    """
+    lo = 3 * p.d - 5
+    values = {p.m(k) for k in range(lo, lo + 4)}
+    return values.pop() if len(values) == 1 else None
 
 
 class Reducedness(str, enum.Enum):
@@ -143,21 +202,15 @@ class Reducedness(str, enum.Enum):
     PENCIL_OF_LINES = "PencilOfLines"
 
 
-def reducedness_check(f: HomogPoly, field: Field | FieldPlan = QQ) -> Reducedness:
-    """Classify f as reduced, non-reduced, or a pencil of lines.
+def reducedness_check(p: RankProfile) -> Reducedness:
+    """Classify the curve as reduced, non-reduced, or a pencil of lines.
 
-    A reduced curve has a finite singular scheme, so m(f)_k is eventually
-    constant, while a repeated component forces linear growth.  Constancy
-    is probed on the window [3d-5, 3d-2]; a non-constant window is retried
-    up to three times, shifted by d each time.  Reduced curves with a
-    degree-0 relation are unions of concurrent lines.
+    Non-reduced exactly when the Milnor window is not constant (see
+    `milnor_plateau`).  Reduced curves with a degree-0 relation are
+    unions of concurrent lines.
     """
-    d = f.degree
-    for attempt in range(4):
-        lo = 3 * d - 5 + attempt * d
-        values = [milnor_dim(f, k, field) for k in range(lo, lo + 4)]
-        if len(set(values)) == 1:
-            if ar_dim(f, 0, field) > 0:
-                return Reducedness.PENCIL_OF_LINES
-            return Reducedness.REDUCED
-    return Reducedness.NON_REDUCED
+    if milnor_plateau(p) is None:
+        return Reducedness.NON_REDUCED
+    if p.ar(0) > 0:
+        return Reducedness.PENCIL_OF_LINES
+    return Reducedness.REDUCED

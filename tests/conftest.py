@@ -18,18 +18,16 @@ def corpus_results():
 
 @pytest.fixture(scope="session")
 def random_curve_survey():
-    """Classification survey over >= 50 random reduced curves of degree 4..9."""
+    """Classification survey over >= 50 random reduced curves of degree 4..9.
+
+    One rank profile per curve: r, tau and the classification all read it.
+    """
     from curvegen import random_reduced_curves
     from freecurve.classify import classify
-    from freecurve.fields import FieldPlan
-    from freecurve.invariants import tjurina
-    from freecurve.syzygy import mdr
+    from freecurve.invariants import compute_bundle
 
     survey = []
-    plan = FieldPlan.primes(0)
-    for f in random_reduced_curves(52):
-        r = mdr(f, plan)
-        tau = tjurina(f, plan)
-        classification = classify(f, plan)
-        survey.append((f, r, tau, classification))
+    for profile in random_reduced_curves(52):
+        bundle = compute_bundle(profile)
+        survey.append((profile.f, bundle.r, bundle.tau, classify(bundle)))
     return survey

@@ -2,7 +2,9 @@
 
 Curves are products of generic lower-degree forms, optionally perturbed by
 a sparse term of the full degree; draws that fail the reducedness probe
-(or degenerate to concurrent lines) are discarded.
+(or degenerate to concurrent lines) are discarded.  Each curve comes with
+the rank profile the probe read, so callers derive every invariant from it
+instead of recomputing the ranks.
 """
 
 import random
@@ -11,7 +13,7 @@ from fractions import Fraction
 from freecurve.fields import FieldPlan
 from freecurve.poly import HomogPoly, monomial_basis
 from freecurve.fields import QQ
-from freecurve.syzygy import Reducedness, reducedness_check
+from freecurve.syzygy import Reducedness, rank_profile, reducedness_check
 
 
 def _random_form(rng: random.Random, degree: int) -> HomogPoly:
@@ -37,7 +39,8 @@ def _random_partition(rng: random.Random, total: int) -> list[int]:
 
 
 def random_reduced_curves(count: int, seed: int = 20240810):
-    """Yield `count` reduced non-concurrent curves of degrees 4..9."""
+    """Yield rank profiles of `count` reduced non-concurrent curves of
+    degrees 4..9, agreed over two primes drawn from `seed`."""
     rng = random.Random(seed)
     plan = FieldPlan.primes(seed)
     produced = 0
@@ -52,7 +55,8 @@ def random_reduced_curves(count: int, seed: int = 20240810):
             f = f + bump
         if f.is_zero():
             continue
-        if reducedness_check(f, plan) is not Reducedness.REDUCED:
+        profile = rank_profile(f, plan)
+        if reducedness_check(profile) is not Reducedness.REDUCED:
             continue
         produced += 1
-        yield f
+        yield profile

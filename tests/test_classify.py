@@ -18,18 +18,24 @@ from freecurve.classify import (
     nearly_free_generators,
     nearly_free_resolution_dim,
     pairing,
+    resolution_matches,
     saito_verify,
     tau_test,
     v_map,
 )
 from freecurve.errors import InternalInconsistencyError, NotReducedError
 from freecurve.fields import QQ, FieldPlan
+from freecurve.invariants import compute_bundle, tjurina
 from freecurve.parser import parse_poly
 from freecurve.poly import HomogPoly, partials, poly_str
-from freecurve.syzygy import Syzygy, ar_dim, syzygy_basis
+from freecurve.syzygy import Syzygy, ar_dim, rank_profile, syzygy_basis
 
 TRIANGLE = parse_poly("x*y*z")
 CUSP = parse_poly("x^3-y^2*z")
+
+
+def classify_curve(f, field=QQ):
+    return classify(compute_bundle(rank_profile(f, field)))
 
 
 def syz(a, b, c):
@@ -73,9 +79,9 @@ def test_ctst_test_trichotomy():
 
 
 def test_delta_test_examples():
-    assert delta_test(TRIANGLE, 1) == FREE
-    assert delta_test(CUSP, 1) == NEARLY_FREE
-    assert delta_test(parse_poly("x^3+x^2*z-y^2*z"), 2) == NEITHER
+    assert delta_test(rank_profile(TRIANGLE), 1) == FREE
+    assert delta_test(rank_profile(CUSP), 1) == NEARLY_FREE
+    assert delta_test(rank_profile(parse_poly("x^3+x^2*z-y^2*z")), 2) == NEITHER
 
 
 def test_cross_product_unit_vectors():
@@ -185,11 +191,13 @@ def test_nearly_free_generators_cusp():
     # ar(f)_k matches the three-generator resolution count through d+2
     for k in range(0, CUSP.degree + 3):
         assert ar_dim(CUSP, k) == nearly_free_resolution_dim(CUSP.degree, 1, k)
+    assert resolution_matches(rank_profile(CUSP), 1)
 
 
 def test_nearly_free_generators_rejects_free_curve():
     with pytest.raises(InternalInconsistencyError):
         nearly_free_generators(TRIANGLE, 1)
+    assert not resolution_matches(rank_profile(TRIANGLE), 1)
 
 
 def test_free_pair_triangle():
@@ -211,7 +219,7 @@ def test_free_pair_triangle():
     ],
 )
 def test_classify_verdicts(expr, verdict, exponents, symmetry):
-    c = classify(parse_poly(expr))
+    c = classify_curve(parse_poly(expr))
     assert c.verdict == verdict
     assert c.exponents == exponents
     assert c.symmetry_flag == symmetry
@@ -222,31 +230,31 @@ def test_classify_verdicts(expr, verdict, exponents, symmetry):
 
 def test_classify_rejects_nonreduced():
     with pytest.raises(NotReducedError):
-        classify(parse_poly("x^2*y"))
+        classify_curve(parse_poly("x^2*y"))
 
 
 def test_classify_exponent_identities():
     braid = parse_poly("x*y*z*(x-y)*(x-z)*(y-z)")
-    c = classify(braid)
+    profile = rank_profile(braid)
+    c = classify(compute_bundle(profile))
     d1, d2 = c.exponents
     d = braid.degree
     assert d1 + d2 == d - 1
-    from freecurve.invariants import tjurina
-
-    assert tjurina(braid) == (d - 1) ** 2 - d1 * d2
+    assert tjurina(profile) == (d - 1) ** 2 - d1 * d2
 
     quad = parse_poly("x*y*z*(x+y+z)")
-    c = classify(quad)
+    profile = rank_profile(quad)
+    c = classify(compute_bundle(profile))
     d1, d2 = c.exponents
     assert d1 + d2 == quad.degree
-    assert tjurina(quad) == (quad.degree - 1) ** 2 - d1 * (d2 - 1) - 1
+    assert tjurina(profile) == (quad.degree - 1) ** 2 - d1 * (d2 - 1) - 1
 
 
 def test_classify_with_prime_plan_matches_rational():
     for expr in ("x*y*z", "x^3-y^2*z", "x*y*z*(x+y+z)", "x^3+x^2*z-y^2*z"):
         f = parse_poly(expr)
-        c_qq = classify(f, QQ)
-        c_pp = classify(f, FieldPlan.primes(3))
+        c_qq = classify_curve(f, QQ)
+        c_pp = classify_curve(f, FieldPlan.primes(3))
         assert c_qq.verdict == c_pp.verdict
         assert c_qq.exponents == c_pp.exponents
         assert c_qq.verified == c_pp.verified

@@ -4,6 +4,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from freecurve import syzygy
 from freecurve.cli import main
 from freecurve.data import data_dir, shipped_corpus_dir
 
@@ -75,6 +78,23 @@ def test_analyze_table_cap(capsys):
     main(["analyze", "--poly", "x*y*z", "--json", "--max-degree-table", "3"])
     report = json.loads(capsys.readouterr().out)
     assert len(report["tables"]["ar"]["values"]) == 4
+
+
+@pytest.mark.parametrize(
+    "expr,table",
+    [("x^3-y^2*z", "-1"), ("x^3-y^2*z", "1000"), ("x^60+y^60+z^60", None), ("2", None)],
+)
+def test_analyze_refuses_before_building_a_matrix(monkeypatch, capsys, expr, table):
+    def refuse(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(syzygy, "jacobian_matrix", refuse)
+    args = ["analyze", "--poly", expr, "--json"]
+    if table is not None:
+        args += ["--max-degree-table", table]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
 
 
 def test_analyze_from_file(tmp_path, capsys):

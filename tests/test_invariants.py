@@ -18,7 +18,7 @@ from freecurve.invariants import (
     validate_bundle,
 )
 from freecurve.parser import parse_poly
-from freecurve.syzygy import mdr
+from freecurve.syzygy import mdr, rank_profile
 
 from oracles import smooth_series_oracle
 
@@ -53,18 +53,18 @@ def test_smooth_reference_support_and_symmetry():
     [("x*y*z", 3), ("x^3-y^2*z", 2), ("x^3+y^3+z^3", 0), ("x*y*z*(x+y+z)", 6)],
 )
 def test_tjurina_small(expr, tau):
-    assert tjurina(parse_poly(expr)) == tau
+    assert tjurina(rank_profile(parse_poly(expr))) == tau
 
 
 def test_tjurina_paper_arrangements():
     plan = FieldPlan.primes(0)
-    assert tjurina(parse_poly("x*y*z*(x^9-y^9)"), plan) == 111
-    assert tjurina(parse_poly("x*y*z*(x+y+z)*(x^8-y^8)"), plan) == 103
+    assert tjurina(rank_profile(parse_poly("x*y*z*(x^9-y^9)"), plan)) == 111
+    assert tjurina(rank_profile(parse_poly("x*y*z*(x+y+z)*(x^8-y^8)"), plan)) == 103
 
 
 def test_tjurina_rejects_nonreduced():
     with pytest.raises(NotReducedError):
-        tjurina(parse_poly("x^2*y"))
+        tjurina(rank_profile(parse_poly("x^2*y")))
 
 
 @pytest.mark.parametrize(
@@ -76,16 +76,13 @@ def test_tjurina_rejects_nonreduced():
     ],
 )
 def test_thresholds_examples(expr, ct, st):
-    f = parse_poly(expr)
-    tau = tjurina(f)
-    assert thresholds(f, tau) == (ct, st)
+    assert thresholds(rank_profile(parse_poly(expr))) == (ct, st)
 
 
 def test_threshold_sums():
     # T = 3, free: ct+st = T; nearly free: T+2
     assert 2 + 1 == 3
-    f = CUSP
-    ct, st = thresholds(f, tjurina(f))
+    ct, st = thresholds(rank_profile(CUSP))
     assert ct + st == 3 + 2
 
 
@@ -97,12 +94,14 @@ def test_threshold_sums():
     ],
 )
 def test_n_dim_tables(f, table):
-    tau = tjurina(f)
-    T = 3 * (f.degree - 2)
-    assert [n_dim(f, j, tau) for j in range(T + 1)] == table
+    profile = rank_profile(f)
+    tau = tjurina(profile)
+    d = f.degree
+    T = 3 * (d - 2)
+    assert [n_dim(d, j, tau, profile.ar) for j in range(T + 1)] == table
     # zero outside the supported range
-    assert n_dim(f, -1, tau) == 0
-    assert n_dim(f, T + 1, tau) == 0
+    assert n_dim(d, -1, tau, profile.ar) == 0
+    assert n_dim(d, T + 1, tau, profile.ar) == 0
 
 
 @pytest.mark.parametrize(
@@ -116,12 +115,13 @@ def test_saturation_oracle_examples(f, j, expected):
 def test_formula_equals_oracle_on_small_curves():
     for expr in ("x*y*z", "x^3-y^2*z", "x^3+y^3+z^3", "x*y*z*(x+y+z)", "x^3+x^2*z-y^2*z"):
         f = parse_poly(expr)
-        tau = tjurina(f)
+        profile = rank_profile(f)
+        tau = tjurina(profile)
         T = 3 * (f.degree - 2)
         shared: dict = {}
         for j in range(T + 1):
             oracle = n_dim_saturation_oracle(f, j)
-            assert n_dim(f, j, tau) == oracle, (expr, j)
+            assert n_dim(f.degree, j, tau, profile.ar) == oracle, (expr, j)
             assert n_dim_saturation_oracle(f, j, functionals=shared) == oracle, (expr, j)
         # every j <= T settles after probing the targets T+1 and T+2
         assert sorted(shared) == [T + 1, T + 2], expr
@@ -129,10 +129,11 @@ def test_formula_equals_oracle_on_small_curves():
 
 @pytest.mark.parametrize("f", [TRIANGLE, CUSP, FERMAT3, parse_poly("x*y*z*(x+y+z)")])
 def test_oracle_vanishes_above_T(f):
-    tau = tjurina(f)
+    profile = rank_profile(f)
+    tau = tjurina(profile)
     T = 3 * (f.degree - 2)
     for j in (T + 1, T + 2):
-        assert n_dim_saturation_oracle(f, j) == 0 == n_dim(f, j, tau)
+        assert n_dim_saturation_oracle(f, j) == 0 == n_dim(f.degree, j, tau, profile.ar)
 
 
 def test_oracle_rejects_negative_degree():
@@ -149,17 +150,18 @@ def test_oracle_asserts_nesting(monkeypatch):
 
 
 def test_delta_examples():
-    assert delta_dim(TRIANGLE, 1, 1) == 1
-    assert delta_dim(CUSP, 1, 1) == 0
-    assert delta_dim(CUSP, 2, 1) == 2
+    assert delta_dim(rank_profile(TRIANGLE), 1, 1) == 1
+    assert delta_dim(rank_profile(CUSP), 1, 1) == 0
+    assert delta_dim(rank_profile(CUSP), 2, 1) == 2
 
 
 def test_delta_vanishes_below_gap():
     for f in (TRIANGLE, CUSP, parse_poly("x*y*z*(x+y+z)")):
-        r = mdr(f)
+        profile = rank_profile(f)
+        r = mdr(profile)
         d = f.degree
         for k in range(0, d - r - 1):
-            assert delta_dim(f, k, r) == 0
+            assert delta_dim(profile, k, r) == 0
 
 
 def test_dpw_bounds_degree_12_table():
@@ -184,14 +186,14 @@ def test_defect_examples():
 def test_bundle_validates_on_small_curves():
     for expr in ("x*y*z", "x^3-y^2*z", "x^3+y^3+z^3", "x*y*z*(x+y+z)", "x^3+x^2*z-y^2*z"):
         f = parse_poly(expr)
-        bundle = compute_bundle(f)
+        bundle = compute_bundle(rank_profile(f))
         validate_bundle(bundle)
         assert bundle.T == 3 * (f.degree - 2)
         assert len(bundle.ar.values) == 2 * f.degree + 1
 
 
 def test_bundle_table_max_override():
-    bundle = compute_bundle(TRIANGLE, table_max=4)
+    bundle = compute_bundle(rank_profile(TRIANGLE, table_max=4))
     assert len(bundle.ar.values) == 5
     assert len(bundle.m.values) == 5
 
@@ -200,7 +202,8 @@ def test_ct_equality_below_koszul_degree():
     # ct = r + d - 2 whenever r < d - 1
     for expr in ("x*y*z", "x^3-y^2*z", "x*y*z*(x+y+z)", "x*y*(x+y)*(x^2+y^2+z^2)"):
         f = parse_poly(expr)
-        r = mdr(f)
+        profile = rank_profile(f)
+        r = mdr(profile)
         assert r < f.degree - 1
-        ct, _ = thresholds(f, tjurina(f))
+        ct, _ = thresholds(profile)
         assert ct == r + f.degree - 2

@@ -2,6 +2,7 @@
 
 import pytest
 
+from freecurve import syzygy
 from freecurve.fields import GF, QQ, FieldPlan
 from freecurve.linalg import rank
 from freecurve.parser import parse_poly
@@ -12,6 +13,8 @@ from freecurve.syzygy import (
     jacobian_matrix,
     mdr,
     milnor_dim,
+    rank_jacobian,
+    rank_profile,
     reducedness_check,
     syzygy_basis,
 )
@@ -102,13 +105,13 @@ def test_milnor_below_first_jacobian_degree_is_full():
 def test_mdr_examples(expr, expected):
     f = parse_poly(expr)
     field = FieldPlan.primes(0) if f.degree > 6 else QQ
-    assert mdr(f, field) == expected
+    assert mdr(rank_profile(f, field)) == expected
 
 
 def test_mdr_bounded_by_koszul_degree():
     for expr in ("x*y*z", "x^3-y^2*z", "x^4+y^4+z^4", "x^3+x^2*z-y^2*z"):
         f = parse_poly(expr)
-        assert mdr(f) <= f.degree - 1
+        assert mdr(rank_profile(f)) <= f.degree - 1
 
 
 @pytest.mark.parametrize(
@@ -124,7 +127,47 @@ def test_mdr_bounded_by_koszul_degree():
     ],
 )
 def test_reducedness(expr, expected):
-    assert reducedness_check(parse_poly(expr)) is expected
+    assert reducedness_check(rank_profile(parse_poly(expr))) is expected
+
+
+def test_reducedness_reads_one_window(monkeypatch):
+    # a non-constant Milnor window is final: no rank above source degree
+    # 2d-1, the last one the window [3d-5, 3d-2] reads, is computed
+    degrees = []
+    inner = syzygy.rank_jacobian
+
+    def recording(f, k, field=QQ):
+        degrees.append(k)
+        return inner(f, k, field)
+
+    monkeypatch.setattr(syzygy, "rank_jacobian", recording)
+    f = parse_poly("x^2*y^2*z")
+    profile = rank_profile(f, table_max=0)
+    assert reducedness_check(profile) is Reducedness.NON_REDUCED
+    assert max(degrees) == 2 * f.degree - 1
+
+
+def test_profile_holds_the_per_degree_ranks():
+    for f, field in ((CUSP, QQ), (TRIANGLE, GF(2_147_483_659))):
+        profile = rank_profile(f, field)
+        d = f.degree
+        assert profile.ranks == tuple(rank_jacobian(f, k, field) for k in range(2 * d + 1))
+        for k in range(-1, 2 * d + 1):
+            assert profile.ar(k) == ar_dim(f, k, field)
+            assert profile.m(k) == milnor_dim(f, k, field)
+    # the window degree 2d-1 is always covered, a larger table degree extends it
+    assert len(rank_profile(CUSP, table_max=0).ranks) == 2 * CUSP.degree
+    assert len(rank_profile(CUSP, table_max=9).ranks) == 10
+    with pytest.raises(ValueError):
+        rank_profile(CUSP).ar(2 * CUSP.degree + 1)
+
+
+def test_profile_guard_admits_degree_32():
+    d = 32
+    top = 2 * d
+    assert dim_S(top + d - 1) * 3 * dim_S(top) <= syzygy.MAX_PROFILE_CELLS
+    top = 2 * (d + 1)
+    assert dim_S(top + d) * 3 * dim_S(top) > syzygy.MAX_PROFILE_CELLS
 
 
 def test_exact_sequence_cross_check():
