@@ -105,6 +105,13 @@ def _check_cross_invariants(case: CurveCase, report: dict, failures: list[str]) 
     verdict = cls["verdict"]
     ar_table = report["tables"]["ar"]["values"]
     delta_table = report["tables"]["delta"]["values"]
+    # the n formula reads ar up to 2d-5; the sharp delta values read d-r-1,
+    # and d-r on a nearly free curve
+    needed = max(2 * d - 5, d - r if verdict == NEARLY_FREE else d - r - 1)
+    if len(ar_table) <= needed:
+        raise InputError(
+            f"table degree {len(ar_table) - 1} is below {needed}, the smallest the cross-checks of this curve read"
+        )
     def n_at(j: int) -> int:
         # the report's n table is clipped to 2d; the formula reads the ar
         # table, which covers every degree it needs (up to 2d-5)

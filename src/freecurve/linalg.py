@@ -1,7 +1,8 @@
 """Dense exact linear algebra over Q and prime fields.
 
 Three operations back every graded dimension computed by this package:
-`rank`, `kernel_basis` and `solve_exact`.  All arithmetic is exact:
+`rank`, `kernel_basis` and `solve_exact`; `pivot_columns` picks
+independent columns.  All arithmetic is exact:
 
 * over Q, ranks use fraction-free (Bareiss) elimination on row-scaled
   integer matrices, which keeps intermediate entries at minor size;
@@ -83,6 +84,12 @@ class ExactMatrix:
         if isinstance(self._data, np.ndarray):
             return [[int(v) for v in row] for row in self._data]
         return [list(r) for r in self._data]
+
+    def stack(self, other: "ExactMatrix") -> "ExactMatrix":
+        """The rows of self followed by the rows of other."""
+        if isinstance(self._data, np.ndarray):
+            return ExactMatrix(self.field, self.rows + other.rows, self.cols, np.vstack([self._data, other._data]))
+        return ExactMatrix(self.field, self.rows + other.rows, self.cols, self.row_lists() + other.row_lists())
 
     def transpose(self) -> "ExactMatrix":
         if isinstance(self._data, np.ndarray):
@@ -291,6 +298,12 @@ def rank(M: ExactMatrix) -> int:
     if isinstance(M.field, PrimeField):
         return len(_rref_generic(M._data, M.field)[1])
     return len(_bareiss_echelon(_scaled_int_rows(M._data))[1])
+
+
+def pivot_columns(M: ExactMatrix) -> list[int]:
+    """Pivot columns of the pinned reduced echelon form of M: scanned left
+    to right, the columns independent of all columns before them."""
+    return _rref(M)[1]
 
 
 def kernel_basis(M: ExactMatrix) -> list[tuple]:

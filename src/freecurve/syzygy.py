@@ -14,16 +14,21 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InputError, InternalInconsistencyError
-from .fields import Field, FieldPlan, QQ
-from .linalg import ExactMatrix, kernel_basis, rank
-from .poly import HomogPoly, dim_S, monomial_basis, monomial_index, partials
+from .fields import GF, Field, FieldPlan, QQ
+from .linalg import ExactMatrix, kernel_basis, pivot_columns, rank
+from .poly import Gradient, HomogPoly, dim_S, monomial_basis, monomial_index, partials
 
 # Cells of the largest Jacobian matrix a rank profile may build.  2^25
 # int64 cells are 256 MiB; the bound admits every d <= 32 at the default
 # table degree 2d.
 MAX_PROFILE_CELLS = 2**25
+
+# The prime of the certified rational profile: the first prime above 2^31.
+CERT_PRIME = 2_147_483_659
 
 
 @dataclass(frozen=True)
@@ -39,12 +44,12 @@ class Syzygy:
         return self.a.degree
 
     @classmethod
-    def from_vector(cls, f: HomogPoly, k: int, vec, field: Field) -> "Syzygy":
+    def from_vector(cls, f: HomogPoly, k: int, vec, field: Field, grad: Gradient | None = None) -> "Syzygy":
         """The degree-k triple with coefficient blocks a, b, c in `vec`,
-        re-verified against f."""
+        re-verified against f (whose gradient over `field` may be passed)."""
         n = dim_S(k)
         syz = cls(*(HomogPoly.from_vector(field, k, vec[i * n : (i + 1) * n]) for i in range(3)))
-        if not syz.holds_for(f):
+        if not syz.holds_for(f, grad):
             raise InternalInconsistencyError(
                 f"vector at degree {k} fails the defining relation"
             )
@@ -53,25 +58,26 @@ class Syzygy:
     def components(self) -> tuple[HomogPoly, HomogPoly, HomogPoly]:
         return (self.a, self.b, self.c)
 
-    def holds_for(self, f: HomogPoly) -> bool:
-        field = self.a.field
-        fx, fy, fz = partials(f.map_field(field))
+    def holds_for(self, f: HomogPoly, grad: Gradient | None = None) -> bool:
+        fx, fy, fz = grad if grad is not None else partials(f.map_field(self.a.field))
         total = self.a * fx + self.b * fy + self.c * fz
         return total.is_zero()
 
 
-def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ) -> ExactMatrix:
+def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> ExactMatrix:
     """Matrix of (a,b,c) |-> a*f_x + b*f_y + c*f_z from degree k to k+d-1.
 
     Columns come in three blocks (a, b, c), each in canonical monomial
     order; rows are the degree-(k+d-1) monomials in canonical order.
+    `grad`, the gradient of f over `field`, spares recomputing it.
     """
     if k < 0:
         raise ValueError("source degree must be non-negative")
     d = f.degree
     if d < 1:
         raise ValueError("curve degree must be at least 1")
-    grad = partials(f.map_field(field))
+    if grad is None:
+        grad = partials(f.map_field(field))
     src = monomial_basis(k)
     tgt_index = monomial_index(k + d - 1)
     n_src = len(src)
@@ -86,11 +92,11 @@ def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ) -> ExactMatrix:
     return M
 
 
-def rank_jacobian(f: HomogPoly, k: int, field: Field = QQ) -> int:
+def rank_jacobian(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> int:
     """Rank of the degree-k Jacobian multiplication matrix (0 for k < 0)."""
     if k < 0:
         return 0
-    return rank(jacobian_matrix(f, k, field))
+    return rank(jacobian_matrix(f, k, field, grad=grad))
 
 
 def ar_dim(f: HomogPoly, k: int, field: Field = QQ) -> int:
@@ -98,9 +104,12 @@ def ar_dim(f: HomogPoly, k: int, field: Field = QQ) -> int:
     return 3 * dim_S(k) - rank_jacobian(f, k, field)
 
 
-def syzygy_basis(f: HomogPoly, k: int, field: Field = QQ) -> list[Syzygy]:
+def syzygy_basis(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> list[Syzygy]:
     """Canonical echelon basis of AR(f)_k; every triple is re-verified."""
-    return [Syzygy.from_vector(f, k, vec, field) for vec in kernel_basis(jacobian_matrix(f, k, field))]
+    if grad is None:
+        grad = partials(f.map_field(field))
+    M = jacobian_matrix(f, k, field, grad=grad)
+    return [Syzygy.from_vector(f, k, vec, field, grad) for vec in kernel_basis(M)]
 
 
 def milnor_dim(f: HomogPoly, k: int, field: Field = QQ) -> int:
@@ -149,6 +158,20 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
     tuple at once.  A constant f, K < 0, or a largest matrix
     (dim S_(top+d-1) rows by 3 dim S_top columns) above MAX_PROFILE_CELLS
     raises InputError before any matrix is built.
+
+    Over Q each rank is proved from one prime p = CERT_PRIME instead of
+    eliminated over Q (see `_certified_ranks`):
+
+    * lower bound: J_k is p-integral, so rank_p(J_k) <= rank_Q(J_k);
+    * upper bound: a set V of exact Q-syzygies of degree k has
+      rank_p(V) <= dim span_Q V <= dim AR(f)_k = 3 dim S_k - rank_Q(J_k).
+
+    When rank_p(V) = 3 dim S_k - rank_p(J_k), or that number is 0, the two
+    bounds meet and the prime rank is the rank over Q.  V holds the
+    monomial multiples of the Koszul relations and of the exact kernel
+    vectors found at the degrees where the bounds did not meet; there the
+    rank is read off the exact kernel over Q.  f is first scaled to coprime
+    integer coefficients, so no denominator can vanish mod p.
     """
     d = f.degree
     if d < 1:
@@ -163,8 +186,69 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
             f"degree {d} with tables to {K} needs a {rows}x{cols} matrix, more than {MAX_PROFILE_CELLS} cells"
         )
     plan = field if isinstance(field, FieldPlan) else FieldPlan.over(field)
-    ranks = plan.agree(lambda F: tuple(rank_jacobian(f, k, F) for k in range(top + 1)))
+    ranks = plan.agree(lambda F: _profile_ranks(f, top, F))
     return RankProfile(f, plan, K, ranks)
+
+
+def _profile_ranks(f: HomogPoly, top: int, field: Field) -> tuple[int, ...]:
+    if field.char == 0:
+        return _certified_ranks(f, top)
+    grad = partials(f.map_field(field))
+    return tuple(rank_jacobian(f, k, field, grad=grad) for k in range(top + 1))
+
+
+def _certified_ranks(f: HomogPoly, top: int, prime: int = CERT_PRIME) -> tuple[int, ...]:
+    """The ranks of J_0..J_top over Q, each proved from rank_p bounds or
+    read off an exact kernel (see `rank_profile`)."""
+    P = GF(prime)
+    # A multiple of f has the same Jacobian ranks and syzygies; with coprime
+    # integer coefficients its gradient reduces mod p, where ranks only drop.
+    (f,) = _integral((f,))
+    grad = partials(f)
+    grad_p = Gradient(*(g.map_field(P) for g in grad))
+    fx, fy, fz = grad_p
+    zero = HomogPoly.zero(P, f.degree - 1)
+    gens = [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]
+    ranks = []
+    for k in range(top + 1):
+        n = 3 * dim_S(k)
+        r = rank_jacobian(f, k, P, grad=grad_p)
+        if r < n:
+            V = _multiples(gens, k, P)
+            if rank(V) != n - r:
+                basis = syzygy_basis(f, k, QQ, grad=grad)
+                r = n - len(basis)
+                # Keep the kernel vectors that V does not span mod p: the
+                # multiples then span at least what the whole kernel's do.
+                new = [tuple(part.map_field(P) for part in _integral(s.components())) for s in basis]
+                stacked = V.stack(_multiples(new, k, P)).transpose()
+                gens = gens + [new[i - V.rows] for i in pivot_columns(stacked) if i >= V.rows]
+        ranks.append(r)
+    return tuple(ranks)
+
+
+def _integral(parts: tuple[HomogPoly, ...]) -> tuple[HomogPoly, ...]:
+    """Rational `parts` scaled by one factor to coprime integer coefficients."""
+    coeffs = [c for part in parts for c in part.terms.values()]
+    scale = Fraction(lcm(*(c.denominator for c in coeffs)), gcd(*(c.numerator for c in coeffs)))
+    return tuple(part.scale(scale) for part in parts)
+
+
+def _multiples(gens: list[tuple[HomogPoly, HomogPoly, HomogPoly]], k: int, field: Field) -> ExactMatrix:
+    """The degree-k monomial multiples of `gens`, one triple per row, in
+    the column layout of `jacobian_matrix`."""
+    n = dim_S(k)
+    index = monomial_index(k)
+    shifts = [(g, monomial_basis(k - g[0].degree)) for g in gens if g[0].degree <= k]
+    M = ExactMatrix.zeros(field, sum(len(nus) for _, nus in shifts), 3 * n)
+    row = 0
+    for g, nus in shifts:
+        for nu in nus:
+            for block, part in enumerate(g):
+                for mu, coeff in part.terms.items():
+                    M.set(row, block * n + index[(nu[0] + mu[0], nu[1] + mu[1], nu[2] + mu[2])], coeff)
+            row += 1
+    return M
 
 
 def mdr(p: RankProfile) -> int:

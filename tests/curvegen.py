@@ -38,14 +38,14 @@ def _random_partition(rng: random.Random, total: int) -> list[int]:
     return parts
 
 
-def random_reduced_curves(count: int, seed: int = 20240810):
+def random_reduced_curves(count: int, seed: int = 20240810, max_degree: int = 9):
     """Yield rank profiles of `count` reduced non-concurrent curves of
-    degrees 4..9, agreed over two primes drawn from `seed`."""
+    degrees 4..max_degree, agreed over two primes drawn from `seed`."""
     rng = random.Random(seed)
     plan = FieldPlan.primes(seed)
     produced = 0
     while produced < count:
-        d = rng.randint(4, 9)
+        d = rng.randint(4, max_degree)
         f = HomogPoly(QQ, 0, {(0, 0, 0): Fraction(1)})
         for e in _random_partition(rng, d):
             f = f * _random_form(rng, e)

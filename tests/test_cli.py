@@ -74,6 +74,20 @@ def test_analyze_rational_mode(capsys):
     assert report["field"] == {"mode": "qq", "primes": None, "fallbacks": 0}
 
 
+def test_analyze_rational_mode_degree_12_matches_auto(capsys):
+    # the certified rational profile keeps qq fast at degree 12
+    args = ["analyze", "--poly", "x*y*z*(x^9-y^9)", "--json"]
+    assert main(args + ["--field", "qq"]) == 0
+    over_q = json.loads(capsys.readouterr().out)
+    assert main(args) == 0
+    auto = json.loads(capsys.readouterr().out)
+    assert over_q.pop("field") == {"mode": "qq", "primes": None, "fallbacks": 0}
+    auto.pop("field")
+    assert over_q == auto
+    assert over_q["classification"]["verdict"] == "Free"
+    assert over_q["classification"]["exponents"] == [1, 10]
+
+
 def test_analyze_table_cap(capsys):
     main(["analyze", "--poly", "x*y*z", "--json", "--max-degree-table", "3"])
     report = json.loads(capsys.readouterr().out)

@@ -54,3 +54,15 @@ def test_case_runner_accepts_rational_plan():
     result = run_case(case, FieldPlan.rationals())
     assert result.passed, result.failures
     assert result.report["field"]["mode"] == "qq"
+
+
+def test_case_runner_refuses_a_table_below_the_cross_checks():
+    # the cusp is nearly free with d = 3, r = 1: its sharp delta values
+    # read the tables up to degree d - r = 2
+    case = load_case(shipped_corpus_dir() / "cusp_cubic.curve")
+    result = run_case(case, FieldPlan.primes(0), 0)
+    assert result.failures == [
+        "InputError: table degree 0 is below 2, the smallest the cross-checks of this curve read"
+    ]
+    result = run_case(case, FieldPlan.primes(0), table_max=2)
+    assert result.passed, result.failures

@@ -4,7 +4,7 @@ import pytest
 
 from freecurve import invariants
 from freecurve.errors import InternalInconsistencyError, NotReducedError
-from freecurve.fields import FieldPlan
+from freecurve.fields import QQ, FieldPlan
 from freecurve.invariants import (
     compute_bundle,
     defect,
@@ -17,6 +17,7 @@ from freecurve.invariants import (
     tjurina,
     validate_bundle,
 )
+from freecurve.linalg import ExactMatrix
 from freecurve.parser import parse_poly
 from freecurve.syzygy import mdr, rank_profile
 
@@ -134,6 +135,22 @@ def test_oracle_vanishes_above_T(f):
     T = 3 * (f.degree - 2)
     for j in (T + 1, T + 2):
         assert n_dim_saturation_oracle(f, j) == 0 == n_dim(f.degree, j, tau, profile.ar)
+
+
+def test_oracle_builds_no_prime_field_matrix(monkeypatch):
+    # the oracle is an independent check over Q: every matrix it builds,
+    # Jacobian or constraint, is rational
+    fields = []
+    inner = ExactMatrix.__init__
+
+    def recording(self, field, rows, cols, data):
+        fields.append(field)
+        inner(self, field, rows, cols, data)
+
+    monkeypatch.setattr(ExactMatrix, "__init__", recording)
+    for j in range(4):
+        n_dim_saturation_oracle(parse_poly("x*y*z*(x+y+z)"), j)
+    assert fields and all(field is QQ for field in fields)
 
 
 def test_oracle_rejects_negative_degree():

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from freecurve.fields import GF, QQ, random_prime
-from freecurve.linalg import ExactMatrix, kernel_basis, rank, solve_exact
+from freecurve.linalg import ExactMatrix, kernel_basis, pivot_columns, rank, solve_exact
 
 import random
 
@@ -21,6 +21,23 @@ def test_rank_empty_and_identity():
 
 def test_rank_dependent_rows():
     assert rank(qmat([[1, 2, 3], [2, 4, 6]])) == 1
+
+
+def test_pivot_columns_skip_dependent_columns():
+    # column 1 is twice column 0, column 3 is column 0 plus column 2
+    rows = [[1, 2, 0, 1], [0, 0, 1, 1], [3, 6, 0, 3]]
+    assert pivot_columns(qmat(rows)) == [0, 2]
+    assert pivot_columns(ExactMatrix.from_rows(GF(2_147_483_659), rows)) == [0, 2]
+    assert pivot_columns(ExactMatrix.zeros(QQ, 0, 3)) == []
+
+
+def test_stack_appends_rows():
+    for field in (QQ, GF(7)):
+        top = ExactMatrix.from_rows(field, [[1, 2]])
+        stacked = top.stack(ExactMatrix.from_rows(field, [[3, 4], [5, 6]]))
+        assert (stacked.rows, stacked.cols) == (3, 2)
+        assert stacked.row_lists() == [[1, 2], [3, 4], [5, 6]]
+        assert ExactMatrix.zeros(field, 0, 2).stack(top).row_lists() == [[1, 2]]
 
 
 def test_kernel_injective_map():

@@ -3,6 +3,8 @@
 import pytest
 
 from freecurve import syzygy
+from freecurve.corpus import load_case
+from freecurve.data import shipped_corpus_dir
 from freecurve.fields import GF, QQ, FieldPlan
 from freecurve.linalg import rank
 from freecurve.parser import parse_poly
@@ -19,6 +21,7 @@ from freecurve.syzygy import (
     syzygy_basis,
 )
 
+from curvegen import random_reduced_curves
 from oracles import ar_dim_oracle, milnor_dim_oracle
 
 TRIANGLE = parse_poly("x*y*z")
@@ -136,9 +139,9 @@ def test_reducedness_reads_one_window(monkeypatch):
     degrees = []
     inner = syzygy.rank_jacobian
 
-    def recording(f, k, field=QQ):
+    def recording(f, k, field=QQ, **kwargs):
         degrees.append(k)
-        return inner(f, k, field)
+        return inner(f, k, field, **kwargs)
 
     monkeypatch.setattr(syzygy, "rank_jacobian", recording)
     f = parse_poly("x^2*y^2*z")
@@ -185,3 +188,67 @@ def test_prime_field_dimensions_match_rational():
         for k in range(0, 6):
             assert ar_dim(f, k, field) == ar_dim(f, k)
             assert milnor_dim(f, k, field) == milnor_dim(f, k)
+
+
+# Smooth over Q, but its Jacobian ranks drop mod 3 (the cubes have zero
+# derivative) and mod 5 and 7, where it is singular: x^3+y^3+z^3+t*xyz is
+# singular exactly when t^3 = -27, and 2^3 + 27 = 5 * 7.
+DEGENERATE_MOD_3_5_7 = "x^3+y^3+z^3+2*x*y*z"
+
+
+@pytest.fixture(scope="module")
+def bareiss_profiles():
+    """(name, f, Bareiss ranks at 0..2d) for every shipped corpus curve of
+    degree <= 6, 20 random reduced curves of degree 4..5 and one cubic.
+    (Bareiss ranks of 20 random sextics would take about a minute.)"""
+    curves = []
+    for path in sorted(shipped_corpus_dir().glob("*.curve")):
+        f = parse_poly(load_case(path).expression)
+        if f.degree <= 6:
+            curves.append((path.name, f))
+    for i, profile in enumerate(random_reduced_curves(20, seed=7, max_degree=5)):
+        curves.append((f"random {i}", profile.f))
+    curves.append((DEGENERATE_MOD_3_5_7, parse_poly(DEGENERATE_MOD_3_5_7)))
+    return [(name, f, tuple(rank_jacobian(f, k, QQ) for k in range(2 * f.degree + 1))) for name, f in curves]
+
+
+def _record_kernel_fallbacks(monkeypatch) -> list[int]:
+    degrees = []
+    inner = syzygy.syzygy_basis
+
+    def recording(f, k, field=QQ, **kwargs):
+        degrees.append(k)
+        return inner(f, k, field, **kwargs)
+
+    monkeypatch.setattr(syzygy, "syzygy_basis", recording)
+    return degrees
+
+
+def test_certified_profile_equals_bareiss(bareiss_profiles):
+    for name, f, bareiss in bareiss_profiles:
+        assert rank_profile(f, QQ).ranks == bareiss, name
+
+
+def test_certificate_at_small_primes_falls_back_and_stays_exact(bareiss_profiles, monkeypatch):
+    # A small prime often loses rank, so the bounds meet less often and the
+    # exact kernel steps in; the ranks must not change.  Shipped curves of
+    # degree <= 4 and the cubic only: with dense random coefficients, an
+    # exact kernel at nearly every degree costs 6 s for a quartic and more
+    # than 12 s for a quintic.
+    cases = [case for case in bareiss_profiles if not case[0].startswith("random") and case[1].degree <= 4]
+    fallbacks = _record_kernel_fallbacks(monkeypatch)
+    for name, f, bareiss in cases:
+        assert syzygy._certified_ranks(f, len(bareiss) - 1) == bareiss, name
+    at_cert_prime = len(fallbacks)
+    for prime in (3, 5, 7):
+        fallbacks.clear()
+        for name, f, bareiss in cases:
+            assert syzygy._certified_ranks(f, len(bareiss) - 1, prime) == bareiss, (name, prime)
+        assert len(fallbacks) > at_cert_prime, prime
+
+
+def test_certificate_clears_a_denominator_divisible_by_the_prime():
+    # the certificate works on an integer multiple of f, which reduces mod p
+    f = parse_poly(f"x^3+y^3+z^3+1/{syzygy.CERT_PRIME}*x*y*z")
+    bareiss = tuple(rank_jacobian(f, k, QQ) for k in range(2 * f.degree + 1))
+    assert rank_profile(f, QQ).ranks == bareiss
