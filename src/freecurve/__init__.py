@@ -34,7 +34,6 @@ from .classify import (
     pairing,
     saito_verify,
     tau_test,
-    v_map,
 )
 from .errors import (
     FreecurveError,

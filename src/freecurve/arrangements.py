@@ -21,6 +21,9 @@ from .poly import HomogPoly
 
 LineCoeffs = tuple[Fraction, Fraction, Fraction]
 
+# The largest degree `interval_table` accepts: its d/2 rows stay printable.
+MAX_INTERVAL_DEGREE = 10**4
+
 
 @dataclass(frozen=True)
 class LineSet:
@@ -189,34 +192,34 @@ def terao_rigidity(d: int, tau: int) -> TeraoResult:
     """Decide whether tau pins the minimal relation degree of a free
     arrangement uniquely.
 
-    Searches for the unique r with 0 <= r < d/2 and
-    tau = (d-1)(d-r-1) + r^2.  When such an r exists and r <= sqrt(d-3),
-    consecutive intervals are disjoint, so any arrangement with the same
-    lattice is forced to share r and hence freeness: Rigid(r).  A solution
-    beyond the bound is NotCovered(r); no solution is NoSolution.
+    Solves tau = (d-1)(d-r-1) + r^2 for the unique r with 0 <= r < d/2:
+    the roots are ((d-1) -+ s)/2 with s^2 = 4 tau - 3(d-1)^2, and only the
+    smaller one can lie below d/2.  When such an r exists and
+    r <= sqrt(d-3), consecutive intervals are disjoint, so any arrangement
+    with the same lattice is forced to share r and hence freeness:
+    Rigid(r).  A solution beyond the bound is NotCovered(r); no solution
+    is NoSolution.
     """
     if d < 3:
         raise InputError("need degree >= 3")
     if tau < 0:
         raise InputError("Tjurina number cannot be negative")
-    found = None
-    for r in range((d + 1) // 2):
-        if 2 * r >= d:
-            break
-        if tau == (d - 1) * (d - r - 1) + r * r:
-            found = r
-            break
-    if found is None:
+    disc = 4 * tau - 3 * (d - 1) ** 2
+    s = isqrt(disc) if disc >= 0 else -1
+    if s * s != disc or s > d - 1 or (d - 1 - s) % 2:
         return TeraoResult("NoSolution", None)
+    found = (d - 1 - s) // 2
     if found * found <= d - 3:
         return TeraoResult("Rigid", found)
     return TeraoResult("NotCovered", found)
 
 
 def interval_table(d: int) -> list[tuple[int, int, int]]:
-    """(r, tau_min, tau_max) rows for r = 1 .. floor(d/2)."""
+    """(r, tau_min, tau_max) rows for r = 1 .. floor(d/2), 3 <= d <= MAX_INTERVAL_DEGREE."""
     if d < 3:
         raise InputError("need degree >= 3")
+    if d > MAX_INTERVAL_DEGREE:
+        raise InputError(f"degree {d} is above {MAX_INTERVAL_DEGREE}, the largest interval table printed")
     return [(r, *dpw_bounds(d, r)) for r in range(1, d // 2 + 1)]
 
 

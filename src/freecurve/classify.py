@@ -8,9 +8,13 @@ theorems of one another, so any disagreement aborts loudly.  Free
 verdicts are then verified structurally through the exterior pairing of
 syzygies (a Saito-style determinant check) and nearly free verdicts by
 exhibiting the three generating syzygies and matching the graded
-dimensions of the module they span.  Every number the criteria read comes
-from the curve's invariant bundle; only the structural checks build
-syzygies, once per verdict over the bundle's field plan.
+dimensions of the module they span.  The generators after the minimal
+relation rho1 are the canonical kernel vectors that lie outside the
+multiples S * rho1; the pairing and those multiples are laid out by
+`syzygy.multiples`, like every other multiplication matrix.  Every number
+the criteria read comes from the curve's invariant bundle; only the
+structural checks build syzygies, once per verdict over the bundle's
+field plan.
 """
 
 from __future__ import annotations
@@ -19,10 +23,10 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError
 from .fields import Field, QQ
-from .linalg import ExactMatrix, _rref_generic, kernel_basis, solve_exact
-from .poly import Gradient, HomogPoly, dim_choose2, monomial_basis, partials
+from .linalg import ExactMatrix, kernel_basis, solve_exact
+from .poly import HomogPoly, dim_choose2, partials
 from .invariants import InvariantBundle, delta_dim
-from .syzygy import RankProfile, Syzygy, jacobian_matrix, syzygy_basis
+from .syzygy import RankProfile, Syzygy, jacobian_matrix, multiples, outside_span, syzygy_basis
 
 FREE = "Free"
 NEARLY_FREE = "NearlyFree"
@@ -106,19 +110,10 @@ def delta_test(p: RankProfile, r: int) -> str:
     return NEITHER
 
 
-def _triple(rho) -> tuple[HomogPoly, HomogPoly, HomogPoly]:
-    if isinstance(rho, Syzygy):
-        return rho.components()
-    if isinstance(rho, Gradient):
-        return (rho.fx, rho.fy, rho.fz)
-    a, b, c = rho
-    return (a, b, c)
-
-
 def cross_product(rho, rho2) -> tuple[HomogPoly, HomogPoly, HomogPoly]:
     """Componentwise exterior product of two polynomial triples."""
-    a, b, c = _triple(rho)
-    a2, b2, c2 = _triple(rho2)
+    a, b, c = rho
+    a2, b2, c2 = rho2
     return (b * c2 - b2 * c, c * a2 - c2 * a, a * b2 - a2 * b)
 
 
@@ -127,42 +122,22 @@ def pairing(rho, rho2, f: HomogPoly) -> HomogPoly:
 
     h exists for any two genuine relations of a reduced curve; an
     inconsistent solve therefore signals corrupted inputs and aborts.
-    The result lives in degree deg(rho) + deg(rho2) - (d-1).
+    The result lives in degree deg(rho) + deg(rho2) - (d-1).  Paired
+    against a minimal relation rho1, h vanishes on the multiples of rho1.
     """
-    first = _triple(rho)[0]
-    field = first.field
-    f_local = f.map_field(field)
-    grad = partials(f_local)
+    field = rho[0].field
+    grad = partials(f.map_field(field))
     cross = cross_product(rho, rho2)
-    d = f.degree
-    q = cross[0].degree - (d - 1)
+    q = cross[0].degree - (f.degree - 1)
     if q < 0:
         if all(comp.is_zero() for comp in cross):
             return HomogPoly.zero(field, 0)
         raise InternalInconsistencyError(
             "exterior product nonzero in a degree below the gradient degree"
         )
-    src = monomial_basis(q)
-    tgt = monomial_basis(q + d - 1)
-    rows: list[list] = []
-    rhs: list = []
-    for g_comp, c_comp in zip(grad, cross):
-        cvec = c_comp.coeff_vector()
-        for t_i, t_mono in enumerate(tgt):
-            row = []
-            for s_mono in src:
-                diff = (
-                    t_mono[0] - s_mono[0],
-                    t_mono[1] - s_mono[1],
-                    t_mono[2] - s_mono[2],
-                )
-                if min(diff) < 0:
-                    row.append(field.zero)
-                else:
-                    row.append(g_comp.terms.get(diff, field.zero))
-            rows.append(row)
-            rhs.append(cvec[t_i])
-    solution = solve_exact(ExactMatrix.from_rows(field, rows), rhs)
+    # h * grad, read off in the layout of the multiples of grad
+    system = multiples([grad], cross[0].degree, field).transpose()
+    solution = solve_exact(system, [v for comp in cross for v in comp.coeff_vector()])
     if solution is None:
         raise InternalInconsistencyError(
             "exterior product of two relations is not a multiple of the "
@@ -182,46 +157,9 @@ def saito_verify(f: HomogPoly, rho1, rho2) -> bool:
     degree 0; the pair generates freely exactly when that constant is
     nonzero.
     """
-    r1, r2 = _triple(rho1), _triple(rho2)
-    if r1[0].degree + r2[0].degree != f.degree - 1:
+    if rho1[0].degree + rho2[0].degree != f.degree - 1:
         raise ValueError("syzygy degrees must add up to d - 1")
     return not pairing(rho1, rho2, f).is_zero()
-
-
-def v_map(rho, rho1, f: HomogPoly) -> HomogPoly:
-    """Pair against a fixed minimal-degree relation; kills its multiples."""
-    return pairing(rho, rho1, f)
-
-
-def _reduce_against(vec: list, echelon: list[tuple], pivots: list[int], field: Field) -> list:
-    out = list(vec)
-    for row, pc in zip(echelon, pivots):
-        c = out[pc]
-        if not field.is_zero(c):
-            out = [field.sub(a, field.mul(c, b)) for a, b in zip(out, row)]
-    return out
-
-
-def _echelon_complement(f: HomogPoly, rho1: Syzygy, degree: int, field: Field) -> list[tuple]:
-    """Canonical basis of a complement of S_(degree-r) * rho1 in AR(f)_degree."""
-    r = rho1.degree
-    span_rows = []
-    for mu in monomial_basis(degree - r):
-        comps = [p.mul_monomial(mu) for p in rho1.components()]
-        span_rows.append([v for comp in comps for v in comp.coeff_vector()])
-    if span_rows:
-        ech, pivots = _rref_generic(span_rows, field)
-    else:
-        ech, pivots = [], []
-    residues = []
-    for vec in kernel_basis(jacobian_matrix(f, degree, field)):
-        red = _reduce_against(list(vec), ech, pivots, field)
-        if any(not field.is_zero(v) for v in red):
-            residues.append(red)
-    if not residues:
-        return []
-    canon, _ = _rref_generic(residues, field)
-    return [tuple(row) for row in canon]
 
 
 def nearly_free_resolution_dim(d: int, r: int, k: int) -> int:
@@ -236,24 +174,27 @@ def nearly_free_resolution_dim(d: int, r: int, k: int) -> int:
 
 def _generators(f: HomogPoly, r: int, degree: int, count: int, field: Field) -> tuple[Syzygy, ...]:
     """The canonical minimal-degree relation rho1, then the `count`
-    vectors of the canonical echelon complement of S_(degree-r) * rho1
-    inside AR(f)_degree; any other complement dimension aborts."""
+    vectors of the canonical kernel basis of AR(f)_degree that lie outside
+    S_(degree-r) * rho1, each re-verified; any other count aborts."""
     basis = syzygy_basis(f, r, field)
     if not basis:
         raise ValueError(f"no relation in degree {r}; is r really mdr(f)?")
-    complement = _echelon_complement(f, basis[0], degree, field)
-    if len(complement) != count:
+    rho1 = basis[0]
+    kernel = kernel_basis(jacobian_matrix(f, degree, field))
+    picked = outside_span(multiples([rho1], degree, field), ExactMatrix.from_rows(field, kernel))
+    if len(picked) != count:
         raise InternalInconsistencyError(
             f"complement of the minimal relation in degree {degree} has "
-            f"dimension {len(complement)}, expected {count}"
+            f"dimension {len(picked)}, expected {count}"
         )
-    return (basis[0], *(Syzygy.from_vector(f, degree, vec, field) for vec in complement))
+    return (rho1, *(Syzygy.from_vector(f, degree, kernel[i], field) for i in picked))
 
 
 def nearly_free_generators(f: HomogPoly, r: int, field: Field = QQ) -> tuple[Syzygy, Syzygy, Syzygy]:
     """The three generating syzygies of a nearly free curve: rho1 of
-    degree r and rho2, rho3 of degree d-r.  That they generate is
-    certified separately, from the rank profile (`resolution_matches`)."""
+    degree r, then rho2, rho3 of degree d-r, the canonical kernel vectors
+    outside S_(d-2r) * rho1.  That they generate is certified separately,
+    from the rank profile (`resolution_matches`)."""
     return _generators(f, r, f.degree - r, 2, field)
 
 

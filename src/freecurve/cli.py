@@ -22,7 +22,7 @@ from .arrangements import (
 )
 from .corpus import run_corpus
 from .data import shipped_corpus_dir
-from .errors import InputError, InternalInconsistencyError
+from .errors import InputError, InternalInconsistencyError, read_input
 from .fields import FieldPlan
 from .invariants import tjurina
 from .parser import parse_poly
@@ -97,7 +97,7 @@ def _cmd_analyze(args) -> int:
     if args.poly is not None:
         text = args.poly
     else:
-        text = Path(args.file).read_text()
+        text = read_input(args.file)
     expression = " ".join(
         line.strip() for line in text.splitlines() if line.strip() and not line.strip().startswith("#")
     )
@@ -132,12 +132,12 @@ def _cmd_terao(args) -> int:
         d, tau = args.degree, args.tau
         payload["source"] = "direct"
     elif args.lattice is not None:
-        lattice = LatticeSummary.from_text(Path(args.lattice).read_text())
+        lattice = LatticeSummary.from_text(read_input(args.lattice))
         d, tau = lattice.degree, lattice_tjurina(lattice)
         payload["source"] = "lattice"
         payload["multiplicities"] = lattice.multiplicity_counts()
     else:
-        lines = LineSet.from_text(Path(args.lines).read_text())
+        lines = LineSet.from_text(read_input(args.lines))
         lattice = intersection_lattice(lines)
         d, tau = lines.degree, lattice_tjurina(lattice)
         payload["source"] = "lines"
@@ -202,9 +202,6 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except InternalInconsistencyError as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 from .classify import FREE, NEARLY_FREE, NEITHER
-from .errors import FreecurveError, InputError
+from .errors import FreecurveError, InputError, read_input
 from .fields import FieldPlan
 from .invariants import n_dim, n_dim_saturation_oracle
 from .parser import parse_poly
@@ -56,7 +56,7 @@ class CaseResult:
 def load_case(path: Path) -> CurveCase:
     metadata: dict[str, str] = {}
     expression_parts: list[str] = []
-    for raw in path.read_text().splitlines():
+    for raw in read_input(path).splitlines():
         stripped = raw.strip()
         if stripped.startswith("#"):
             body = stripped[1:].strip()

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all freecurve modules."""
+"""Exception hierarchy shared by all freecurve modules, and the input reader."""
+
+from pathlib import Path
 
 
 class FreecurveError(Exception):
@@ -36,3 +38,12 @@ class InternalInconsistencyError(FreecurveError):
     that survived cross-checking), never a property of the input curve.
     Maps to CLI exit code 3.
     """
+
+
+def read_input(path) -> str:
+    """The UTF-8 text of an input file.  A path that cannot be read (missing,
+    a directory, no permission) or decoded raises InputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc

@@ -63,22 +63,19 @@ class ExactMatrix:
         return cls(field, m, n, [[field.zero] * n for _ in range(m)])
 
     @classmethod
-    def identity(cls, field: Field, n: int) -> "ExactMatrix":
-        out = cls.zeros(field, n, n)
-        for i in range(n):
-            out.set(i, i, field.one)
+    def from_entries(cls, field: Field, m: int, n: int, rows: Sequence[int], cols: Sequence[int], values: Sequence) -> "ExactMatrix":
+        """The m x n matrix with values[i] at (rows[i], cols[i]), zero elsewhere."""
+        out = cls.zeros(field, m, n)
+        if isinstance(out._data, np.ndarray):
+            out._data[rows, cols] = np.array(values, dtype=np.int64) % field.p
+        else:
+            for i, j, v in zip(rows, cols, values):
+                out._data[i][j] = v
         return out
 
-    def set(self, i: int, j: int, value) -> None:
-        if isinstance(self._data, np.ndarray):
-            self._data[i, j] = value % self.field.p
-        else:
-            self._data[i][j] = value
-
-    def get(self, i: int, j: int):
-        if isinstance(self._data, np.ndarray):
-            return int(self._data[i, j])
-        return self._data[i][j]
+    @classmethod
+    def identity(cls, field: Field, n: int) -> "ExactMatrix":
+        return cls.from_entries(field, n, n, list(range(n)), list(range(n)), [field.one] * n)
 
     def row_lists(self) -> list[list]:
         if isinstance(self._data, np.ndarray):
@@ -94,7 +91,7 @@ class ExactMatrix:
     def transpose(self) -> "ExactMatrix":
         if isinstance(self._data, np.ndarray):
             return ExactMatrix(self.field, self.cols, self.rows, self._data.T.copy())
-        data = [[self._data[i][j] for i in range(self.rows)] for j in range(self.cols)]
+        data = [list(col) for col in zip(*self._data)] if self.rows else [[] for _ in range(self.cols)]
         return ExactMatrix(self.field, self.cols, self.rows, data)
 
     def __repr__(self):
@@ -109,10 +106,11 @@ def _use_numpy(field: Field) -> bool:
 # prime-field elimination, vectorised
 
 
-def _np_rank(a: np.ndarray, p: int) -> int:
+def _np_pivots(a: np.ndarray, p: int) -> list[int]:
     a = a.copy()
     m, n = a.shape
     r = 0
+    pivots: list[int] = []
     for col in range(n):
         if r == m:
             break
@@ -130,8 +128,9 @@ def _np_rank(a: np.ndarray, p: int) -> int:
             factors = below[nzb] * inv % p
             # products stay below p^2 < 2^63: exact in int64
             a[rows_idx, col:] = (a[rows_idx, col:] - factors[:, None] * a[r, col:][None, :]) % p
+        pivots.append(col)
         r += 1
-    return r
+    return pivots
 
 
 def _np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -172,7 +171,7 @@ def _scaled_int_rows(rows: list[list[Fraction]]) -> list[list[int]]:
         for v in row:
             d = v.denominator
             denlcm = denlcm // gcd(denlcm, d) * d
-        ints = [int(v * denlcm) for v in row]
+        ints = [v.numerator * (denlcm // v.denominator) if v else 0 for v in row]
         g = 0
         for v in ints:
             g = gcd(g, v)
@@ -289,21 +288,21 @@ def _rref(M: ExactMatrix) -> tuple[list[list], list[int]]:
 # public operations
 
 
+def pivot_columns(M: ExactMatrix) -> list[int]:
+    """Pivot columns of the pinned row echelon form of M: scanned left to
+    right, the columns independent of all columns before them."""
+    if M.rows == 0 or M.cols == 0:
+        return []
+    if isinstance(M._data, np.ndarray):
+        return _np_pivots(M._data, M.field.p)
+    if isinstance(M.field, PrimeField):
+        return _rref_generic(M._data, M.field)[1]
+    return _bareiss_echelon(_scaled_int_rows(M._data))[1]
+
+
 def rank(M: ExactMatrix) -> int:
     """Exact rank; deterministic for a fixed input."""
-    if M.rows == 0 or M.cols == 0:
-        return 0
-    if isinstance(M._data, np.ndarray):
-        return _np_rank(M._data, M.field.p)
-    if isinstance(M.field, PrimeField):
-        return len(_rref_generic(M._data, M.field)[1])
-    return len(_bareiss_echelon(_scaled_int_rows(M._data))[1])
-
-
-def pivot_columns(M: ExactMatrix) -> list[int]:
-    """Pivot columns of the pinned reduced echelon form of M: scanned left
-    to right, the columns independent of all columns before them."""
-    return _rref(M)[1]
+    return len(pivot_columns(M))
 
 
 def kernel_basis(M: ExactMatrix) -> list[tuple]:

@@ -14,6 +14,10 @@ Grammar (whitespace is insignificant):
 "/" is not a general operator: it may only follow an integer literal, so
 "1/2*x^2" is the monomial with coefficient 1/2.  The parsed expression is
 expanded and must be homogeneous and nonzero.
+
+Input the analysis could never finish is refused before it is expanded:
+parentheses nested deeper than MAX_NESTING, and any product or power of
+degree above MAX_CURVE_DEGREE, the largest degree a rank profile admits.
 """
 
 from __future__ import annotations
@@ -23,6 +27,10 @@ from fractions import Fraction
 from .errors import PolyParseError
 from .fields import QQ
 from .poly import HomogPoly, Monomial
+from .syzygy import MAX_CURVE_DEGREE
+
+# Parentheses open at once; each level costs five stack frames.
+MAX_NESTING = 100
 
 _Sparse = dict[Monomial, Fraction]  # possibly inhomogeneous expansion
 
@@ -55,6 +63,10 @@ def _smul(a: _Sparse, b: _Sparse) -> _Sparse:
     return out
 
 
+def _sdegree(a: _Sparse) -> int:
+    return max((sum(m) for m in a), default=0)
+
+
 def _spow(a: _Sparse, e: int) -> _Sparse:
     result: _Sparse = {(0, 0, 0): Fraction(1)}
     base = a
@@ -71,9 +83,14 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str):
         raise PolyParseError(message, self.pos)
+
+    def check_degree(self, degree: int):
+        if degree > MAX_CURVE_DEGREE:
+            self.error(f"degree {degree} is above {MAX_CURVE_DEGREE}, the largest a rank profile admits")
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -120,7 +137,9 @@ class _Parser:
         value = self.factor()
         while self.peek() == "*":
             self.pos += 1
-            value = _smul(value, self.factor())
+            other = self.factor()
+            self.check_degree(_sdegree(value) + _sdegree(other))
+            value = _smul(value, other)
         return value
 
     def factor(self) -> _Sparse:
@@ -135,15 +154,21 @@ class _Parser:
         value = self.atom()
         while self.peek() == "^":
             self.pos += 1
-            value = _spow(value, self.natural())
+            e = self.natural()
+            self.check_degree(_sdegree(value) * e)
+            value = _spow(value, e)
         return value
 
     def atom(self) -> _Sparse:
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}")
             self.pos += 1
+            self.depth += 1
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         if ch and ch in "xyz":
             self.pos += 1

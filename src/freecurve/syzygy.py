@@ -13,9 +13,12 @@ per-degree functions over one field serve checks independent of it.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
+from typing import NamedTuple, Sequence
 
 from .errors import InputError, InternalInconsistencyError
 from .fields import GF, Field, FieldPlan, QQ
@@ -27,12 +30,15 @@ from .poly import Gradient, HomogPoly, dim_S, monomial_basis, monomial_index, pa
 # table degree 2d.
 MAX_PROFILE_CELLS = 2**25
 
+# The largest curve degree some table degree admits (33): a profile of a
+# degree-(d+1) curve reaches at least source degree 2d+1.
+MAX_CURVE_DEGREE = next(d for d in count(1) if dim_S(3 * d + 1) * 3 * dim_S(2 * d + 1) > MAX_PROFILE_CELLS)
+
 # The prime of the certified rational profile: the first prime above 2^31.
 CERT_PRIME = 2_147_483_659
 
 
-@dataclass(frozen=True)
-class Syzygy:
+class Syzygy(NamedTuple):
     """A relation a*f_x + b*f_y + c*f_z = 0 with a, b, c of one degree."""
 
     a: HomogPoly
@@ -55,19 +61,59 @@ class Syzygy:
             )
         return syz
 
-    def components(self) -> tuple[HomogPoly, HomogPoly, HomogPoly]:
-        return (self.a, self.b, self.c)
-
     def holds_for(self, f: HomogPoly, grad: Gradient | None = None) -> bool:
         fx, fy, fz = grad if grad is not None else partials(f.map_field(self.a.field))
         total = self.a * fx + self.b * fy + self.c * fz
         return total.is_zero()
 
 
+def multiples(gens: Sequence[Sequence[HomogPoly]], k: int, field: Field) -> ExactMatrix:
+    """The degree-k monomial multiples of polynomial tuples, one per row.
+
+    A tuple g = (g_1, ..., g_t) of degree e <= k gives the rows nu*g for
+    the degree-(k-e) monomials nu in canonical order (tuples above degree
+    k give none); block i of a row holds the coefficients of nu*g_i on the
+    degree-k monomials in canonical order.  This is the layout of every
+    multiplication matrix here; all tuples have the length of the first.
+    """
+    m, n, rows, cols, values = _multiple_entries(gens, k)
+    return ExactMatrix.from_entries(field, m, n, rows, cols, values)
+
+
+def _multiple_entries(gens: Sequence[Sequence[HomogPoly]], k: int) -> tuple[int, int, array, array, list]:
+    """Shape and nonzero entries (rows, columns, values) of `multiples`."""
+    n = dim_S(k)
+    index = monomial_index(k)
+    rows, cols = array("q"), array("q")
+    values: list = []
+    row = 0
+    for g in gens:
+        for nu in monomial_basis(k - g[0].degree):
+            for base, part in zip(range(0, len(g) * n, n), g):
+                for mu, coeff in part.terms.items():
+                    rows.append(row)
+                    cols.append(base + index[(nu[0] + mu[0], nu[1] + mu[1], nu[2] + mu[2])])
+                    values.append(coeff)
+            row += 1
+    return row, len(gens[0]) * n if gens else 0, rows, cols, values
+
+
+def outside_span(span: ExactMatrix, candidates: ExactMatrix) -> list[int]:
+    """Indices of the candidate rows outside the span of `span`'s rows and
+    of the candidate rows before them: with all rows stacked as columns,
+    the pivot columns past span's."""
+    if candidates.rows == 0:
+        return []
+    pivots = pivot_columns(span.stack(candidates).transpose())
+    return [i - span.rows for i in pivots if i >= span.rows]
+
+
 def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> ExactMatrix:
     """Matrix of (a,b,c) |-> a*f_x + b*f_y + c*f_z from degree k to k+d-1.
 
-    Columns come in three blocks (a, b, c), each in canonical monomial
+    The transpose of the `multiples` of (f_x,), (f_y,), (f_z,) at degree
+    k+d-1, placed from the same entries without a transposing copy:
+    columns come in three blocks (a, b, c), each in canonical monomial
     order; rows are the degree-(k+d-1) monomials in canonical order.
     `grad`, the gradient of f over `field`, spares recomputing it.
     """
@@ -78,18 +124,8 @@ def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient |
         raise ValueError("curve degree must be at least 1")
     if grad is None:
         grad = partials(f.map_field(field))
-    src = monomial_basis(k)
-    tgt_index = monomial_index(k + d - 1)
-    n_src = len(src)
-    M = ExactMatrix.zeros(field, len(tgt_index), 3 * n_src)
-    for block, part in enumerate(grad):
-        base = block * n_src
-        for s, nu in enumerate(src):
-            col = base + s
-            for mu, coeff in part.terms.items():
-                row = tgt_index[(nu[0] + mu[0], nu[1] + mu[1], nu[2] + mu[2])]
-                M.set(row, col, coeff)
-    return M
+    m, n, rows, cols, values = _multiple_entries([(part,) for part in grad], k + d - 1)
+    return ExactMatrix.from_entries(field, n, m, cols, rows, values)
 
 
 def rank_jacobian(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> int:
@@ -214,15 +250,14 @@ def _certified_ranks(f: HomogPoly, top: int, prime: int = CERT_PRIME) -> tuple[i
         n = 3 * dim_S(k)
         r = rank_jacobian(f, k, P, grad=grad_p)
         if r < n:
-            V = _multiples(gens, k, P)
+            V = multiples(gens, k, P)
             if rank(V) != n - r:
                 basis = syzygy_basis(f, k, QQ, grad=grad)
                 r = n - len(basis)
                 # Keep the kernel vectors that V does not span mod p: the
                 # multiples then span at least what the whole kernel's do.
-                new = [tuple(part.map_field(P) for part in _integral(s.components())) for s in basis]
-                stacked = V.stack(_multiples(new, k, P)).transpose()
-                gens = gens + [new[i - V.rows] for i in pivot_columns(stacked) if i >= V.rows]
+                new = [tuple(part.map_field(P) for part in _integral(s)) for s in basis]
+                gens = gens + [new[i] for i in outside_span(V, multiples(new, k, P))]
         ranks.append(r)
     return tuple(ranks)
 
@@ -232,23 +267,6 @@ def _integral(parts: tuple[HomogPoly, ...]) -> tuple[HomogPoly, ...]:
     coeffs = [c for part in parts for c in part.terms.values()]
     scale = Fraction(lcm(*(c.denominator for c in coeffs)), gcd(*(c.numerator for c in coeffs)))
     return tuple(part.scale(scale) for part in parts)
-
-
-def _multiples(gens: list[tuple[HomogPoly, HomogPoly, HomogPoly]], k: int, field: Field) -> ExactMatrix:
-    """The degree-k monomial multiples of `gens`, one triple per row, in
-    the column layout of `jacobian_matrix`."""
-    n = dim_S(k)
-    index = monomial_index(k)
-    shifts = [(g, monomial_basis(k - g[0].degree)) for g in gens if g[0].degree <= k]
-    M = ExactMatrix.zeros(field, sum(len(nus) for _, nus in shifts), 3 * n)
-    row = 0
-    for g, nus in shifts:
-        for nu in nus:
-            for block, part in enumerate(g):
-                for mu, coeff in part.terms.items():
-                    M.set(row, block * n + index[(nu[0] + mu[0], nu[1] + mu[1], nu[2] + mu[2])], coeff)
-            row += 1
-    return M
 
 
 def mdr(p: RankProfile) -> int:

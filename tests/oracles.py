@@ -18,17 +18,17 @@ def to_sympy(f):
     return sympy.expand(expr)
 
 
+def _exponents(m):
+    return [(i, j, m - i - j) for i in range(m, -1, -1) for j in range(m - i, -1, -1)]
+
+
 def _monomials(m):
-    out = []
-    for i in range(m, -1, -1):
-        for j in range(m - i, -1, -1):
-            out.append(X**i * Y**j * Z ** (m - i - j))
-    return out
+    return [X**i * Y**j * Z**k for i, j, k in _exponents(m)]
 
 
 def _coeff_vector(expr, degree):
-    poly = sympy.Poly(expr, X, Y, Z)
-    return [poly.coeff_monomial(mono) for mono in _monomials(degree)]
+    coeffs = sympy.Poly(expr, X, Y, Z).as_dict()
+    return [coeffs.get(e, sympy.Integer(0)) for e in _exponents(degree)]
 
 
 def milnor_dim_oracle(f, k: int) -> int:
@@ -49,19 +49,27 @@ def milnor_dim_oracle(f, k: int) -> int:
     return nmono - M.rank()
 
 
+def jacobian_matrix_oracle(f, k: int):
+    """The degree-k Jacobian multiplication matrix as a sympy Matrix.
+
+    Column (i, nu), i = x, y, z and nu a degree-k monomial, holds the
+    coefficients of nu * df/di on the degree-(k+d-1) monomials; both
+    monomial lists run in descending lex order.
+    """
+    d = f.degree
+    expr = to_sympy(f)
+    cols = []
+    for part in (sympy.diff(expr, v) for v in _GENS):
+        for mono in _monomials(k):
+            cols.append(_coeff_vector(sympy.expand(mono * part), k + d - 1))
+    return sympy.Matrix(cols).T
+
+
 def ar_dim_oracle(f, k: int) -> int:
     """dim AR(f)_k as the nullity of the stacked multiplication matrix."""
     if k < 0:
         return 0
-    d = f.degree
-    expr = to_sympy(f)
-    parts = [sympy.diff(expr, v) for v in _GENS]
-    cols = []
-    for part in parts:
-        for mono in _monomials(k):
-            cols.append(_coeff_vector(sympy.expand(mono * part), k + d - 1))
-    M = sympy.Matrix(cols).T
-    return 3 * ((k + 1) * (k + 2) // 2) - M.rank()
+    return 3 * ((k + 1) * (k + 2) // 2) - jacobian_matrix_oracle(f, k).rank()
 
 
 def smooth_series_oracle(d: int, kmax: int) -> list[int]:

@@ -118,6 +118,20 @@ def test_terao_rigidity_paper_values():
     assert str(terao_rigidity(12, 100)) == "NoSolution"
 
 
+def _scan_for_r(d, tau):
+    """The linear search the closed form replaced: the r with 2r < d."""
+    for r in range((d + 1) // 2):
+        if tau == (d - 1) * (d - r - 1) + r * r:
+            return r
+    return None
+
+
+def test_terao_closed_form_matches_the_linear_scan():
+    for d in range(3, 61):
+        for tau in range((d - 1) ** 2 + 2):
+            assert terao_rigidity(d, tau).r == _scan_for_r(d, tau), (d, tau)
+
+
 def test_terao_rigidity_pins_r_at_maximal_tau():
     for d in range(3, 31):
         limit = 0

@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from freecurve import syzygy
+from freecurve.arrangements import MAX_INTERVAL_DEGREE
 from freecurve.cli import main
 from freecurve.data import data_dir, shipped_corpus_dir
 
@@ -103,6 +105,7 @@ def test_analyze_refuses_before_building_a_matrix(monkeypatch, capsys, expr, tab
         raise AssertionError("a matrix was built")
 
     monkeypatch.setattr(syzygy, "jacobian_matrix", refuse)
+    monkeypatch.setattr(syzygy, "multiples", refuse)
     args = ["analyze", "--poly", expr, "--json"]
     if table is not None:
         args += ["--max-degree-table", table]
@@ -117,6 +120,54 @@ def test_analyze_from_file(tmp_path, capsys):
     code = main(["analyze", "--file", str(path), "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["tau"] == 2
+
+
+@pytest.mark.parametrize("expr", ["(" * 3000 + "x" + ")" * 3000, "(x+y+z)^100", "(x+y+z)^200"])
+def test_analyze_refuses_what_the_parser_cannot_finish(capsys, expr):
+    start = time.perf_counter()
+    assert main(["analyze", "--poly", expr]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("x*y*z # caf\xe9\n".encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("flag", ["analyze --file", "terao --lines", "terao --lattice"])
+def test_unreadable_input_files_exit_2(tmp_path, capsys, flag):
+    for path in (tmp_path, _not_utf8(tmp_path), tmp_path / "missing"):
+        assert main([*flag.split(), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and str(path) in err
+
+
+def test_corpus_records_unreadable_entries_as_failures(tmp_path, capsys):
+    (tmp_path / "good.curve").write_text("# expect_tau: 3\nx*y*z\n")
+    (tmp_path / "dir.curve").mkdir()
+    (tmp_path / "latin1.curve").write_bytes("# caf\xe9\nx*y*z\n".encode("latin-1"))
+    code = main(["corpus", str(tmp_path), "--json"])
+    cases = {case["name"]: case for case in json.loads(capsys.readouterr().out)["cases"]}
+    assert code == 1
+    assert cases["good.curve"]["passed"]
+    for name in ("dir.curve", "latin1.curve"):
+        assert not cases[name]["passed"] and cases[name]["failures"][0].startswith("cannot read")
+
+
+def test_intervals_refuses_degrees_above_the_bound(capsys):
+    assert main(["intervals", "--degree", "100000000"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert main(["intervals", "--degree", str(MAX_INTERVAL_DEGREE), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == MAX_INTERVAL_DEGREE // 2
+
+
+def test_terao_at_a_huge_degree_is_immediate(capsys):
+    start = time.perf_counter()
+    assert main(["terao", "--degree", "100000000", "--tau", "5", "--json"]) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["status"] == "NoSolution"
 
 
 def test_intervals_json(capsys):

@@ -1,6 +1,7 @@
 """Polynomials and the expression front-end."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from freecurve.errors import PolyParseError
 from freecurve.fields import QQ
-from freecurve.parser import parse_poly
+from freecurve.parser import MAX_NESTING, parse_poly
 from freecurve.poly import (
     HomogPoly,
     choose2,
@@ -19,6 +20,7 @@ from freecurve.poly import (
     partials,
     poly_str,
 )
+from freecurve.syzygy import MAX_CURVE_DEGREE
 
 
 def test_binomial_helpers_differ_below_two():
@@ -75,6 +77,27 @@ def test_parse_syntax_error_has_position():
     with pytest.raises(PolyParseError) as exc:
         parse_poly("x + * y")
     assert exc.value.position == 4
+
+
+def test_parse_refuses_deep_nesting():
+    with pytest.raises(PolyParseError, match="nested deeper"):
+        parse_poly("(" * 3000 + "x" + ")" * 3000)
+    limit = MAX_NESTING
+    assert parse_poly("(" * limit + "x" + ")" * limit).degree == 1
+    with pytest.raises(PolyParseError, match="nested deeper"):
+        parse_poly("(" * (limit + 1) + "x" + ")" * (limit + 1))
+
+
+@pytest.mark.parametrize("text", ["(x+y+z)^100", "(x+y+z)^200", "x^34", "x^33*y", "(x+y)^17*(y+z)^17"])
+def test_parse_refuses_degrees_no_profile_admits_before_expanding(text):
+    start = time.perf_counter()
+    with pytest.raises(PolyParseError, match="above 33"):
+        parse_poly(text)
+    assert time.perf_counter() - start < 1
+
+
+def test_parse_admits_the_largest_profile_degree():
+    assert parse_poly("x^33+y^33+z^33").degree == MAX_CURVE_DEGREE == 33
 
 
 def test_parse_rational_coefficients_and_unary_minus():

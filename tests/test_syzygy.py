@@ -1,12 +1,14 @@
 """Graded Jacobian relation computations."""
 
+from fractions import Fraction
+
 import pytest
 
 from freecurve import syzygy
 from freecurve.corpus import load_case
 from freecurve.data import shipped_corpus_dir
 from freecurve.fields import GF, QQ, FieldPlan
-from freecurve.linalg import rank
+from freecurve.linalg import ExactMatrix, rank
 from freecurve.parser import parse_poly
 from freecurve.poly import dim_S, dim_choose2
 from freecurve.syzygy import (
@@ -15,6 +17,8 @@ from freecurve.syzygy import (
     jacobian_matrix,
     mdr,
     milnor_dim,
+    multiples,
+    outside_span,
     rank_jacobian,
     rank_profile,
     reducedness_check,
@@ -22,7 +26,7 @@ from freecurve.syzygy import (
 )
 
 from curvegen import random_reduced_curves
-from oracles import ar_dim_oracle, milnor_dim_oracle
+from oracles import ar_dim_oracle, jacobian_matrix_oracle, milnor_dim_oracle
 
 TRIANGLE = parse_poly("x*y*z")
 CUSP = parse_poly("x^3-y^2*z")
@@ -54,6 +58,43 @@ def test_ar_dim_examples(f, k, expected):
     assert ar_dim(f, k) == expected
 
 
+def test_jacobian_matrix_matches_independent_layout():
+    # the pinned layout, entry by entry, against a sympy construction
+    P = GF(2147483659)
+    for path in sorted(shipped_corpus_dir().glob("*.curve")):
+        f = parse_poly(load_case(path).expression)
+        if f.degree > 4:
+            continue
+        for k in range(2 * f.degree + 1):
+            oracle = jacobian_matrix_oracle(f, k).tolist()
+            over_q = [[Fraction(int(v.p), int(v.q)) for v in row] for row in oracle]
+            assert jacobian_matrix(f, k, QQ).row_lists() == over_q, (path.name, k)
+            assert jacobian_matrix(f, k, P).row_lists() == [[P.from_fraction(v) for v in row] for row in over_q]
+
+
+def test_multiples_lay_out_each_monomial_multiple_as_one_row():
+    rho1 = syzygy_basis(CUSP, 1)[0]
+    for field in (QQ, GF(7)):
+        rho = [part.map_field(field) for part in rho1]
+        M = multiples([rho, rho], 3, field)
+        expected = [
+            [v for part in rho for v in part.mul_monomial(nu).coeff_vector()]
+            for nu in syzygy.monomial_basis(2)
+        ]
+        assert M.row_lists() == expected + expected
+        # a tuple above the degree contributes no row
+        assert (multiples([rho], 0, field).rows, multiples([rho], 0, field).cols) == (0, 3)
+
+
+def test_outside_span_picks_candidates_in_order():
+    e = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for field in (QQ, GF(7)):
+        span = ExactMatrix.from_rows(field, [e[0]])
+        candidates = ExactMatrix.from_rows(field, [[1, 1, 0], [2, 0, 0], [1, 2, 0], e[2]])
+        assert outside_span(span, candidates) == [0, 3]
+        assert outside_span(span, ExactMatrix.from_rows(field, [])) == []
+
+
 def test_ar_dim_matches_independent_oracle():
     for f in (TRIANGLE, CUSP, FERMAT3):
         for k in range(0, 5):
@@ -66,7 +107,7 @@ def test_syzygy_basis_verifies_and_is_canonical():
     for syz in basis:
         assert syz.holds_for(TRIANGLE)
     again = syzygy_basis(TRIANGLE, 1)
-    assert [s.components() for s in again] == [s.components() for s in basis]
+    assert again == basis
 
 
 def test_cusp_minimal_syzygy_is_normalized():
@@ -171,6 +212,14 @@ def test_profile_guard_admits_degree_32():
     assert dim_S(top + d - 1) * 3 * dim_S(top) <= syzygy.MAX_PROFILE_CELLS
     top = 2 * (d + 1)
     assert dim_S(top + d) * 3 * dim_S(top) > syzygy.MAX_PROFILE_CELLS
+
+
+def test_largest_curve_degree_follows_from_the_cell_bound():
+    # the smallest profile of a degree-d curve reaches source degree 2d-1
+    d = syzygy.MAX_CURVE_DEGREE
+    assert d == 33
+    assert dim_S(3 * d - 2) * 3 * dim_S(2 * d - 1) <= syzygy.MAX_PROFILE_CELLS
+    assert dim_S(3 * d + 1) * 3 * dim_S(2 * d + 1) > syzygy.MAX_PROFILE_CELLS
 
 
 def test_exact_sequence_cross_check():
