@@ -83,20 +83,11 @@ class RationalField:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
     def neg(self, a):
         return -a
-
-    def inv(self, a):
-        return 1 / a
-
-    def div(self, a, b):
-        return a / b
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -142,22 +133,11 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return a * b % self.p
 
     def neg(self, a):
         return -a % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero in prime field")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -172,7 +152,7 @@ class PrimeField:
         return q.numerator % self.p * pow(den, self.p - 2, self.p) % self.p
 
     def fits_int64(self) -> bool:
-        # p^2 must stay below 2^63 for the vectorised elimination path.
+        # p^2 must stay below 2^63 for int64 matrix storage.
         return self.p <= 3_037_000_493
 
     def __repr__(self):

@@ -4,12 +4,13 @@ Three operations back every graded dimension computed by this package:
 `rank`, `kernel_basis` and `solve_exact`; `pivot_columns` picks
 independent columns.  All arithmetic is exact:
 
-* over Q, ranks use fraction-free (Bareiss) elimination on row-scaled
-  integer matrices, which keeps intermediate entries at minor size;
-  reduced forms finish the integer echelon with rational back-elimination;
-* over a prime field, ordinary Gaussian elimination; when p^2 < 2^63 the
-  elimination runs vectorised on int64 arrays (still exact integer
-  arithmetic, just batched), otherwise element-wise on Python ints.
+* over Q, fraction-free (Bareiss) elimination on row-scaled integer
+  matrices, which keeps intermediate entries at minor size; a reduced form
+  also clears above each pivot in integers (fraction-free Gauss-Jordan) and
+  divides each entry by its pivot minor once at the end;
+* over a prime field, ordinary Gaussian elimination vectorised on numpy
+  arrays: int64 when p^2 < 2^63, otherwise an object array of Python ints
+  (exact integer arithmetic either way, just batched).
 
 Pivoting is pinned: columns are scanned left to right and the topmost
 nonzero entry of the current column is the pivot.  This makes every
@@ -20,6 +21,7 @@ canonical for a given matrix.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from typing import Sequence
 
@@ -31,8 +33,10 @@ from .fields import Field, PrimeField
 class ExactMatrix:
     """A rows x cols matrix over an exact field.
 
-    Internally a prime-field matrix whose modulus fits the vectorised path
-    is stored as an int64 ndarray; everything else as a list of row lists.
+    A prime-field matrix is stored as an ndarray of entries in [0, p):
+    int64 when p^2 < 2^63, so products of two entries cannot overflow, and
+    dtype object (Python ints) otherwise.  A rational matrix is a list of
+    row lists of Fractions.
     """
 
     __slots__ = ("field", "rows", "cols", "_data")
@@ -50,16 +54,16 @@ class ExactMatrix:
         for r in rows:
             if len(r) != n:
                 raise ValueError("ragged rows")
-        if _use_numpy(field):
-            data = np.array(rows, dtype=np.int64) % field.p if m else np.zeros((0, n), dtype=np.int64)
+        if isinstance(field, PrimeField):
+            data = np.array(rows, dtype=_dtype(field)).reshape(m, n) % field.p
         else:
             data = [list(r) for r in rows]
         return cls(field, m, n, data)
 
     @classmethod
     def zeros(cls, field: Field, m: int, n: int) -> "ExactMatrix":
-        if _use_numpy(field):
-            return cls(field, m, n, np.zeros((m, n), dtype=np.int64))
+        if isinstance(field, PrimeField):
+            return cls(field, m, n, np.zeros((m, n), dtype=_dtype(field)))
         return cls(field, m, n, [[field.zero] * n for _ in range(m)])
 
     @classmethod
@@ -67,7 +71,7 @@ class ExactMatrix:
         """The m x n matrix with values[i] at (rows[i], cols[i]), zero elsewhere."""
         out = cls.zeros(field, m, n)
         if isinstance(out._data, np.ndarray):
-            out._data[rows, cols] = np.array(values, dtype=np.int64) % field.p
+            out._data[rows, cols] = np.array(values, dtype=out._data.dtype) % field.p
         else:
             for i, j, v in zip(rows, cols, values):
                 out._data[i][j] = v
@@ -98,12 +102,12 @@ class ExactMatrix:
         return f"ExactMatrix({self.field.name}, {self.rows}x{self.cols})"
 
 
-def _use_numpy(field: Field) -> bool:
-    return isinstance(field, PrimeField) and field.fits_int64()
+def _dtype(field: PrimeField):
+    return np.int64 if field.fits_int64() else object
 
 
 # ---------------------------------------------------------------------------
-# prime-field elimination, vectorised
+# prime-field elimination, vectorised (int64 or object arrays)
 
 
 def _np_pivots(a: np.ndarray, p: int) -> list[int]:
@@ -183,8 +187,15 @@ def _scaled_int_rows(rows: list[list[Fraction]]) -> list[list[int]]:
     return out
 
 
-def _bareiss_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form in place; returns (rows, pivot cols)."""
+def _bareiss_echelon(a: list[list[int]], reduced: bool = False) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free elimination in place; returns (rows, pivot cols).
+
+    Forward only, this is Bareiss's row echelon form.  With `reduced`, each
+    pivot row also clears its column in the rows above (fraction-free
+    Gauss-Jordan; Nakos, Turner and Williams 1997).  Either way step k
+    updates only the columns right of its pivot, so in the reduced form an
+    entry between pivots k and k+1 is its RREF value times pivot k's value.
+    """
     m = len(a)
     n = len(a[0]) if m else 0
     pivots: list[int] = []
@@ -204,7 +215,10 @@ def _bareiss_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
             a[piv], a[pr] = a[pr], a[piv]
         prow = a[piv]
         pval = prow[col]
-        for i in range(piv + 1, m):
+        others = range(piv + 1, m)
+        if reduced:
+            others = chain(range(piv), others)
+        for i in others:
             row = a[i]
             ival = row[col]
             if ival:
@@ -226,51 +240,6 @@ def _bareiss_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return a, pivots
 
 
-def _rref_fraction_from_echelon(ech: list[list[int]], pivots: list[int], n: int) -> list[list[Fraction]]:
-    """Normalise an integer echelon to the unique rational RREF."""
-    r = len(pivots)
-    rows = [[Fraction(v) for v in ech[i]] for i in range(r)]
-    for i in range(r - 1, -1, -1):
-        pc = pivots[i]
-        inv = 1 / rows[i][pc]
-        rows[i] = [v * inv for v in rows[i]]
-        for k in range(i):
-            c = rows[k][pc]
-            if c:
-                rows[k] = [a - c * b for a, b in zip(rows[k], rows[i])]
-    return rows
-
-
-def _rref_generic(rows: list[list], field: Field) -> tuple[list[list], list[int]]:
-    """Gauss-Jordan over an arbitrary field; returns nonzero RREF rows and pivots."""
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    rows = [list(r) for r in rows]
-    r = 0
-    pivots: list[int] = []
-    for col in range(n):
-        if r == m:
-            break
-        pr = None
-        for i in range(r, m):
-            if not field.is_zero(rows[i][col]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][col])
-        rows[r] = [field.mul(inv, v) for v in rows[r]]
-        for i in range(m):
-            if i != r and not field.is_zero(rows[i][col]):
-                c = rows[i][col]
-                prow = rows[r]
-                rows[i] = [field.sub(a, field.mul(c, b)) for a, b in zip(rows[i], prow)]
-        pivots.append(col)
-        r += 1
-    return rows[:r], pivots
-
-
 def _rref(M: ExactMatrix) -> tuple[list[list], list[int]]:
     """Unique RREF of M (nonzero rows only) plus pivot columns."""
     if M.rows == 0 or M.cols == 0:
@@ -278,10 +247,14 @@ def _rref(M: ExactMatrix) -> tuple[list[list], list[int]]:
     if isinstance(M._data, np.ndarray):
         rr, pivots = _np_rref(M._data, M.field.p)
         return [[int(v) for v in rr[i]] for i in range(len(pivots))], pivots
-    if isinstance(M.field, PrimeField):
-        return _rref_generic(M._data, M.field)
-    ech, pivots = _bareiss_echelon(_scaled_int_rows(M._data))
-    return _rref_fraction_from_echelon(ech, pivots, M.cols), pivots
+    ech, pivots = _bareiss_echelon(_scaled_int_rows(M._data), reduced=True)
+    # den[j]: the value of the last pivot at or left of column j
+    den = [1] * M.cols
+    for i, pc in enumerate(pivots):
+        den[pc:] = [ech[i][pc]] * (M.cols - pc)
+    zero = Fraction(0)
+    rows = [[Fraction(v, den[j]) if v else zero for j, v in enumerate(ech[i])] for i in range(len(pivots))]
+    return rows, pivots
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +268,6 @@ def pivot_columns(M: ExactMatrix) -> list[int]:
         return []
     if isinstance(M._data, np.ndarray):
         return _np_pivots(M._data, M.field.p)
-    if isinstance(M.field, PrimeField):
-        return _rref_generic(M._data, M.field)[1]
     return _bareiss_echelon(_scaled_int_rows(M._data))[1]
 
 
@@ -311,24 +282,33 @@ def kernel_basis(M: ExactMatrix) -> list[tuple]:
     The returned vectors, stacked as rows, form the unique reduced echelon
     basis of the kernel, so the output is canonical for a given matrix.
     Basis size is cols - rank.
+
+    It is read off the RREF R of M with its columns reversed.  The vector
+    for a free column f is 1 at f, 0 at every other free column, and minus
+    R's entry in column f at each pivot column c.  A row of R is zero before
+    its pivot, which in M's order means after c, so that entry vanishes
+    unless c > f.  Each vector thus leads with its 1 at f, and by ascending
+    f the vectors already are the reduced echelon basis: one elimination.
     """
     field = M.field
-    if M.cols == 0:
+    n = M.cols
+    if n == 0:
         return []
-    rr, pivots = _rref(M)
+    data = M._data[:, ::-1] if isinstance(M._data, np.ndarray) else [row[::-1] for row in M._data]
+    rr, rev_pivots = _rref(ExactMatrix(field, M.rows, n, data))
+    last = n - 1
+    pivots = [last - c for c in rev_pivots]
     pivset = set(pivots)
-    free = [c for c in range(M.cols) if c not in pivset]
     vecs = []
-    for fcol in free:
-        v = [field.zero] * M.cols
+    for fcol in range(n):
+        if fcol in pivset:
+            continue
+        v = [field.zero] * n
         v[fcol] = field.one
-        for i, pc in enumerate(pivots):
-            v[pc] = field.neg(rr[i][fcol])
-        vecs.append(v)
-    if not vecs:
-        return []
-    canon, _ = _rref_generic(vecs, field)
-    return [tuple(row) for row in canon]
+        for row, pc in zip(rr, pivots):
+            v[pc] = field.neg(row[last - fcol])
+        vecs.append(tuple(v))
+    return vecs
 
 
 INCONSISTENT = None  # sentinel returned by solve_exact for unsolvable systems

@@ -16,8 +16,10 @@ Grammar (whitespace is insignificant):
 expanded and must be homogeneous and nonzero.
 
 Input the analysis could never finish is refused before it is expanded:
-parentheses nested deeper than MAX_NESTING, and any product or power of
-degree above MAX_CURVE_DEGREE, the largest degree a rank profile admits.
+parentheses nested deeper than MAX_NESTING, any product or power of degree
+above MAX_CURVE_DEGREE, the largest degree a rank profile admits, a literal
+longer than MAX_LITERAL_DIGITS digits, and any power whose coefficients
+could exceed MAX_COEFF_BITS, the bit length of the largest literal.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ from .syzygy import MAX_CURVE_DEGREE
 
 # Parentheses open at once; each level costs five stack frames.
 MAX_NESTING = 100
+
+# Digits in one integer literal: CPython's default limit for converting a
+# decimal string to int (sys.get_int_max_str_digits()).
+MAX_LITERAL_DIGITS = 4300
+
+# Bits in a coefficient a power may produce: as many as the largest literal.
+MAX_COEFF_BITS = (10**MAX_LITERAL_DIGITS - 1).bit_length()
 
 _Sparse = dict[Monomial, Fraction]  # possibly inhomogeneous expansion
 
@@ -65,6 +74,10 @@ def _smul(a: _Sparse, b: _Sparse) -> _Sparse:
 
 def _sdegree(a: _Sparse) -> int:
     return max((sum(m) for m in a), default=0)
+
+
+def _sbits(a: _Sparse) -> int:
+    return max((max(abs(c.numerator).bit_length(), c.denominator.bit_length()) for c in a.values()), default=0)
 
 
 def _spow(a: _Sparse, e: int) -> _Sparse:
@@ -118,6 +131,9 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.error("expected an integer")
+        if self.pos - start > MAX_LITERAL_DIGITS:
+            self.pos = start
+            self.error(f"integer literal longer than {MAX_LITERAL_DIGITS} digits")
         return int(self.text[start : self.pos])
 
     def expr(self) -> _Sparse:
@@ -156,6 +172,9 @@ class _Parser:
             self.pos += 1
             e = self.natural()
             self.check_degree(_sdegree(value) * e)
+            bits = _sbits(value) * e
+            if bits > MAX_COEFF_BITS:
+                self.error(f"power ^{e} could give coefficients of {bits} bits, above {MAX_COEFF_BITS}")
             value = _spow(value, e)
         return value
 

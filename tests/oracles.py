@@ -5,6 +5,8 @@ These recompute graded dimensions through a completely separate code path
 pin expected values in the tests; keep them small-input only.
 """
 
+from fractions import Fraction
+
 import sympy
 
 X, Y, Z = sympy.symbols("x y z")
@@ -63,6 +65,19 @@ def jacobian_matrix_oracle(f, k: int):
         for mono in _monomials(k):
             cols.append(_coeff_vector(sympy.expand(mono * part), k + d - 1))
     return sympy.Matrix(cols).T
+
+
+def kernel_oracle(M) -> list[tuple]:
+    """The reduced echelon basis of the right null space of a sympy Matrix.
+
+    sympy's `nullspace()` vectors, stacked as rows and `rref()`-ed, as
+    tuples of Fractions.
+    """
+    vecs = M.nullspace()
+    if not vecs:
+        return []
+    basis, _ = sympy.Matrix.hstack(*vecs).T.rref()
+    return [tuple(Fraction(int(v.p), int(v.q)) for v in basis.row(i)) for i in range(basis.rows)]
 
 
 def ar_dim_oracle(f, k: int) -> int:

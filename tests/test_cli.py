@@ -122,7 +122,10 @@ def test_analyze_from_file(tmp_path, capsys):
     assert code == 0 and report["tau"] == 2
 
 
-@pytest.mark.parametrize("expr", ["(" * 3000 + "x" + ")" * 3000, "(x+y+z)^100", "(x+y+z)^200"])
+@pytest.mark.parametrize(
+    "expr",
+    ["(" * 3000 + "x" + ")" * 3000, "(x+y+z)^100", "(x+y+z)^200", "9" * 5000 + "*x^3+y^3+z^3", "3^10000000*x^3+y^3+z^3"],
+)
 def test_analyze_refuses_what_the_parser_cannot_finish(capsys, expr):
     start = time.perf_counter()
     assert main(["analyze", "--poly", expr]) == 2

@@ -4,10 +4,20 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from freecurve.corpus import load_case
+from freecurve.data import shipped_corpus_dir
 from freecurve.fields import GF, QQ, random_prime
 from freecurve.linalg import ExactMatrix, kernel_basis, pivot_columns, rank, solve_exact
+from freecurve.parser import parse_poly
+from freecurve.syzygy import jacobian_matrix
 
 import random
+
+from oracles import jacobian_matrix_oracle, kernel_oracle
+
+# p^2 > 2^63: these matrices are numpy object arrays of Python ints
+P63 = GF(random_prime(random.Random(63), 2**62, 2**63 - 1))
+THREE_FIELDS = (QQ, GF(2_147_483_659), P63)
 
 
 def qmat(rows):
@@ -150,7 +160,7 @@ def test_rank_agrees_over_random_63bit_prime():
     rng = random.Random(63)
     p = random_prime(rng, 2**62, 2**63 - 1)
     field = GF(p)
-    assert not field.fits_int64()  # exercises the elementwise path
+    assert not field.fits_int64()  # exercises the object-array path
     for rows in shipped_test_matrices():
         M = ExactMatrix.from_rows(QQ, rows)
         Mp = ExactMatrix.from_rows(field, [[field.from_fraction(v) for v in r] for r in rows])
@@ -166,3 +176,68 @@ def test_prime_field_kernel_is_exact():
     for vec in basis:
         for row in rows:
             assert sum(a * b for a, b in zip(row, vec)) % field.p == 0
+
+
+def test_kernel_and_solve_over_random_63bit_prime():
+    # the ranks agree with Q, so the canonical kernel and the echelon
+    # particular solution are the reductions of the rational ones
+    field = P63
+    for rows in shipped_test_matrices():
+        M = ExactMatrix.from_rows(QQ, rows)
+        Mp = ExactMatrix.from_rows(field, [[field.from_fraction(v) for v in r] for r in rows])
+        assert Mp._data.dtype == object
+        assert kernel_basis(Mp) == [tuple(field.from_fraction(v) for v in vec) for vec in kernel_basis(M)]
+        x = [Fraction(j + 1) for j in range(M.cols)]
+        for b in ([sum(a * v for a, v in zip(r, x)) for r in rows], [Fraction(1)] + [Fraction(0)] * (M.rows - 1)):
+            over_q = solve_exact(M, b)
+            over_p = solve_exact(Mp, [field.from_fraction(v) for v in b])
+            assert over_p == (None if over_q is None else tuple(field.from_fraction(v) for v in over_q))
+    assert solve_exact(ExactMatrix.from_rows(field, [[1, 1], [2, 2]]), [1, 3]) is None
+
+
+@st.composite
+def field_matrices(draw):
+    """A field of each size, and a matrix over it as plain rows."""
+    field = draw(st.sampled_from(THREE_FIELDS))
+    rows = draw(fraction_matrices())
+    if field is not QQ:
+        rows = [[field.from_fraction(v) for v in r] for r in rows]
+    return field, rows
+
+
+@settings(max_examples=90, deadline=None)
+@given(field_matrices())
+def test_kernel_basis_is_the_reduced_echelon_kernel_in_every_field(case):
+    field, rows = case
+    M = ExactMatrix.from_rows(field, rows)
+    basis = kernel_basis(M)
+    assert len(basis) == M.cols - rank(M)
+    leads = []
+    for vec in basis:
+        assert len(vec) == M.cols
+        if field is QQ:
+            assert all(type(v) is Fraction for v in vec)
+        else:
+            assert all(type(v) is int and 0 <= v < field.p for v in vec)
+        lead = next(j for j, v in enumerate(vec) if v)
+        assert vec[lead] == 1
+        leads.append(lead)
+        for row in rows:
+            total = sum(a * v for a, v in zip(row, vec))
+            assert (total if field is QQ else total % field.p) == 0
+    assert leads == sorted(set(leads))
+    for i, lead in enumerate(leads):
+        assert all(other[lead] == 0 for k, other in enumerate(basis) if k != i)
+
+
+def test_kernel_basis_matches_sympy_oracle_on_corpus_jacobians():
+    # the Jacobian and its transpose (the saturation oracle's functionals)
+    for path in sorted(shipped_corpus_dir().glob("*.curve")):
+        f = parse_poly(load_case(path).expression)
+        if f.degree > 4:
+            continue
+        for k in range(f.degree + 1):
+            J = jacobian_matrix(f, k, QQ)
+            oracle = jacobian_matrix_oracle(f, k)
+            assert kernel_basis(J) == kernel_oracle(oracle), (path.name, k)
+            assert kernel_basis(J.transpose()) == kernel_oracle(oracle.T), (path.name, k)

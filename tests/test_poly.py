@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from freecurve.errors import PolyParseError
 from freecurve.fields import QQ
-from freecurve.parser import MAX_NESTING, parse_poly
+from freecurve.parser import MAX_COEFF_BITS, MAX_LITERAL_DIGITS, MAX_NESTING, parse_poly
 from freecurve.poly import (
     HomogPoly,
     choose2,
@@ -94,6 +94,35 @@ def test_parse_refuses_degrees_no_profile_admits_before_expanding(text):
     with pytest.raises(PolyParseError, match="above 33"):
         parse_poly(text)
     assert time.perf_counter() - start < 1
+
+
+def test_parse_refuses_literals_longer_than_the_digit_bound():
+    start = time.perf_counter()
+    with pytest.raises(PolyParseError, match=f"longer than {MAX_LITERAL_DIGITS} digits"):
+        parse_poly("9" * (MAX_LITERAL_DIGITS + 1) + "*x^3+y^3+z^3")
+    with pytest.raises(PolyParseError, match="longer than"):
+        parse_poly("x^" + "0" * (MAX_LITERAL_DIGITS + 1))
+    largest = parse_poly("9" * MAX_LITERAL_DIGITS + "*x")
+    assert largest.terms[(1, 0, 0)] == 10**MAX_LITERAL_DIGITS - 1
+    # a power may produce coefficients as long as the largest literal
+    assert largest.terms[(1, 0, 0)].numerator.bit_length() == MAX_COEFF_BITS
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("text", ["3^10000000*x", "3^100000000000000*x", "(3^1000)^1000*x", "x^3*(1/2)^10000", "(2*x)^33*3^1000000"])
+def test_parse_refuses_powers_with_oversized_coefficients_before_expanding(text):
+    start = time.perf_counter()
+    with pytest.raises(PolyParseError, match=f"above {MAX_COEFF_BITS}"):
+        parse_poly(text)
+    assert time.perf_counter() - start < 1
+
+
+def test_parse_admits_powers_within_the_coefficient_bound():
+    # 3 has bit length 2, so 3^e is admitted up to e = MAX_COEFF_BITS // 2
+    e = MAX_COEFF_BITS // 2
+    assert parse_poly(f"3^{e}*x").terms[(1, 0, 0)] == 3**e
+    with pytest.raises(PolyParseError, match="bits"):
+        parse_poly(f"3^{e + 1}*x")
 
 
 def test_parse_admits_the_largest_profile_degree():
