@@ -1,4 +1,4 @@
-"""Exact coefficient fields: the rationals and large prime fields.
+"""Exact coefficient fields: the rationals and prime fields.
 
 Rational scalars are `fractions.Fraction` (kept in lowest terms with a
 positive denominator by the Fraction type itself); prime-field scalars are
@@ -106,7 +106,10 @@ QQ = RationalField()
 
 
 class PrimeField:
-    """F_p for an odd prime p > 2^31.  Elements are ints in [0, p)."""
+    """F_p for any odd prime p.  Elements are ints in [0, p).
+
+    The field plans draw p from (2^31, 3 * 10^9), where p^2 < 2^63.
+    """
 
     __slots__ = ("p", "name", "zero", "one")
 
@@ -198,10 +201,6 @@ class FieldPlan:
         return cls("qq" if field.char == 0 else "prime", (field,))
 
     @classmethod
-    def rationals(cls) -> "FieldPlan":
-        return cls.over(QQ)
-
-    @classmethod
     def primes(cls, seed: int = 0, fallback: bool = True) -> "FieldPlan":
         rng = random.Random(seed)
         p1 = random_prime(rng)
@@ -213,7 +212,7 @@ class FieldPlan:
     @classmethod
     def from_mode(cls, mode: str, seed: int = 0) -> "FieldPlan":
         if mode == "qq":
-            return cls.rationals()
+            return cls.over(QQ)
         if mode == "auto":
             return cls.primes(seed, fallback=True)
         if mode == "pp":

@@ -97,23 +97,22 @@ def _saturation_dim(f: HomogPoly, j: int, e: int, field: Field, functionals: dic
             jac = ExactMatrix.zeros(field, dim_S(target), 0)
         else:
             jac = jacobian_matrix(f, src, field)
-        # Functionals cutting out J at the target degree.
-        functionals[target] = kernel_basis(jac.transpose())
+        # Functionals cutting out J at the target degree, one per row.
+        functionals[target] = ExactMatrix.from_rows(field, kernel_basis(jac.transpose()))
     left_null = functionals[target]
     n_j = dim_S(j)
-    if not left_null:
+    if left_null.rows == 0:
         return n_j
     tgt_index = monomial_index(target)
-    rows = []
+    parts = []
     for axis in range(3):
         power = tuple(e if t == axis else 0 for t in range(3))
         shifted = [
             tgt_index[(m[0] + power[0], m[1] + power[1], m[2] + power[2])]
             for m in monomial_basis(j)
         ]
-        for functional in left_null:
-            rows.append([functional[c] for c in shifted])
-    return n_j - rank(ExactMatrix.from_rows(field, rows))
+        parts.append(left_null.columns(shifted))
+    return n_j - rank(parts[0].stack(parts[1]).stack(parts[2]))
 
 
 def n_dim_saturation_oracle(

@@ -2,15 +2,16 @@
 
 Three operations back every graded dimension computed by this package:
 `rank`, `kernel_basis` and `solve_exact`; `pivot_columns` picks
-independent columns.  All arithmetic is exact:
+independent columns.  Every matrix is one numpy array, whatever its field
+(see `ExactMatrix`), and each operation has one code path; only the
+arithmetic of the elimination depends on the field.  All of it is exact:
 
 * over Q, fraction-free (Bareiss) elimination on row-scaled integer
   matrices, which keeps intermediate entries at minor size; a reduced form
   also clears above each pivot in integers (fraction-free Gauss-Jordan) and
   divides each entry by its pivot minor once at the end;
-* over a prime field, ordinary Gaussian elimination vectorised on numpy
-  arrays: int64 when p^2 < 2^63, otherwise an object array of Python ints
-  (exact integer arithmetic either way, just batched).
+* over a prime field, ordinary Gaussian elimination mod p, vectorised on
+  the matrix's own array.
 
 Pivoting is pinned: columns are scanned left to right and the topmost
 nonzero entry of the current column is the pivot.  This makes every
@@ -31,17 +32,18 @@ from .fields import Field, PrimeField
 
 
 class ExactMatrix:
-    """A rows x cols matrix over an exact field.
+    """A rows x cols matrix over an exact field, stored as a numpy array.
 
-    A prime-field matrix is stored as an ndarray of entries in [0, p):
-    int64 when p^2 < 2^63, so products of two entries cannot overflow, and
-    dtype object (Python ints) otherwise.  A rational matrix is a list of
-    row lists of Fractions.
+    Over a prime p with p^2 < 2^63 the dtype is int64, so a product of two
+    entries cannot overflow.  Otherwise it is object: Python ints over a
+    larger prime, Fractions over Q.  Entries are field elements, in [0, p)
+    over a prime; constructors reduce what they are given mod p.  Matrices
+    are never changed in place, so `transpose` can return a view.
     """
 
     __slots__ = ("field", "rows", "cols", "_data")
 
-    def __init__(self, field: Field, rows: int, cols: int, data):
+    def __init__(self, field: Field, rows: int, cols: int, data: np.ndarray):
         self.field = field
         self.rows = rows
         self.cols = cols
@@ -54,27 +56,22 @@ class ExactMatrix:
         for r in rows:
             if len(r) != n:
                 raise ValueError("ragged rows")
-        if isinstance(field, PrimeField):
-            data = np.array(rows, dtype=_dtype(field)).reshape(m, n) % field.p
-        else:
-            data = [list(r) for r in rows]
-        return cls(field, m, n, data)
+        return cls(field, m, n, _entries(field, rows).reshape(m, n))
 
     @classmethod
     def zeros(cls, field: Field, m: int, n: int) -> "ExactMatrix":
-        if isinstance(field, PrimeField):
-            return cls(field, m, n, np.zeros((m, n), dtype=_dtype(field)))
-        return cls(field, m, n, [[field.zero] * n for _ in range(m)])
+        # np.zeros leaves the pages of an int64 array unmapped until written;
+        # over Q the zero is a Fraction, where np.zeros would put int 0.
+        data = np.zeros((m, n), dtype=_dtype(field))
+        if data.dtype == object:
+            data.fill(field.zero)
+        return cls(field, m, n, data)
 
     @classmethod
     def from_entries(cls, field: Field, m: int, n: int, rows: Sequence[int], cols: Sequence[int], values: Sequence) -> "ExactMatrix":
         """The m x n matrix with values[i] at (rows[i], cols[i]), zero elsewhere."""
         out = cls.zeros(field, m, n)
-        if isinstance(out._data, np.ndarray):
-            out._data[rows, cols] = np.array(values, dtype=out._data.dtype) % field.p
-        else:
-            for i, j, v in zip(rows, cols, values):
-                out._data[i][j] = v
+        out._data[rows, cols] = _entries(field, values)
         return out
 
     @classmethod
@@ -82,35 +79,45 @@ class ExactMatrix:
         return cls.from_entries(field, n, n, list(range(n)), list(range(n)), [field.one] * n)
 
     def row_lists(self) -> list[list]:
-        if isinstance(self._data, np.ndarray):
-            return [[int(v) for v in row] for row in self._data]
-        return [list(r) for r in self._data]
+        return self._data.tolist()
 
     def stack(self, other: "ExactMatrix") -> "ExactMatrix":
         """The rows of self followed by the rows of other."""
-        if isinstance(self._data, np.ndarray):
-            return ExactMatrix(self.field, self.rows + other.rows, self.cols, np.vstack([self._data, other._data]))
-        return ExactMatrix(self.field, self.rows + other.rows, self.cols, self.row_lists() + other.row_lists())
+        return ExactMatrix(self.field, self.rows + other.rows, self.cols, np.vstack([self._data, other._data]))
 
     def transpose(self) -> "ExactMatrix":
-        if isinstance(self._data, np.ndarray):
-            return ExactMatrix(self.field, self.cols, self.rows, self._data.T.copy())
-        data = [list(col) for col in zip(*self._data)] if self.rows else [[] for _ in range(self.cols)]
-        return ExactMatrix(self.field, self.cols, self.rows, data)
+        """The transpose, a view of the same storage."""
+        return ExactMatrix(self.field, self.cols, self.rows, self._data.T)
+
+    def columns(self, idx: Sequence[int]) -> "ExactMatrix":
+        """The columns idx of self, in that order."""
+        return ExactMatrix(self.field, self.rows, len(idx), self._data[:, idx])
 
     def __repr__(self):
         return f"ExactMatrix({self.field.name}, {self.rows}x{self.cols})"
 
 
-def _dtype(field: PrimeField):
-    return np.int64 if field.fits_int64() else object
+def _dtype(field: Field):
+    return np.int64 if isinstance(field, PrimeField) and field.fits_int64() else object
+
+
+def _entries(field: Field, values) -> np.ndarray:
+    """`values` as an array of field elements: reduced mod p over a prime."""
+    a = np.array(values, dtype=_dtype(field))
+    return a % field.char if field.char else a
 
 
 # ---------------------------------------------------------------------------
-# prime-field elimination, vectorised (int64 or object arrays)
+# prime-field elimination, vectorised
 
 
-def _np_pivots(a: np.ndarray, p: int) -> list[int]:
+def _mod_p_echelon(a: np.ndarray, p: int, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
+    """Gaussian elimination mod p on a copy of `a`; returns (rows, pivot cols).
+
+    Forward only, this is a row echelon form.  With `reduced`, each pivot
+    row is scaled to 1 and also clears its column in the rows above: the
+    RREF.
+    """
     a = a.copy()
     m, n = a.shape
     r = 0
@@ -125,39 +132,21 @@ def _np_pivots(a: np.ndarray, p: int) -> list[int]:
         if i != r:
             a[[r, i]] = a[[i, r]]
         inv = pow(int(a[r, col]), p - 2, p)
-        below = a[r + 1 :, col]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            rows_idx = r + 1 + nzb
-            factors = below[nzb] * inv % p
-            # products stay below p^2 < 2^63: exact in int64
-            a[rows_idx, col:] = (a[rows_idx, col:] - factors[:, None] * a[r, col:][None, :]) % p
-        pivots.append(col)
-        r += 1
-    return pivots
-
-
-def _np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    a = a.copy()
-    m, n = a.shape
-    r = 0
-    pivots: list[int] = []
-    for col in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, col])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, col]), p - 2, p)
-        a[r, col:] = a[r, col:] * inv % p
-        colv = a[:, col].copy()
-        colv[r] = 0
-        other = np.nonzero(colv)[0]
-        if other.size:
-            a[other, col:] = (a[other, col:] - colv[other, None] * a[r, col:][None, :]) % p
+        if reduced:
+            a[r, col:] = a[r, col:] * inv % p
+        lo = 0 if reduced else r + 1
+        column = a[lo:, col]
+        hits = np.nonzero(column)[0]
+        if reduced:
+            hits = hits[hits != r]
+        if hits.size:
+            # Entries stay in [0, p), so every product is below p^2 and
+            # every difference above -p^2.  That is exact in int64, which
+            # holds only primes with p^2 < 2^63, and in the Python ints of
+            # an object array at any size.
+            factors = column[hits] if reduced else column[hits] * inv % p
+            rows = lo + hits
+            a[rows, col:] = (a[rows, col:] - factors[:, None] * a[r, col:][None, :]) % p
         pivots.append(col)
         r += 1
     return a, pivots
@@ -244,10 +233,10 @@ def _rref(M: ExactMatrix) -> tuple[list[list], list[int]]:
     """Unique RREF of M (nonzero rows only) plus pivot columns."""
     if M.rows == 0 or M.cols == 0:
         return [], []
-    if isinstance(M._data, np.ndarray):
-        rr, pivots = _np_rref(M._data, M.field.p)
-        return [[int(v) for v in rr[i]] for i in range(len(pivots))], pivots
-    ech, pivots = _bareiss_echelon(_scaled_int_rows(M._data), reduced=True)
+    if M.field.char:
+        rr, pivots = _mod_p_echelon(M._data, M.field.char, reduced=True)
+        return rr[: len(pivots)].tolist(), pivots
+    ech, pivots = _bareiss_echelon(_scaled_int_rows(M._data.tolist()), reduced=True)
     # den[j]: the value of the last pivot at or left of column j
     den = [1] * M.cols
     for i, pc in enumerate(pivots):
@@ -266,9 +255,9 @@ def pivot_columns(M: ExactMatrix) -> list[int]:
     right, the columns independent of all columns before them."""
     if M.rows == 0 or M.cols == 0:
         return []
-    if isinstance(M._data, np.ndarray):
-        return _np_pivots(M._data, M.field.p)
-    return _bareiss_echelon(_scaled_int_rows(M._data))[1]
+    if M.field.char:
+        return _mod_p_echelon(M._data, M.field.char)[1]
+    return _bareiss_echelon(_scaled_int_rows(M._data.tolist()))[1]
 
 
 def rank(M: ExactMatrix) -> int:
@@ -294,8 +283,7 @@ def kernel_basis(M: ExactMatrix) -> list[tuple]:
     n = M.cols
     if n == 0:
         return []
-    data = M._data[:, ::-1] if isinstance(M._data, np.ndarray) else [row[::-1] for row in M._data]
-    rr, rev_pivots = _rref(ExactMatrix(field, M.rows, n, data))
+    rr, rev_pivots = _rref(ExactMatrix(field, M.rows, n, M._data[:, ::-1]))
     last = n - 1
     pivots = [last - c for c in rev_pivots]
     pivset = set(pivots)
@@ -311,9 +299,6 @@ def kernel_basis(M: ExactMatrix) -> list[tuple]:
     return vecs
 
 
-INCONSISTENT = None  # sentinel returned by solve_exact for unsolvable systems
-
-
 def solve_exact(M: ExactMatrix, b: Sequence):
     """Some x with Mx = b, or None when the system is inconsistent.
 
@@ -323,19 +308,10 @@ def solve_exact(M: ExactMatrix, b: Sequence):
     if len(b) != M.rows:
         raise ValueError("right-hand side length must equal row count")
     field = M.field
-    aug_rows = []
-    data = M.row_lists()
-    for i in range(M.rows):
-        bi = b[i]
-        if isinstance(field, PrimeField):
-            bi = bi % field.p
-        aug_rows.append(data[i] + [bi])
-    if M.rows == 0:
-        return tuple([field.zero] * M.cols)
-    aug = ExactMatrix.from_rows(field, aug_rows)
-    rr, pivots = _rref(aug)
+    aug = np.hstack([M._data, _entries(field, b).reshape(M.rows, 1)])
+    rr, pivots = _rref(ExactMatrix(field, M.rows, M.cols + 1, aug))
     if pivots and pivots[-1] == M.cols:
-        return INCONSISTENT
+        return None
     x = [field.zero] * M.cols
     for i, pc in enumerate(pivots):
         x[pc] = rr[i][M.cols]

@@ -87,17 +87,6 @@ class HomogPoly:
         return cls(field, degree, {})
 
     @classmethod
-    def monomial(cls, field: Field, mono: Monomial, coeff=None) -> "HomogPoly":
-        if coeff is None:
-            coeff = field.one
-        return cls(field, sum(mono), {mono: coeff})
-
-    @classmethod
-    def variable(cls, field: Field, axis: int) -> "HomogPoly":
-        mono = tuple(1 if t == axis else 0 for t in range(3))
-        return cls(field, 1, {mono: field.one})
-
-    @classmethod
     def from_vector(cls, field: Field, degree: int, vec) -> "HomogPoly":
         basis = monomial_basis(degree)
         if len(vec) != len(basis):
@@ -108,9 +97,6 @@ class HomogPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coeff(self, mono: Monomial):
-        return self.terms.get(mono, self.field.zero)
 
     def coeff_vector(self) -> list:
         zero = self.field.zero

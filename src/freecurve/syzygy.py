@@ -76,12 +76,6 @@ def multiples(gens: Sequence[Sequence[HomogPoly]], k: int, field: Field) -> Exac
     degree-k monomials in canonical order.  This is the layout of every
     multiplication matrix here; all tuples have the length of the first.
     """
-    m, n, rows, cols, values = _multiple_entries(gens, k)
-    return ExactMatrix.from_entries(field, m, n, rows, cols, values)
-
-
-def _multiple_entries(gens: Sequence[Sequence[HomogPoly]], k: int) -> tuple[int, int, array, array, list]:
-    """Shape and nonzero entries (rows, columns, values) of `multiples`."""
     n = dim_S(k)
     index = monomial_index(k)
     rows, cols = array("q"), array("q")
@@ -95,7 +89,7 @@ def _multiple_entries(gens: Sequence[Sequence[HomogPoly]], k: int) -> tuple[int,
                     cols.append(base + index[(nu[0] + mu[0], nu[1] + mu[1], nu[2] + mu[2])])
                     values.append(coeff)
             row += 1
-    return row, len(gens[0]) * n if gens else 0, rows, cols, values
+    return ExactMatrix.from_entries(field, row, len(gens[0]) * n if gens else 0, rows, cols, values)
 
 
 def outside_span(span: ExactMatrix, candidates: ExactMatrix) -> list[int]:
@@ -111,11 +105,10 @@ def outside_span(span: ExactMatrix, candidates: ExactMatrix) -> list[int]:
 def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> ExactMatrix:
     """Matrix of (a,b,c) |-> a*f_x + b*f_y + c*f_z from degree k to k+d-1.
 
-    The transpose of the `multiples` of (f_x,), (f_y,), (f_z,) at degree
-    k+d-1, placed from the same entries without a transposing copy:
-    columns come in three blocks (a, b, c), each in canonical monomial
-    order; rows are the degree-(k+d-1) monomials in canonical order.
-    `grad`, the gradient of f over `field`, spares recomputing it.
+    The transpose (a view) of the `multiples` of (f_x,), (f_y,), (f_z,) at
+    degree k+d-1: columns come in three blocks (a, b, c), each in canonical
+    monomial order; rows are the degree-(k+d-1) monomials in canonical
+    order.  `grad`, the gradient of f over `field`, spares recomputing it.
     """
     if k < 0:
         raise ValueError("source degree must be non-negative")
@@ -124,8 +117,7 @@ def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient |
         raise ValueError("curve degree must be at least 1")
     if grad is None:
         grad = partials(f.map_field(field))
-    m, n, rows, cols, values = _multiple_entries([(part,) for part in grad], k + d - 1)
-    return ExactMatrix.from_entries(field, n, m, cols, rows, values)
+    return multiples([(part,) for part in grad], k + d - 1, field).transpose()
 
 
 def rank_jacobian(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> int:

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -5,6 +6,12 @@ import pytest
 
 # make the sibling oracle helpers importable from any test module
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+# `python -m freecurve` in a subprocess imports the package from this
+# checkout too, as the tests themselves do (pyproject's pytest pythonpath)
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@
 
 from freecurve.corpus import load_case, run_case, run_corpus
 from freecurve.data import shipped_corpus_dir
-from freecurve.fields import FieldPlan
+from freecurve.fields import QQ, FieldPlan
 
 
 def test_shipped_corpus_all_pass(corpus_results):
@@ -51,7 +51,7 @@ def test_unparsable_curve_reports_failure(tmp_path):
 
 def test_case_runner_accepts_rational_plan():
     case = load_case(shipped_corpus_dir() / "cusp_cubic.curve")
-    result = run_case(case, FieldPlan.rationals())
+    result = run_case(case, FieldPlan.over(QQ))
     assert result.passed, result.failures
     assert result.report["field"]["mode"] == "qq"
 

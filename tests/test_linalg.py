@@ -41,13 +41,48 @@ def test_pivot_columns_skip_dependent_columns():
     assert pivot_columns(ExactMatrix.zeros(QQ, 0, 3)) == []
 
 
+def assert_field_elements(field, values):
+    """Each value is an element of field as stored: a Fraction over Q, an
+    int in [0, p) over a prime."""
+    for v in values:
+        if field is QQ:
+            assert type(v) is Fraction
+        else:
+            assert type(v) is int and 0 <= v < field.p
+
+
+def assert_field_entries(M):
+    rows = M.row_lists()
+    assert len(rows) == M.rows and all(len(row) == M.cols for row in rows)
+    assert_field_elements(M.field, [v for row in rows for v in row])
+
+
 def test_stack_appends_rows():
-    for field in (QQ, GF(7)):
-        top = ExactMatrix.from_rows(field, [[1, 2]])
-        stacked = top.stack(ExactMatrix.from_rows(field, [[3, 4], [5, 6]]))
+    for field in THREE_FIELDS:
+        top = ExactMatrix.from_rows(field, [[field.from_int(1), field.from_int(2)]])
+        stacked = top.stack(ExactMatrix.from_rows(field, [[field.from_int(v) for v in r] for r in ([3, 4], [5, 6])]))
         assert (stacked.rows, stacked.cols) == (3, 2)
         assert stacked.row_lists() == [[1, 2], [3, 4], [5, 6]]
         assert ExactMatrix.zeros(field, 0, 2).stack(top).row_lists() == [[1, 2]]
+        assert_field_entries(stacked)
+
+
+def test_constructors_and_views_hold_field_elements():
+    for field in THREE_FIELDS:
+        minus_one = field.from_int(-1)
+        sparse = ExactMatrix.from_entries(field, 2, 3, [0, 1], [2, 0], [field.one, minus_one])
+        assert sparse.row_lists() == [[0, 0, 1], [minus_one, 0, 0]]
+        zeros = ExactMatrix.zeros(field, 2, 2)
+        assert zeros.row_lists() == [[0, 0], [0, 0]]
+        transposed = sparse.transpose()
+        assert (transposed.rows, transposed.cols) == (3, 2)
+        assert transposed.row_lists() == [[0, minus_one], [0, 0], [1, 0]]
+        picked = sparse.columns([2, 0])
+        assert (picked.rows, picked.cols) == (2, 2)
+        assert picked.row_lists() == [[1, 0], [0, minus_one]]
+        assert sparse.columns([]).row_lists() == [[], []]
+        for M in (sparse, zeros, transposed, picked, zeros.stack(sparse.columns([0, 1])), ExactMatrix.identity(field, 2)):
+            assert_field_entries(M)
 
 
 def test_kernel_injective_map():
@@ -108,21 +143,38 @@ def test_rank_plus_nullity_is_cols(rows):
             assert total == 0
 
 
-@settings(max_examples=40, deadline=None)
-@given(fraction_matrices(), st.integers(0, 10**6))
-def test_solve_exact_or_certified_inconsistent(rows, seed):
+@st.composite
+def field_matrices(draw):
+    """A field of each size, and a matrix over it as plain rows."""
+    field = draw(st.sampled_from(THREE_FIELDS))
+    rows = draw(fraction_matrices())
+    if field is not QQ:
+        rows = [[field.from_fraction(v) for v in r] for r in rows]
+    return field, rows
+
+
+def residue(field, v):
+    return v if field is QQ else v % field.p
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_matrices(), st.integers(0, 10**6))
+def test_solve_exact_or_certified_inconsistent(case, seed):
+    field, rows = case
     if not rows:
         return
-    M = ExactMatrix.from_rows(QQ, rows)
+    M = ExactMatrix.from_rows(field, rows)
     rng = random.Random(seed)
-    b = [Fraction(rng.randint(-9, 9)) for _ in range(M.rows)]
+    b = [field.from_int(rng.randint(-9, 9)) for _ in range(M.rows)]
     x = solve_exact(M, b)
     if x is None:
-        aug = ExactMatrix.from_rows(QQ, [list(r) + [bv] for r, bv in zip(rows, b)])
+        aug = ExactMatrix.from_rows(field, [list(r) + [bv] for r, bv in zip(rows, b)])
         assert rank(aug) == rank(M) + 1
     else:
+        assert len(x) == M.cols
         for i in range(M.rows):
-            assert sum(rows[i][j] * x[j] for j in range(M.cols)) == b[i]
+            assert residue(field, sum(rows[i][j] * x[j] for j in range(M.cols))) == b[i]
+        assert_field_elements(field, x)
 
 
 @settings(max_examples=40, deadline=None)
@@ -195,16 +247,6 @@ def test_kernel_and_solve_over_random_63bit_prime():
     assert solve_exact(ExactMatrix.from_rows(field, [[1, 1], [2, 2]]), [1, 3]) is None
 
 
-@st.composite
-def field_matrices(draw):
-    """A field of each size, and a matrix over it as plain rows."""
-    field = draw(st.sampled_from(THREE_FIELDS))
-    rows = draw(fraction_matrices())
-    if field is not QQ:
-        rows = [[field.from_fraction(v) for v in r] for r in rows]
-    return field, rows
-
-
 @settings(max_examples=90, deadline=None)
 @given(field_matrices())
 def test_kernel_basis_is_the_reduced_echelon_kernel_in_every_field(case):
@@ -215,16 +257,12 @@ def test_kernel_basis_is_the_reduced_echelon_kernel_in_every_field(case):
     leads = []
     for vec in basis:
         assert len(vec) == M.cols
-        if field is QQ:
-            assert all(type(v) is Fraction for v in vec)
-        else:
-            assert all(type(v) is int and 0 <= v < field.p for v in vec)
+        assert_field_elements(field, vec)
         lead = next(j for j, v in enumerate(vec) if v)
         assert vec[lead] == 1
         leads.append(lead)
         for row in rows:
-            total = sum(a * v for a, v in zip(row, vec))
-            assert (total if field is QQ else total % field.p) == 0
+            assert residue(field, sum(a * v for a, v in zip(row, vec))) == 0
     assert leads == sorted(set(leads))
     for i, lead in enumerate(leads):
         assert all(other[lead] == 0 for k, other in enumerate(basis) if k != i)
