@@ -53,6 +53,7 @@ from .invariants import (
     n_dim,
     n_dim_saturation_oracle,
     smooth_reference,
+    tau_max,
     thresholds,
     tjurina,
     validate_bundle,

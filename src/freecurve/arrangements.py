@@ -16,7 +16,7 @@ from math import isqrt
 
 from .errors import InputError
 from .fields import QQ
-from .invariants import dpw_bounds
+from .invariants import dpw_bounds, tau_max
 from .poly import HomogPoly
 
 LineCoeffs = tuple[Fraction, Fraction, Fraction]
@@ -226,9 +226,4 @@ def interval_table(d: int) -> list[tuple[int, int, int]]:
 def rigidity_intervals_disjoint(d: int) -> bool:
     """Check tau(s)_max < tau(s-1)_min for every s <= sqrt(d-3)."""
     limit = isqrt(d - 3) if d >= 3 else 0
-    for s in range(1, limit + 1):
-        s_max = (d - 1) * (d - s - 1) + s * s
-        prev_min = (d - 1) * (d - s)
-        if not s_max < prev_min:
-            return False
-    return True
+    return all(tau_max(d, s) < (d - 1) * (d - s) for s in range(1, limit + 1))

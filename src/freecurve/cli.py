@@ -7,7 +7,6 @@ Exit codes: 0 success (including non-reduced verdicts), 2 input error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -116,7 +115,7 @@ def _cmd_intervals(args) -> int:
             "degree": args.degree,
             "rows": [{"r": r, "tau_min": lo, "tau_max": hi} for r, lo, hi in rows],
         }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(render_json(payload))
     else:
         sys.stdout.write(f"Tjurina intervals for degree {args.degree}\n")
         for r, lo, hi in rows:
@@ -150,7 +149,7 @@ def _cmd_terao(args) -> int:
     result = terao_rigidity(d, tau)
     payload.update({"degree": d, "tau": tau, "status": result.status, "r": result.r})
     if args.json:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(render_json(payload))
     else:
         sys.stdout.write(f"degree {d}, tau {tau}: {result}\n")
         if "agreement" in payload:
@@ -177,7 +176,7 @@ def _cmd_corpus(args) -> int:
             "total": len(results),
             "failed": len(failed),
         }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(render_json(payload))
     else:
         for r in results:
             mark = "PASS" if r.passed else "FAIL"

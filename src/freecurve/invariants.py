@@ -4,9 +4,11 @@ Everything in this module is an integer function of one `RankProfile`:
 the global Tjurina number (the stable value of the Milnor algebra
 dimensions), the coincidence and stability thresholds measured against
 the smooth Hilbert function, the saturation defects n(f)_k from an
-Euler-characteristic identity, the quotient dimensions delta(f)_k, and
-the du Plessis-Wall bounds with their defect.  Only the brute-force
-saturation oracle, an independent check of n(f)_k, computes ranks itself.
+Euler-characteristic identity and the quotient dimensions delta(f)_k.
+The formulas in (d, r) live here once each: the maximal Tjurina number
+`tau_max`, the du Plessis-Wall interval and the defect.  Only the
+brute-force saturation oracle, an independent check of n(f)_k, computes
+ranks itself.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 from .errors import InternalInconsistencyError, NotReducedError
 from .fields import Field, QQ
 from .linalg import ExactMatrix, kernel_basis, rank
-from .poly import HomogPoly, choose2, dim_S, monomial_basis, monomial_index
+from .poly import HomogPoly, choose2, dim_choose2, dim_S, monomial_basis, monomial_index
 from .syzygy import RankProfile, jacobian_matrix, mdr, milnor_plateau, rank_jacobian
 
 
@@ -169,27 +171,31 @@ def delta_dim(p: RankProfile, k: int, r: int) -> int:
     return value
 
 
+def tau_max(d: int, r: int) -> int:
+    """(d-1)(d-r-1) + r^2, the maximal Tjurina number for minimal relation
+    degree r: free curves reach it and nearly free curves sit one below
+    it.  For 2r >= d the du Plessis-Wall cap lies below it."""
+    return (d - 1) * (d - r - 1) + r * r
+
+
 def dpw_bounds(d: int, r: int) -> tuple[int, int]:
     """du Plessis-Wall interval for the global Tjurina number given r.
 
-    For even d and r = d/2 the upper end is lowered by one.
+    The upper end is tau_max(d, r) lowered by choose2(2r+2-d), which is
+    zero for 2r < d and one at d = 2r.
     """
     if d < 3 or not 1 <= r <= d - 1:
         raise ValueError("need d >= 3 and 1 <= r <= d-1")
-    tau_min = (d - 1) * (d - r - 1)
-    tau_max = tau_min + r * r
-    if d % 2 == 0 and r == d // 2:
-        tau_max -= 1
-    return tau_min, tau_max
+    return (d - 1) * (d - r - 1), tau_max(d, r) - dim_choose2(2 * r + 2 - d)
 
 
 def defect(d: int, r: int, tau: int) -> int:
-    """e(f) = (d-1)(d-r-1) + r^2 - tau, the distance below the maximal value.
+    """e(f) = tau_max(d, r) - tau, the distance below the maximal value.
 
     Uses the uncapped formula value, so a nearly free curve has defect 1
     even when d = 2r.
     """
-    return (d - 1) * (d - r - 1) + r * r - tau
+    return tau_max(d, r) - tau
 
 
 @dataclass(frozen=True)
@@ -253,13 +259,9 @@ def validate_bundle(b: InvariantBundle) -> None:
     d, r, tau = b.d, b.r, b.tau
     if d >= 3 and 1 <= r <= d - 1:
         lo, hi = dpw_bounds(d, r)
-        if 2 * r < d and not lo <= tau <= hi:
+        if not lo <= tau <= hi:
             raise InternalInconsistencyError(
                 f"tau = {tau} outside [{lo}, {hi}] for d = {d}, r = {r}"
-            )
-        if d % 2 == 0 and r == d // 2 and not lo <= tau <= hi:
-            raise InternalInconsistencyError(
-                f"tau = {tau} outside capped interval [{lo}, {hi}] for r = d/2"
             )
     if r >= 1:
         floor = r + d - 2

@@ -102,9 +102,16 @@ def _dtype(field: Field):
 
 
 def _entries(field: Field, values) -> np.ndarray:
-    """`values` as an array of field elements: reduced mod p over a prime."""
+    """`values` as an array of field elements: reduced mod p over a prime,
+    `Fraction`s over Q (a `Fraction` given is stored as it is)."""
     a = np.array(values, dtype=_dtype(field))
-    return a % field.char if field.char else a
+    if field.char:
+        return a % field.char
+    flat = a.reshape(-1)  # a view: the array was just made contiguous
+    for i, v in enumerate(flat):
+        if type(v) is not Fraction:
+            flat[i] = Fraction(v)
+    return a
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,16 @@ def test_interval_table_degree_12_and_edge_cases():
     assert interval_table(4) == [(1, 6, 7), (2, 3, 6)]
 
 
+def test_interval_table_is_the_uncapped_formula_below_d_over_2():
+    # r <= d/2: the cap choose2(2r+2-d) is 0 for 2r < d and 1 at d = 2r
+    for d in range(3, 61):
+        expected = [
+            (r, (d - 1) * (d - r - 1), (d - 1) * (d - r - 1) + r * r - (2 * r == d))
+            for r in range(1, d // 2 + 1)
+        ]
+        assert interval_table(d) == expected, d
+
+
 def test_lineset_file_round_trip():
     text = "# triangle\n1 0 0\n0 1 0\n0 0 1\n"
     ls = LineSet.from_text(text)

@@ -1,5 +1,6 @@
 """Classification criteria, the exterior pairing, and structural checks."""
 
+import dataclasses
 import random
 
 import pytest
@@ -24,9 +25,9 @@ from freecurve.classify import (
 )
 from freecurve.errors import InternalInconsistencyError, NotReducedError
 from freecurve.fields import QQ, FieldPlan
-from freecurve.invariants import compute_bundle, tjurina
+from freecurve.invariants import compute_bundle, n_dim, tau_max, tjurina
 from freecurve.parser import parse_poly
-from freecurve.poly import HomogPoly, partials, poly_str
+from freecurve.poly import HomogPoly, choose2, dim_S, partials, poly_str
 from freecurve.syzygy import Syzygy, ar_dim, rank_profile, syzygy_basis
 
 TRIANGLE = parse_poly("x*y*z")
@@ -191,6 +192,34 @@ def test_nearly_free_generators_cusp():
     for k in range(0, CUSP.degree + 3):
         assert ar_dim(CUSP, k) == nearly_free_resolution_dim(CUSP.degree, 1, k)
     assert resolution_matches(rank_profile(CUSP), 1)
+
+
+def test_resolution_matches_reads_every_profile_degree():
+    profile = rank_profile(CUSP)
+    top = len(profile.ranks) - 1
+    assert top > CUSP.degree + 2
+    # one more syzygy at the top degree only, above d+2
+    bumped = dataclasses.replace(profile, ranks=profile.ranks[:top] + (profile.ranks[top] - 1,))
+    assert not resolution_matches(bumped, 1)
+
+
+def test_resolution_formula_implies_the_nearly_free_consequences():
+    # what a verified nearly free curve needs no separate check for
+    for d in range(3, 41):
+        for r in range(1, d // 2 + 1):
+            tau = tau_max(d, r) - 1
+            T = 3 * (d - 2)
+
+            def ar(k):
+                return nearly_free_resolution_dim(d, r, k)
+
+            assert ar(d - r - 1) == dim_S(d - 2 * r - 1), (d, r)
+            assert ar(d - r) - dim_S(d - 2 * r) == 2, (d, r)  # delta_(d-r)
+            for s in range(2 * d - r - 2, T + 1):
+                assert n_dim(d, s, tau, ar) == 0, (d, r, s)
+            # the closed form ar_k = 3 choose2(k+2) - choose2(d+k+1) + tau
+            for k in range(d - r - 1, 3 * d):
+                assert ar(k) == 3 * choose2(k + 2) - choose2(d + k + 1) + tau, (d, r, k)
 
 
 def test_nearly_free_generators_rejects_free_curve():

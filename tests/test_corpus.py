@@ -1,5 +1,10 @@
 """Shipped corpus: every curve passes every expectation and cross-check."""
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 from freecurve.corpus import load_case, run_case, run_corpus
 from freecurve.data import shipped_corpus_dir
 from freecurve.fields import QQ, FieldPlan
@@ -62,7 +67,34 @@ def test_case_runner_refuses_a_table_below_the_cross_checks():
     case = load_case(shipped_corpus_dir() / "cusp_cubic.curve")
     result = run_case(case, FieldPlan.primes(0), 0)
     assert result.failures == [
-        "InputError: table degree 0 is below 2, the smallest the cross-checks of this curve read"
+        "InputError: table degree 0 is below 1, the smallest the cross-checks of this curve read"
     ]
     result = run_case(case, FieldPlan.primes(0), table_max=2)
     assert result.passed, result.failures
+
+
+def test_benchmark_tracer_finds_every_name_and_runs_a_case():
+    # perfbench/spans.py rebinds these names and calls run_case(case, plan,
+    # table_max) positionally.  In a child interpreter, because installing
+    # the tracer rebinds the package process-wide; -B writes no bytecode
+    # into perfbench/.
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    code = f"""
+import json, sys
+sys.path.insert(0, {str(perfbench)!r})
+import spans
+from freecurve import corpus
+from freecurve.data import shipped_corpus_dir
+from freecurve.fields import FieldPlan
+tracer = spans.Tracer()
+missing = spans.install(tracer)
+case = corpus.load_case(shipped_corpus_dir() / "cusp_cubic.curve")
+result = corpus.run_case(case, FieldPlan.from_mode("auto", 0), None)
+names = sorted(spans.summarize(tracer.spans))
+print(json.dumps({{"missing": missing, "failures": result.failures, "names": names}}))
+"""
+    out = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["missing"] == []
+    assert result["failures"] == []
+    assert {"corpus.checks", "report.analyze", "invariants.oracle"} <= set(result["names"])

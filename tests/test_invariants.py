@@ -1,5 +1,8 @@
 """Derived invariants: thresholds, saturation defects, bounds."""
 
+import dataclasses
+import random
+
 import pytest
 
 from freecurve import invariants
@@ -13,12 +16,14 @@ from freecurve.invariants import (
     n_dim,
     n_dim_saturation_oracle,
     smooth_reference,
+    tau_max,
     thresholds,
     tjurina,
     validate_bundle,
 )
 from freecurve.linalg import ExactMatrix
 from freecurve.parser import parse_poly
+from freecurve.poly import dim_S
 from freecurve.syzygy import mdr, rank_profile
 
 from oracles import smooth_series_oracle
@@ -190,6 +195,36 @@ def test_dpw_bounds_degree_12_table():
     assert dpw_bounds(12, 6) == (55, 90)
     assert dpw_bounds(4, 2) == (3, 6)
     assert dpw_bounds(3, 1) == (2, 3)
+
+
+def test_n_dim_is_symmetric_for_any_ar_table():
+    # j -> T-j swaps the two ar terms and leaves the bracket unchanged, so
+    # the symmetry of the n table needs no check per curve
+    rng = random.Random(8)
+    for d in range(3, 41):
+        T = 3 * (d - 2)
+        for _ in range(3):
+            table = [rng.randint(0, 3 * dim_S(k)) for k in range(2 * d - 4)]
+            tau = rng.randint(0, (d - 1) ** 2)
+
+            def outcome(j):
+                try:
+                    return n_dim(d, j, tau, table.__getitem__)
+                except InternalInconsistencyError:
+                    return "negative"
+
+            for j in range(T + 1):
+                assert outcome(j) == outcome(T - j), (d, tau, table, j)
+
+
+def test_validate_bundle_asserts_the_cap_above_d_over_2():
+    # the nodal cubic: d = 3, r = 2, so tau <= tau_max - choose2(2r+2-d) = 4 - 3
+    bundle = compute_bundle(rank_profile(parse_poly("x^3+x^2*z-y^2*z")))
+    assert (bundle.d, bundle.r, bundle.tau) == (3, 2, 1)
+    assert tau_max(3, 2) == 4 and dpw_bounds(3, 2) == (0, 1)
+    validate_bundle(bundle)
+    with pytest.raises(InternalInconsistencyError, match=r"outside \[0, 1\]"):
+        validate_bundle(dataclasses.replace(bundle, tau=2))
 
 
 def test_defect_examples():

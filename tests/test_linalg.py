@@ -81,7 +81,10 @@ def test_constructors_and_views_hold_field_elements():
         assert (picked.rows, picked.cols) == (2, 2)
         assert picked.row_lists() == [[1, 0], [0, minus_one]]
         assert sparse.columns([]).row_lists() == [[], []]
-        for M in (sparse, zeros, transposed, picked, zeros.stack(sparse.columns([0, 1])), ExactMatrix.identity(field, 2)):
+        # int input becomes field elements too: Fractions over Q
+        from_ints = ExactMatrix.from_rows(field, [[1, 2], [-1, 0]])
+        assert from_ints.row_lists() == [[1, 2], [minus_one, 0]]
+        for M in (sparse, zeros, transposed, picked, zeros.stack(sparse.columns([0, 1])), ExactMatrix.identity(field, 2), from_ints):
             assert_field_entries(M)
 
 
