@@ -44,7 +44,6 @@ from .errors import (
 )
 from .fields import GF, QQ, FieldPlan, PrimeField, RationalField
 from .invariants import (
-    GradedTable,
     InvariantBundle,
     compute_bundle,
     defect,
@@ -76,10 +75,8 @@ from .syzygy import (
     RankProfile,
     Reducedness,
     Syzygy,
-    ar_dim,
     jacobian_matrix,
     mdr,
-    milnor_dim,
     rank_jacobian,
     rank_profile,
     reducedness_check,

@@ -17,6 +17,7 @@ from math import isqrt
 from .errors import InputError
 from .fields import QQ
 from .invariants import dpw_bounds, tau_max
+from .parser import MAX_LITERAL_DIGITS
 from .poly import HomogPoly
 
 LineCoeffs = tuple[Fraction, Fraction, Fraction]
@@ -83,19 +84,24 @@ def _canonical_point(p) -> tuple[Fraction, Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class LatticeSummary:
-    """Multiset of intersection multiplicities, with coordinates when known."""
+    """Multiset of intersection multiplicities: `counts` maps each
+    multiplicity to its number of points."""
 
     degree: int
-    points: tuple[tuple[tuple[Fraction, Fraction, Fraction] | None, int], ...]
+    counts: dict[int, int]
 
     def __post_init__(self):
         d = self.degree
         pair_budget = d * (d - 1) // 2
         used = 0
-        for coords, mult in self.points:
+        for mult, count in self.counts.items():
             if mult < 2:
                 raise InputError(f"intersection multiplicity {mult} < 2")
-            used += mult * (mult - 1) // 2
+            if mult > d:
+                raise InputError(f"intersection multiplicity {mult} above the {d} lines")
+            used += count * (mult * (mult - 1) // 2)
+            if used > pair_budget:  # `used` may be too long to print
+                raise InputError(f"multiplicities account for more than the {pair_budget} pairs of {d} lines")
         if used != pair_budget:
             raise InputError(
                 f"multiplicities account for {used} line pairs but "
@@ -103,21 +109,14 @@ class LatticeSummary:
             )
 
     def multiplicity_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for _, mult in self.points:
-            counts[mult] = counts.get(mult, 0) + 1
-        return dict(sorted(counts.items()))
-
-    @classmethod
-    def from_counts(cls, degree: int, counts: dict[int, int]) -> "LatticeSummary":
-        points = []
-        for mult in sorted(counts):
-            points.extend([(None, mult)] * counts[mult])
-        return cls(degree, tuple(points))
+        return dict(sorted(self.counts.items()))
 
     @classmethod
     def from_text(cls, text: str) -> "LatticeSummary":
-        """'degree d' header, then rows 'multiplicity count'; '#' comments."""
+        """'degree d' header, then rows 'multiplicity count'; '#' comments.
+        Integers longer than MAX_LITERAL_DIGITS digits are refused, and a
+        degree longer than half that, so that binom(d, 2) and every tau
+        <= d(d-1) stay printable."""
         degree = None
         counts: dict[int, int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -126,19 +125,25 @@ class LatticeSummary:
                 continue
             parts = stripped.split()
             if parts[0].lower() == "degree":
-                if len(parts) != 2 or not parts[1].isdigit():
+                if len(parts) != 2 or not parts[1].isdecimal():
                     raise InputError(f"row {lineno}: malformed degree header")
-                degree = int(parts[1])
+                degree = _bounded_int(parts[1], lineno, MAX_LITERAL_DIGITS // 2)
                 continue
-            if len(parts) != 2 or not all(p.lstrip("-").isdigit() for p in parts):
+            if len(parts) != 2 or not all(p.removeprefix("-").isdecimal() for p in parts):
                 raise InputError(f"row {lineno}: expected 'multiplicity count'")
-            mult, count = int(parts[0]), int(parts[1])
+            mult, count = (_bounded_int(p, lineno) for p in parts)
             if count < 1:
                 raise InputError(f"row {lineno}: count must be positive")
             counts[mult] = counts.get(mult, 0) + count
         if degree is None:
             raise InputError("lattice file is missing the 'degree d' header")
-        return cls.from_counts(degree, counts)
+        return cls(degree, counts)
+
+
+def _bounded_int(word: str, lineno: int, digits: int = MAX_LITERAL_DIGITS) -> int:
+    if len(word.removeprefix("-")) > digits:
+        raise InputError(f"row {lineno}: integer longer than {digits} digits")
+    return int(word)
 
 
 def arrangement_poly(lines: LineSet) -> HomogPoly:
@@ -151,30 +156,19 @@ def arrangement_poly(lines: LineSet) -> HomogPoly:
 
 
 def intersection_lattice(lines: LineSet) -> LatticeSummary:
-    """All pairwise intersection points with their line multiplicities."""
-    seen: dict[tuple, int] = {}
-    order: list[tuple] = []
-    for i in range(lines.degree):
-        for j in range(i + 1, lines.degree):
-            point = _canonical_point(_cross(lines.lines[i], lines.lines[j]))
-            if point not in seen:
-                seen[point] = 0
-                order.append(point)
-    points = []
-    for point in order:
-        mult = sum(
-            1
-            for coeffs in lines.lines
-            if coeffs[0] * point[0] + coeffs[1] * point[1] + coeffs[2] * point[2] == 0
-        )
-        points.append((point, mult))
-    summary = LatticeSummary(lines.degree, tuple(points))
-    return summary
+    """The multiplicities of the pairwise intersection points."""
+    ls = lines.lines
+    points = {_canonical_point(_cross(u, v)) for i, u in enumerate(ls) for v in ls[i + 1 :]}
+    counts: dict[int, int] = {}
+    for point in points:
+        mult = sum(1 for a, b, c in ls if a * point[0] + b * point[1] + c * point[2] == 0)
+        counts[mult] = counts.get(mult, 0) + 1
+    return LatticeSummary(lines.degree, counts)
 
 
 def lattice_tjurina(lattice: LatticeSummary) -> int:
     """Sum of (multiplicity - 1)^2 over the intersection points."""
-    return sum((mult - 1) ** 2 for _, mult in lattice.points)
+    return sum(count * (mult - 1) ** 2 for mult, count in lattice.counts.items())
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .fields import FieldPlan
 from .invariants import tjurina
 from .parser import parse_poly
 from .report import SCHEMA_VERSION, analyze, render_json, render_text
-from .syzygy import rank_profile
+from .syzygy import profile_degrees, rank_profile
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -137,6 +137,7 @@ def _cmd_terao(args) -> int:
         payload["multiplicities"] = lattice.multiplicity_counts()
     else:
         lines = LineSet.from_text(read_input(args.lines))
+        profile_degrees(lines.degree)  # refuse before the lattice and the product are built
         lattice = intersection_lattice(lines)
         d, tau = lines.degree, lattice_tjurina(lattice)
         payload["source"] = "lines"

@@ -31,6 +31,9 @@ from .report import analyze
 
 ORACLE_MAX_DEGREE = 6
 
+# The metadata keys that hold integers, with how many each holds.
+INTEGER_KEYS = {"expect_tau": 1, "expect_mdr": 1, "expect_exponents": 2}
+
 
 @dataclass
 class CurveCase:
@@ -39,6 +42,8 @@ class CurveCase:
     path: Path
     expression: str
     metadata: dict[str, str]
+    # the INTEGER_KEYS present: an int, or a list for expect_exponents
+    expected: dict[str, int | list[int]] = dc_field(default_factory=dict)
     poly: HomogPoly | None = None
 
 
@@ -70,7 +75,19 @@ def load_case(path: Path) -> CurveCase:
             expression_parts.append(stripped)
     if not expression_parts:
         raise InputError(f"{path}: no polynomial expression found")
-    return CurveCase(path, " ".join(expression_parts), metadata)
+    expected: dict[str, int | list[int]] = {}
+    for key, count in INTEGER_KEYS.items():
+        if key not in metadata:
+            continue
+        try:
+            values = [int(v) for v in metadata[key].split(",")]
+        except ValueError:
+            values = []
+        if len(values) != count:
+            wanted = "an integer" if count == 1 else f"{count} comma-separated integers"
+            raise InputError(f"{path}: {key} must be {wanted}")
+        expected[key] = values[0] if count == 1 else values
+    return CurveCase(path, " ".join(expression_parts), metadata, expected)
 
 
 def _check_expectations(case: CurveCase, report: dict, failures: list[str]) -> None:
@@ -85,14 +102,12 @@ def _check_expectations(case: CurveCase, report: dict, failures: list[str]) -> N
         got = cls["verdict"] if cls else None
         if got != meta["expect_verdict"]:
             failures.append(f"verdict {got} != expected {meta['expect_verdict']}")
-    if "expect_tau" in meta and report.get("tau") != int(meta["expect_tau"]):
-        failures.append(f"tau {report.get('tau')} != expected {meta['expect_tau']}")
-    if "expect_mdr" in meta and report.get("mdr") != int(meta["expect_mdr"]):
-        failures.append(f"mdr {report.get('mdr')} != expected {meta['expect_mdr']}")
-    if "expect_exponents" in meta and cls:
-        expected = [int(v) for v in meta["expect_exponents"].split(",")]
-        if cls["exponents"] != expected:
-            failures.append(f"exponents {cls['exponents']} != expected {expected}")
+    expected = case.expected
+    for key, name in (("expect_tau", "tau"), ("expect_mdr", "mdr")):
+        if key in expected and report.get(name) != expected[key]:
+            failures.append(f"{name} {report.get(name)} != expected {expected[key]}")
+    if "expect_exponents" in expected and cls and cls["exponents"] != expected["expect_exponents"]:
+        failures.append(f"exponents {cls['exponents']} != expected {expected['expect_exponents']}")
 
 
 def _check_cross_invariants(case: CurveCase, report: dict, failures: list[str]) -> None:

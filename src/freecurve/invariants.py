@@ -198,60 +198,34 @@ def defect(d: int, r: int, tau: int) -> int:
     return tau_max(d, r) - tau
 
 
-@dataclass(frozen=True)
-class GradedTable:
-    """A run of graded dimensions starting at a given degree."""
-
-    tag: str
-    start: int
-    values: tuple[int, ...]
-
-    def __getitem__(self, k: int) -> int:
-        idx = k - self.start
-        if 0 <= idx < len(self.values):
-            return self.values[idx]
-        raise IndexError(f"degree {k} outside table {self.tag}")
-
-    def to_dict(self) -> dict:
-        return {"start": self.start, "values": list(self.values)}
-
-
 @dataclass
 class InvariantBundle:
-    """Every numerical invariant of one curve, before classification."""
+    """The scalar invariants of one reduced curve, read from its profile.
 
-    d: int
+    Its graded tables are functions of the profile: `profile.ar`,
+    `profile.m`, `n_dim` and `delta_dim`.
+    """
+
+    profile: RankProfile
     r: int
     tau: int
     ct: int | None
     st: int
-    T: int
-    e_defect: int
-    ar: GradedTable
-    m: GradedTable
-    n: GradedTable
-    delta: GradedTable
-    profile: RankProfile
+
+    @property
+    def d(self) -> int:
+        return self.profile.d
+
+    @property
+    def T(self) -> int:
+        return 3 * (self.d - 2)
 
 
 def compute_bundle(p: RankProfile) -> InvariantBundle:
-    """The full invariant bundle of a reduced curve, read from its profile.
-
-    The ar/m/delta tables span 0..K, the profile's table degree; the n
-    table always spans [0, T] so that its shape constraints can be
-    checked.  Raises NotReducedError for a non-reduced curve.
-    """
-    d, K = p.d, p.table_max
-    T = 3 * (d - 2)
+    """The invariant bundle of a reduced curve, read from its profile.
+    Raises NotReducedError for a non-reduced curve."""
     tau = tjurina(p)
-    r = mdr(p)
-    ct, st = thresholds(p)
-    ar = GradedTable("ar", 0, tuple(p.ar(k) for k in range(K + 1)))
-    m = GradedTable("m", 0, tuple(p.m(k) for k in range(K + 1)))
-    n = GradedTable("n", 0, tuple(n_dim(d, j, tau, p.ar) for j in range(max(T, 0) + 1)))
-    delta = GradedTable("delta", 0, tuple(delta_dim(p, k, r) for k in range(K + 1)))
-    e = defect(d, r, tau) if r >= 1 else 0
-    return InvariantBundle(d=d, r=r, tau=tau, ct=ct, st=st, T=T, e_defect=e, ar=ar, m=m, n=n, delta=delta, profile=p)
+    return InvariantBundle(p, mdr(p), tau, *thresholds(p))
 
 
 def validate_bundle(b: InvariantBundle) -> None:
@@ -276,8 +250,9 @@ def validate_bundle(b: InvariantBundle) -> None:
             raise InternalInconsistencyError(
                 f"ct + st = {b.ct + b.st} < T = {b.T}"
             )
+    # n over all of [0, T], whatever the table degree; n_dim asserts n >= 0
+    vals = [n_dim(d, j, tau, b.profile.ar) for j in range(b.T + 1)]
     mid = b.T // 2
-    vals = b.n.values
     for i in range(len(vals) - 1):
         ascending = i < mid
         if ascending and vals[i] > vals[i + 1]:

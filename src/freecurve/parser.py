@@ -113,11 +113,6 @@ class _Parser:
         self.skip_ws()
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self) -> str:
-        ch = self.peek()
-        self.pos += 1
-        return ch
-
     def expect(self, ch: str):
         got = self.peek()
         if got != ch:

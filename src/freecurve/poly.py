@@ -62,11 +62,11 @@ class HomogPoly:
     """A homogeneous polynomial of a declared degree.
 
     The zero polynomial is representable at any degree (empty term map).
-    Instances are immutable and hashable; all operations return new
-    polynomials.
+    Instances are immutable and compare by value (they are not hashable);
+    all operations return new polynomials.
     """
 
-    __slots__ = ("field", "degree", "terms", "_hash")
+    __slots__ = ("field", "degree", "terms")
 
     def __init__(self, field: Field, degree: int, terms: dict):
         clean = {}
@@ -78,7 +78,6 @@ class HomogPoly:
         self.field = field
         self.degree = degree
         self.terms = clean
-        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -193,11 +192,6 @@ class HomogPoly:
             and self.degree == other.degree
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((id(self.field), self.degree, frozenset(self.terms.items())))
-        return self._hash
 
     def __str__(self):
         return poly_str(self)

@@ -6,7 +6,7 @@ import json
 
 from .classify import Classification, classify
 from .fields import Field, FieldPlan, QQ
-from .invariants import InvariantBundle, compute_bundle, dpw_bounds, validate_bundle
+from .invariants import InvariantBundle, compute_bundle, defect, delta_dim, dpw_bounds, n_dim, validate_bundle
 from .poly import HomogPoly, poly_str
 from .syzygy import Reducedness, rank_profile, reducedness_check
 
@@ -48,25 +48,25 @@ def analyze(
 
 
 def _bundle_dict(b: InvariantBundle) -> dict:
-    if 3 <= b.d and 1 <= b.r <= b.d // 2:
-        bounds = list(dpw_bounds(b.d, b.r))
-    else:
-        bounds = None
-    kmax = b.ar.start + len(b.ar.values) - 1
-    n_values = [b.n[j] if 0 <= j <= b.T else 0 for j in range(kmax + 1)]
+    p, d, r, tau = b.profile, b.d, b.r, b.tau
+    bounds = list(dpw_bounds(d, r)) if 3 <= d and 1 <= r <= d // 2 else None
+
+    def table(dim) -> dict:
+        return {"start": 0, "values": [dim(k) for k in range(p.table_max + 1)]}
+
     return {
-        "mdr": b.r,
-        "tau": b.tau,
+        "mdr": r,
+        "tau": tau,
         "tau_bounds": bounds,
-        "defect": b.e_defect,
+        "defect": defect(d, r, tau) if r >= 1 else 0,
         "ct": "infinity" if b.ct is None else b.ct,
         "st": b.st,
         "T": b.T,
         "tables": {
-            "ar": b.ar.to_dict(),
-            "m": b.m.to_dict(),
-            "n": {"start": 0, "values": n_values},
-            "delta": b.delta.to_dict(),
+            "ar": table(p.ar),
+            "m": table(p.m),
+            "n": table(lambda j: n_dim(d, j, tau, p.ar)),
+            "delta": table(lambda k: delta_dim(p, k, r)),
         },
     }
 

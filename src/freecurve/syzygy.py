@@ -6,8 +6,9 @@ kernel AR(f)_k collects the degree-k relations (syzygies) among the
 partials; the cokernel dimensions m(f)_k are the graded dimensions of the
 quotient of the polynomial ring by the Jacobian ideal.  Everything here
 reduces to exact ranks and kernels of those multiplication matrices.
-The pipeline agrees on them once per curve, as a `RankProfile`; the
-per-degree functions over one field serve checks independent of it.
+The pipeline agrees on them once per curve, as a `RankProfile`, the
+only source of the graded dimensions ar(f)_k and m(f)_k; the per-degree
+kernels over one field serve the structural checks.
 """
 
 from __future__ import annotations
@@ -127,22 +128,12 @@ def rank_jacobian(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | N
     return rank(jacobian_matrix(f, k, field, grad=grad))
 
 
-def ar_dim(f: HomogPoly, k: int, field: Field = QQ) -> int:
-    """dim AR(f)_k, the number of independent degree-k relations."""
-    return 3 * dim_S(k) - rank_jacobian(f, k, field)
-
-
 def syzygy_basis(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> list[Syzygy]:
     """Canonical echelon basis of AR(f)_k; every triple is re-verified."""
     if grad is None:
         grad = partials(f.map_field(field))
     M = jacobian_matrix(f, k, field, grad=grad)
     return [Syzygy.from_vector(f, k, vec, field, grad) for vec in kernel_basis(M)]
-
-
-def milnor_dim(f: HomogPoly, k: int, field: Field = QQ) -> int:
-    """Graded dimension of S/J_f at degree k."""
-    return dim_S(k) - rank_jacobian(f, k - f.degree + 1, field)
 
 
 @dataclass(frozen=True)
@@ -201,7 +192,16 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
     rank is read off the exact kernel over Q.  f is first scaled to coprime
     integer coefficients, so no denominator can vanish mod p.
     """
-    d = f.degree
+    K, top = profile_degrees(f.degree, table_max)
+    plan = field if isinstance(field, FieldPlan) else FieldPlan.over(field)
+    ranks = plan.agree(lambda F: _certified_ranks(f, top) if F.char == 0 else _prime_ranks(f, top, F))
+    return RankProfile(f, plan, K, ranks)
+
+
+def profile_degrees(d: int, table_max: int | None = None) -> tuple[int, int]:
+    """The table degree K and the top source degree of the rank profile of
+    a degree-d curve (see `rank_profile`), or InputError if that profile
+    is refused.  Needs only d, so a caller can refuse before building f."""
     if d < 1:
         raise InputError("a constant defines no curve")
     K = 2 * d if table_max is None else table_max
@@ -213,14 +213,12 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
         raise InputError(
             f"degree {d} with tables to {K} needs a {rows}x{cols} matrix, more than {MAX_PROFILE_CELLS} cells"
         )
-    plan = field if isinstance(field, FieldPlan) else FieldPlan.over(field)
-    ranks = plan.agree(lambda F: _profile_ranks(f, top, F))
-    return RankProfile(f, plan, K, ranks)
+    return K, top
 
 
-def _profile_ranks(f: HomogPoly, top: int, field: Field) -> tuple[int, ...]:
-    if field.char == 0:
-        return _certified_ranks(f, top)
+def _prime_ranks(f: HomogPoly, top: int, field: Field) -> tuple[int, ...]:
+    """The ranks of J_0..J_top over a prime field: the one loop that
+    ranks Jacobians mod p."""
     grad = partials(f.map_field(field))
     return tuple(rank_jacobian(f, k, field, grad=grad) for k in range(top + 1))
 
@@ -233,14 +231,12 @@ def _certified_ranks(f: HomogPoly, top: int, prime: int = CERT_PRIME) -> tuple[i
     # integer coefficients its gradient reduces mod p, where ranks only drop.
     (f,) = _integral((f,))
     grad = partials(f)
-    grad_p = Gradient(*(g.map_field(P) for g in grad))
-    fx, fy, fz = grad_p
+    fx, fy, fz = (g.map_field(P) for g in grad)
     zero = HomogPoly.zero(P, f.degree - 1)
     gens = [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]
     ranks = []
-    for k in range(top + 1):
+    for k, r in enumerate(_prime_ranks(f, top, P)):
         n = 3 * dim_S(k)
-        r = rank_jacobian(f, k, P, grad=grad_p)
         if r < n:
             V = multiples(gens, k, P)
             if rank(V) != n - r:

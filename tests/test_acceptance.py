@@ -18,7 +18,7 @@ from freecurve.fields import QQ
 from freecurve.invariants import compute_bundle, dpw_bounds, n_dim, n_dim_saturation_oracle, tjurina
 from freecurve.parser import parse_poly
 from freecurve.poly import dim_S, partials
-from freecurve.syzygy import Syzygy, ar_dim, mdr, rank_jacobian, rank_profile
+from freecurve.syzygy import Syzygy, mdr, rank_jacobian, rank_profile
 
 
 def _report(n, message):
@@ -76,7 +76,7 @@ def test_criterion_03_nearly_free_characterization():
     assert c.criteria == {"tau_test": True, "ctst_test": True, "delta_test": True}
     rho1, rho2, rho3 = nearly_free_generators(cusp, 1)
     for k in range(0, 6):  # k <= 5 = d + 2
-        assert ar_dim(cusp, k) == nearly_free_resolution_dim(3, 1, k)
+        assert profile.ar(k) == nearly_free_resolution_dim(3, 1, k)
     _report(3, "cusp: tau = tau_max - 1, NearlyFree(1,2), generator check through k=5")
 
 
@@ -170,7 +170,7 @@ def test_criterion_07_delta_characterization(corpus_results, random_curve_survey
         checked += 1
     def delta_over_q(f, k, r):
         # independent of the survey's prime-field profile
-        return ar_dim(f, k) - dim_S(k - r)
+        return 3 * dim_S(k) - rank_jacobian(f, k) - dim_S(k - r)
 
     for f, r, tau, classification in random_curve_survey:
         if classification.verdict == FREE:

@@ -93,8 +93,9 @@ def test_pair_count_invariant_on_random_arrangements(seed):
         chosen.setdefault(_normalized_direction(cand), cand)
     arrangement = lines(*sorted(chosen.values()))
     lattice = intersection_lattice(arrangement)
-    assert sum(m * (m - 1) // 2 for _, m in lattice.points) == d * (d - 1) // 2
-    assert all(m >= 2 for _, m in lattice.points)
+    counts = lattice.multiplicity_counts()
+    assert sum(c * (m * (m - 1) // 2) for m, c in counts.items()) == d * (d - 1) // 2
+    assert all(m >= 2 for m in counts)
 
 
 def test_lattice_tjurina_matches_algebraic_tjurina():

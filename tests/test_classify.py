@@ -28,7 +28,7 @@ from freecurve.fields import QQ, FieldPlan
 from freecurve.invariants import compute_bundle, n_dim, tau_max, tjurina
 from freecurve.parser import parse_poly
 from freecurve.poly import HomogPoly, choose2, dim_S, partials, poly_str
-from freecurve.syzygy import Syzygy, ar_dim, rank_profile, syzygy_basis
+from freecurve.syzygy import Syzygy, rank_profile, syzygy_basis
 
 TRIANGLE = parse_poly("x*y*z")
 CUSP = parse_poly("x^3-y^2*z")
@@ -189,9 +189,10 @@ def test_nearly_free_generators_cusp():
     for s in (rho1, rho2, rho3):
         assert s.holds_for(CUSP)
     # ar(f)_k matches the three-generator resolution count through d+2
+    profile = rank_profile(CUSP)
     for k in range(0, CUSP.degree + 3):
-        assert ar_dim(CUSP, k) == nearly_free_resolution_dim(CUSP.degree, 1, k)
-    assert resolution_matches(rank_profile(CUSP), 1)
+        assert profile.ar(k) == nearly_free_resolution_dim(CUSP.degree, 1, k)
+    assert resolution_matches(profile, 1)
 
 
 def test_resolution_matches_reads_every_profile_degree():

@@ -1,16 +1,18 @@
 """Command-line surface: flags, formats, exit codes, determinism."""
 
 import json
+import resource
 import subprocess
 import sys
 import time
 
 import pytest
 
-from freecurve import syzygy
+from freecurve import cli, syzygy
 from freecurve.arrangements import MAX_INTERVAL_DEGREE
 from freecurve.cli import main
 from freecurve.data import data_dir, shipped_corpus_dir
+from freecurve.parser import MAX_LITERAL_DIGITS
 
 
 def run_cli(args):
@@ -159,6 +161,17 @@ def test_corpus_records_unreadable_entries_as_failures(tmp_path, capsys):
         assert not cases[name]["passed"] and cases[name]["failures"][0].startswith("cannot read")
 
 
+@pytest.mark.parametrize("line", ["expect_tau: abc", "expect_mdr: 1.5", "expect_exponents: 1,x"])
+def test_corpus_records_malformed_expectations_as_failures(tmp_path, capsys, line):
+    (tmp_path / "a_bad.curve").write_text(f"# {line}\nx*y*z\n")
+    (tmp_path / "b_good.curve").write_text("# expect_tau: 3\nx*y*z\n")
+    code = main(["corpus", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "FAIL  a_bad.curve" in out and line.split(":")[0] in out
+    assert "PASS  b_good.curve" in out
+
+
 def test_intervals_refuses_degrees_above_the_bound(capsys):
     assert main(["intervals", "--degree", "100000000"]) == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -205,8 +218,72 @@ def test_terao_requires_degree_with_tau(capsys):
 
 def test_terao_malformed_lattice(tmp_path, capsys):
     bad = tmp_path / "bad.lattice"
-    bad.write_text("degree 12\n11 1\n2 10\n")
-    assert main(["terao", "--lattice", str(bad)]) == 2
+    for text in ("degree 12\n11 1\n2 10\n", "degree 3\n--2 3\n", "degree \u00b3\n2 3\n"):
+        bad.write_text(text)
+        assert main(["terao", "--lattice", str(bad)]) == 2, text
+
+
+@pytest.mark.parametrize(
+    "text, zeros, message",
+    [
+        ("degree 12\n11 1\n2 1{}\n", MAX_LITERAL_DIGITS, f"longer than {MAX_LITERAL_DIGITS} digits"),
+        ("degree 1{}\n2 1\n", MAX_LITERAL_DIGITS, f"longer than {MAX_LITERAL_DIGITS // 2} digits"),
+        # binom(d, 2) of the longest degree admitted still prints; a longer
+        # multiplicity or pair count than the lines allow is not printed
+        ("degree 1{}\n2 1\n", MAX_LITERAL_DIGITS // 2 - 1, "line pairs but"),
+        ("degree 3\n1{}1 1\n", MAX_LITERAL_DIGITS - 2, "above the 3 lines"),
+        ("degree 3\n3 1{}\n", MAX_LITERAL_DIGITS - 1, "more than the 3 pairs"),
+    ],
+    ids=["count", "degree", "longest-degree", "multiplicity", "pair-count"],
+)
+def test_terao_refuses_overlong_lattice_integers(tmp_path, capsys, text, zeros, message):
+    path = tmp_path / "long.lattice"
+    path.write_text(text.format("0" * zeros))
+    assert main(["terao", "--lattice", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_terao_prints_the_tau_of_the_longest_lattice_degree(tmp_path, capsys):
+    # every line through one point: tau = (d-1)^2 has 4300 digits, the
+    # most an int may print
+    degree = "9" * (MAX_LITERAL_DIGITS // 2)
+    path = tmp_path / "pencil.lattice"
+    path.write_text(f"degree {degree}\n{degree} 1\n")
+    assert main(["terao", "--lattice", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["tau"] == (int(degree) - 1) ** 2
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+def test_terao_lattice_with_a_huge_count_stays_small(tmp_path):
+    # 2 * 10^8 double points of 20000 lines: one count, not one entry per point
+    path = tmp_path / "big.lattice"
+    path.write_text("degree 20000\n2 199990000\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "freecurve", "terao", "--lattice", str(path), "--json"],
+        capture_output=True,
+        text=True,
+        preexec_fn=_cap_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["multiplicities"] == {"2": 199990000} and payload["tau"] == 199990000
+
+
+@pytest.mark.parametrize("count", [syzygy.MAX_CURVE_DEGREE, syzygy.MAX_CURVE_DEGREE + 1])
+def test_terao_refuses_too_many_lines_before_building_anything(tmp_path, monkeypatch, capsys, count):
+    # a degree-33 profile fits only below the default table degree 2d
+    def refuse(*args):
+        raise AssertionError("the lattice or the product was built")
+
+    monkeypatch.setattr(cli, "intersection_lattice", refuse)
+    monkeypatch.setattr(cli, "arrangement_poly", refuse)
+    path = tmp_path / "many.lines"
+    path.write_text("".join(f"1 {i} {i * i}\n" for i in range(count)))
+    assert main(["terao", "--lines", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_corpus_empty_directory_warns_and_passes(tmp_path, capsys):

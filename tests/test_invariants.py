@@ -24,6 +24,7 @@ from freecurve.invariants import (
 from freecurve.linalg import ExactMatrix
 from freecurve.parser import parse_poly
 from freecurve.poly import dim_S
+from freecurve.report import analyze
 from freecurve.syzygy import mdr, rank_profile
 
 from oracles import smooth_series_oracle
@@ -241,13 +242,13 @@ def test_bundle_validates_on_small_curves():
         bundle = compute_bundle(rank_profile(f))
         validate_bundle(bundle)
         assert bundle.T == 3 * (f.degree - 2)
-        assert len(bundle.ar.values) == 2 * f.degree + 1
+        assert len(analyze(f)["tables"]["ar"]["values"]) == 2 * f.degree + 1
 
 
 def test_bundle_table_max_override():
-    bundle = compute_bundle(rank_profile(TRIANGLE, table_max=4))
-    assert len(bundle.ar.values) == 5
-    assert len(bundle.m.values) == 5
+    report = analyze(TRIANGLE, table_max=4)
+    assert len(report["tables"]["ar"]["values"]) == 5
+    assert len(report["tables"]["m"]["values"]) == 5
 
 
 def test_ct_equality_below_koszul_degree():

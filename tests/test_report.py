@@ -1,9 +1,15 @@
-"""Per-curve reports: the field block, fallbacks and agreement counts."""
+"""Per-curve reports: the field block, fallbacks, agreement counts and tables."""
 
+import pytest
+
+from freecurve import invariants
 from freecurve.cli import main
+from freecurve.errors import InternalInconsistencyError
 from freecurve.fields import GF, QQ, FieldPlan
+from freecurve.invariants import delta_dim, n_dim
 from freecurve.parser import parse_poly
 from freecurve.report import analyze
+from freecurve.syzygy import rank_profile
 
 # The first prime drawn from seed 0 divides a denominator of this cubic.
 UNLUCKY_AT_SEED_0 = "x^3+y^3+z^3+1/2190953423*x*y*z"
@@ -52,3 +58,43 @@ def test_bare_fields_describe_themselves():
     over_q = analyze(f, QQ)
     assert over_q["field"] == {"mode": "qq", "primes": None, "fallbacks": 0}
     assert _without_field(over_p) == _without_field(over_q)
+
+
+# reduced curves of degree 3 to 7
+TABLE_CURVES = [
+    "x^3-y^2*z",
+    "x*y*z*(x+y+z)",
+    "x^5+y^5+z^5+x^2*y^3",
+    "x*y*z*(x^3-y^3)",
+    "x*y*z*(x-y)*(y-z)*(x-z)*(x+y+z)",
+]
+
+
+@pytest.mark.parametrize("expr", TABLE_CURVES)
+def test_report_tables_read_the_profile_from_0_to_K(expr):
+    f = parse_poly(expr)
+    d = f.degree
+    T = 3 * (d - 2)
+    for K in (0, 2, T, 2 * d):
+        report = analyze(f, GF(2_147_483_659), table_max=K)
+        p = rank_profile(f, GF(2_147_483_659), table_max=K)
+        tau, r = report["tau"], report["mdr"]
+        expected = {
+            "ar": [p.ar(k) for k in range(K + 1)],
+            "m": [p.m(k) for k in range(K + 1)],
+            "n": [n_dim(d, k, tau, p.ar) for k in range(K + 1)],
+            "delta": [delta_dim(p, k, r) for k in range(K + 1)],
+        }
+        assert report["tables"] == {tag: {"start": 0, "values": values} for tag, values in expected.items()}
+        assert all(v == 0 for v in report["tables"]["n"]["values"][T + 1 :])
+
+
+def test_n_shape_is_asserted_over_0_to_T_below_the_table_degree(monkeypatch):
+    honest = invariants.n_dim
+
+    def bumped_at_T(d, j, tau, ar):
+        return honest(d, j, tau, ar) + 1000 * (j == 3 * (d - 2))
+
+    monkeypatch.setattr(invariants, "n_dim", bumped_at_T)
+    with pytest.raises(InternalInconsistencyError, match="not descending"):
+        analyze(parse_poly("x*y*z*(x^3-y^3)"), table_max=2)

@@ -13,10 +13,8 @@ from freecurve.parser import parse_poly
 from freecurve.poly import dim_S, dim_choose2
 from freecurve.syzygy import (
     Reducedness,
-    ar_dim,
     jacobian_matrix,
     mdr,
-    milnor_dim,
     multiples,
     outside_span,
     rank_jacobian,
@@ -55,7 +53,7 @@ def test_jacobian_matrix_degree_one_kernel():
     ],
 )
 def test_ar_dim_examples(f, k, expected):
-    assert ar_dim(f, k) == expected
+    assert rank_profile(f).ar(k) == expected
 
 
 def test_jacobian_matrix_matches_independent_layout():
@@ -97,8 +95,9 @@ def test_outside_span_picks_candidates_in_order():
 
 def test_ar_dim_matches_independent_oracle():
     for f in (TRIANGLE, CUSP, FERMAT3):
+        profile = rank_profile(f)
         for k in range(0, 5):
-            assert ar_dim(f, k) == ar_dim_oracle(f, k)
+            assert profile.ar(k) == ar_dim_oracle(f, k)
 
 
 def test_syzygy_basis_verifies_and_is_canonical():
@@ -127,19 +126,20 @@ def test_cusp_minimal_syzygy_is_normalized():
     ],
 )
 def test_milnor_tables(f, table):
-    assert [milnor_dim(f, k) for k in range(len(table))] == table
+    assert [rank_profile(f).m(k) for k in range(len(table))] == table
 
 
 def test_milnor_matches_independent_oracle():
     for f in (TRIANGLE, CUSP, FERMAT3):
+        profile = rank_profile(f)
         for k in range(0, 7):
-            assert milnor_dim(f, k) == milnor_dim_oracle(f, k)
+            assert profile.m(k) == milnor_dim_oracle(f, k)
 
 
 def test_milnor_below_first_jacobian_degree_is_full():
-    f = parse_poly("x^5+y^5+z^5")
+    profile = rank_profile(parse_poly("x^5+y^5+z^5"))
     for k in range(0, 4):
-        assert milnor_dim(f, k) == dim_S(k)
+        assert profile.m(k) == dim_S(k)
 
 
 @pytest.mark.parametrize(
@@ -197,8 +197,8 @@ def test_profile_holds_the_per_degree_ranks():
         d = f.degree
         assert profile.ranks == tuple(rank_jacobian(f, k, field) for k in range(2 * d + 1))
         for k in range(-1, 2 * d + 1):
-            assert profile.ar(k) == ar_dim(f, k, field)
-            assert profile.m(k) == milnor_dim(f, k, field)
+            assert profile.ar(k) == 3 * dim_S(k) - rank_jacobian(f, k, field)
+            assert profile.m(k) == dim_S(k) - rank_jacobian(f, k - d + 1, field)
     # the window degree 2d-1 is always covered, a larger table degree extends it
     assert len(rank_profile(CUSP, table_max=0).ranks) == 2 * CUSP.degree
     assert len(rank_profile(CUSP, table_max=9).ranks) == 10
@@ -226,17 +226,22 @@ def test_exact_sequence_cross_check():
     # m(f)_k = dim S_k - 3 dim S_(k-d+1) + ar(f)_(k-d+1) for all k in [0, 3d]
     for f in (TRIANGLE, CUSP, parse_poly("x*y*z*(x+y+z)")):
         d = f.degree
+        profile = rank_profile(f, table_max=2 * d + 1)
         for k in range(0, 3 * d + 1):
-            expected = dim_choose2(k + 2) - 3 * dim_choose2(k - d + 3) + ar_dim(f, k - d + 1)
-            assert milnor_dim(f, k) == expected
+            expected = dim_choose2(k + 2) - 3 * dim_choose2(k - d + 3) + profile.ar(k - d + 1)
+            assert profile.m(k) == expected
 
 
 def test_prime_field_dimensions_match_rational():
+    # the Q side is eliminated exactly, independently of any prime (the
+    # rational profile reads its ranks mod this very prime)
     field = GF(2_147_483_659)
     for f in (TRIANGLE, CUSP, FERMAT3):
+        d = f.degree
+        over_p = rank_profile(f, field)
         for k in range(0, 6):
-            assert ar_dim(f, k, field) == ar_dim(f, k)
-            assert milnor_dim(f, k, field) == milnor_dim(f, k)
+            assert over_p.ar(k) == 3 * dim_S(k) - rank_jacobian(f, k, QQ)
+            assert over_p.m(k) == dim_S(k) - rank_jacobian(f, k - d + 1, QQ)
 
 
 # Smooth over Q, but its Jacobian ranks drop mod 3 (the cubes have zero
