@@ -159,6 +159,28 @@ def _mod_p_echelon(a: np.ndarray, p: int, reduced: bool = False) -> tuple[np.nda
     return a, pivots
 
 
+# Inner dimensions below this keep the int64 limb product exact.
+LIMB_INNER_BOUND = 2**15
+
+
+def _mod_p_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for arrays of field elements in [0, p).
+
+    In int64 (p^2 < 2^63, so p < 2^32) b is split into 16-bit limbs: each
+    term a_ij * limb is below 2^48, so a sum of fewer than 2^15 of them is
+    below 2^63 and exact.  numpy's integer matmul runs no BLAS, so no
+    thread or buffer pool.  An object array holds Python ints, exact at any
+    size.
+    """
+    if a.dtype == object:
+        return a @ b % p
+    if a.shape[1] >= LIMB_INNER_BOUND:
+        raise ValueError(f"inner dimension {a.shape[1]} is not below {LIMB_INNER_BOUND}")
+    high = b >> 16
+    low = b - (high << 16)
+    return (a @ low % p + (a @ high % p << 16)) % p
+
+
 # ---------------------------------------------------------------------------
 # rational elimination
 

@@ -8,7 +8,12 @@ quotient of the polynomial ring by the Jacobian ideal.  Everything here
 reduces to exact ranks and kernels of those multiplication matrices.
 The pipeline agrees on them once per curve, as a `RankProfile`, the
 only source of the graded dimensions ar(f)_k and m(f)_k; the per-degree
-kernels over one field serve the structural checks.
+kernels over one field serve the structural checks.  Over a prime the
+profile builds no Jacobian matrix: rank J_k = dim (J_f)_(k+d-1), and one
+sweep up the degrees of the Jacobian ideal J_f, which carries only the
+non-pivot block of its echelon basis, reads every rank (`_prime_ranks`).
+`jacobian_matrix` and `rank_jacobian` build and rank one J_k, for the
+kernels and as the independent reference.
 """
 
 from __future__ import annotations
@@ -17,18 +22,24 @@ import enum
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import InputError, InternalInconsistencyError
 from .fields import GF, Field, FieldPlan, QQ
-from .linalg import ExactMatrix, kernel_basis, pivot_columns, rank
+from .linalg import ExactMatrix, _mod_p_echelon, _mod_p_matmul, kernel_basis, pivot_columns, rank
 from .poly import Gradient, HomogPoly, dim_S, monomial_basis, monomial_index, partials
 
-# Cells of the largest Jacobian matrix a rank profile may build.  2^25
+# Cells of the largest Jacobian matrix of a rank profile, J_top.  2^25
 # int64 cells are 256 MiB; the bound admits every d <= 32 at the default
-# table degree 2d.
+# table degree 2d.  Over Q the certificate's exact kernels may build J_k
+# for any k <= top.  Over a prime the profile builds no J_k: the sweep's
+# largest array is its residual, 2 dim (J_f)_D rows by (D+2) + m(f)_D
+# columns.  The bound still refuses the same inputs in every mode.
 MAX_PROFILE_CELLS = 2**25
 
 # The largest curve degree some table degree admits (33): a profile of a
@@ -37,6 +48,9 @@ MAX_CURVE_DEGREE = next(d for d in count(1) if dim_S(3 * d + 1) * 3 * dim_S(2 * 
 
 # The prime of the certified rational profile: the first prime above 2^31.
 CERT_PRIME = 2_147_483_659
+
+# The tuples (y,) and (z,), whose multiples are the shifts by y and by z.
+_Y_Z = tuple((HomogPoly(QQ, 1, {mono: QQ.one}),) for mono in ((0, 1, 0), (0, 0, 1)))
 
 
 class Syzygy(NamedTuple):
@@ -77,6 +91,13 @@ def multiples(gens: Sequence[Sequence[HomogPoly]], k: int, field: Field) -> Exac
     degree-k monomials in canonical order.  This is the layout of every
     multiplication matrix here; all tuples have the length of the first.
     """
+    rows, cols, values, m = _multiple_entries(gens, k)
+    return ExactMatrix.from_entries(field, m, len(gens[0]) * dim_S(k) if gens else 0, rows, cols, values)
+
+
+def _multiple_entries(gens: Sequence[Sequence[HomogPoly]], k: int) -> tuple[array, array, list, int]:
+    """The (rows, cols, values) entries of `multiples(gens, k, ...)` and its
+    row count."""
     n = dim_S(k)
     index = monomial_index(k)
     rows, cols = array("q"), array("q")
@@ -90,7 +111,7 @@ def multiples(gens: Sequence[Sequence[HomogPoly]], k: int, field: Field) -> Exac
                     cols.append(base + index[(nu[0] + mu[0], nu[1] + mu[1], nu[2] + mu[2])])
                     values.append(coeff)
             row += 1
-    return ExactMatrix.from_entries(field, row, len(gens[0]) * n if gens else 0, rows, cols, values)
+    return rows, cols, values, row
 
 
 def outside_span(span: ExactMatrix, candidates: ExactMatrix) -> list[int]:
@@ -174,9 +195,10 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
     top = max(2d-1, K), where K = `table_max` (default 2d) is the top of
     the reported tables and 2d-1 the last degree the reducedness window
     reads.  A bare field is computed over once; a plan agrees on the whole
-    tuple at once.  A constant f, K < 0, or a largest matrix
+    tuple at once.  A constant f, K < 0, or a largest Jacobian matrix J_top
     (dim S_(top+d-1) rows by 3 dim S_top columns) above MAX_PROFILE_CELLS
-    raises InputError before any matrix is built.
+    raises InputError before any matrix is built.  Over a prime the ranks
+    come from one sweep up the degrees of J_f (see `_prime_ranks`).
 
     Over Q each rank is proved from one prime p = CERT_PRIME instead of
     eliminated over Q (see `_certified_ranks`):
@@ -217,10 +239,75 @@ def profile_degrees(d: int, table_max: int | None = None) -> tuple[int, int]:
 
 
 def _prime_ranks(f: HomogPoly, top: int, field: Field) -> tuple[int, ...]:
-    """The ranks of J_0..J_top over a prime field: the one loop that
-    ranks Jacobians mod p."""
-    grad = partials(f.map_field(field))
-    return tuple(rank_jacobian(f, k, field, grad=grad) for k in range(top + 1))
+    """The ranks of J_0..J_top over a prime field, in one sweep over the
+    degrees D = d-1 .. top+d-1 of the Jacobian ideal: rank J_k is
+    dim (J_f)_(k+d-1).  The pipeline ranks Jacobians mod p only here.
+
+    The state is the reduced echelon basis B_D of (J_f)_D on the degree-D
+    monomials, held as its pivot columns `piv` (one per row) and its
+    non-pivot block N on the columns `non`: on `piv` the basis is the
+    identity.  (J_f)_(D+1) is spanned by x*B_D, y*B_D and z*B_D.  The
+    degree-(D+1) index of x*mu is the degree-D index of mu, so the rows
+    x*B_D are the identity on the columns `piv` too; they read N on `non`
+    and 0 on the D+2 x-free monomials, and these two sets make up C, the
+    only other columns.  The rows y*B_D and z*B_D minus their entries on
+    `piv` times the x rows leave a residual on C alone.  Its reduced
+    echelon form holds the new pivots; the x rows are cleared at them,
+    and both together are B_(D+1).
+    """
+    p = field.char
+    d = f.degree
+    grad = multiples([(part,) for part in partials(f.map_field(field))], d - 1, field)
+    echelon, new = _mod_p_echelon(grad._data, p, reduced=True)
+    piv = np.array(new, dtype=np.int64)
+    keep = np.ones(grad.cols, dtype=bool)
+    keep[new] = False
+    non = np.flatnonzero(keep)
+    N = echelon[: len(new)][:, keep]
+    ranks = [len(piv)]
+    for D in range(d - 1, top + d - 1):
+        C = np.concatenate([non, np.arange(dim_S(D), dim_S(D + 1))])
+        pos = np.full(dim_S(D + 1), -1)
+        pos[C] = np.arange(len(C))
+        row_of = np.full(dim_S(D + 1), -1)
+        row_of[piv] = np.arange(len(piv))
+        XN = np.zeros((len(piv), len(C)), dtype=N.dtype)
+        XN[:, : len(non)] = N
+        residuals = []
+        for shift in _shifts_by_y_z(D):
+            R = np.zeros_like(XN)
+            # the pivot entry 1 of each row, at a column of C or on an x row
+            at = pos[shift[piv]]
+            on_c, on_x = at >= 0, at < 0
+            R[np.nonzero(on_c)[0], at[on_c]] = 1
+            R[on_x] = p - XN[row_of[shift[piv[on_x]]]]
+            # the block N, likewise
+            at = pos[shift[non]]
+            on_c, on_x = at >= 0, at < 0
+            R[:, at[on_c]] += N[:, on_c]
+            R -= _mod_p_matmul(N[:, on_x], XN[row_of[shift[non[on_x]]]], p)
+            residuals.append(R % p)
+        echelon, new = _mod_p_echelon(np.vstack(residuals), p, reduced=True)
+        echelon = echelon[: len(new)]
+        XN = (XN - _mod_p_matmul(XN[:, new], echelon, p)) % p
+        keep = np.ones(len(C), dtype=bool)
+        keep[new] = False
+        piv = np.concatenate([piv, C[new]])
+        non = C[keep]
+        N = np.vstack([XN[:, keep], echelon[:, keep]])
+        ranks.append(len(piv))
+    return tuple(ranks)
+
+
+@lru_cache(maxsize=None)
+def _shifts_by_y_z(D: int) -> np.ndarray:
+    """Row s, column j: the degree-(D+1) index of y (s = 0) or z (s = 1)
+    times the j-th degree-D monomial, read off the multiples of y and z.
+    Read-only and cached per degree, like `monomial_basis`: the profile
+    bound keeps D below 100."""
+    cols = np.frombuffer(_multiple_entries(_Y_Z, D + 1)[1], dtype=np.int64).reshape(2, dim_S(D))
+    cols.flags.writeable = False
+    return cols
 
 
 def _certified_ranks(f: HomogPoly, top: int, prime: int = CERT_PRIME) -> tuple[int, ...]:

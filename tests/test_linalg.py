@@ -2,12 +2,14 @@
 
 from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from freecurve.corpus import load_case
 from freecurve.data import shipped_corpus_dir
 from freecurve.fields import GF, QQ, random_prime
-from freecurve.linalg import ExactMatrix, kernel_basis, pivot_columns, rank, solve_exact
+from freecurve.linalg import LIMB_INNER_BOUND, ExactMatrix, _mod_p_matmul, kernel_basis, pivot_columns, rank, solve_exact
 from freecurve.parser import parse_poly
 from freecurve.syzygy import jacobian_matrix
 
@@ -282,3 +284,19 @@ def test_kernel_basis_matches_sympy_oracle_on_corpus_jacobians():
             oracle = jacobian_matrix_oracle(f, k)
             assert kernel_basis(J) == kernel_oracle(oracle), (path.name, k)
             assert kernel_basis(J.transpose()) == kernel_oracle(oracle.T), (path.name, k)
+
+
+def test_limb_product_is_exact_below_its_inner_bound():
+    p = 2_999_999_929
+    n = LIMB_INNER_BOUND - 1
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, p, size=(3, n), dtype=np.int64)
+    b = rng.integers(0, p, size=(n, 4), dtype=np.int64)
+    # the largest sums: p-1 everywhere, and the largest entry whose low limb is 0xFFFF
+    a[0] = p - 1
+    b[:, 0] = p - 1
+    b[:, 1] = (p >> 16 << 16) - 1
+    expected = a.astype(object) @ b.astype(object) % p
+    assert (_mod_p_matmul(a, b, p) == expected).all()
+    with pytest.raises(ValueError, match="inner dimension"):
+        _mod_p_matmul(np.zeros((1, n + 1), np.int64), np.zeros((n + 1, 1), np.int64), p)

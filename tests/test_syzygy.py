@@ -1,5 +1,6 @@
 """Graded Jacobian relation computations."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from freecurve.data import shipped_corpus_dir
 from freecurve.fields import GF, QQ, FieldPlan
 from freecurve.linalg import ExactMatrix, rank
 from freecurve.parser import parse_poly
-from freecurve.poly import dim_S, dim_choose2
+from freecurve.poly import HomogPoly, dim_S, dim_choose2, monomial_basis
 from freecurve.syzygy import (
     Reducedness,
     jacobian_matrix,
@@ -177,18 +178,50 @@ def test_reducedness(expr, expected):
 def test_reducedness_reads_one_window(monkeypatch):
     # a non-constant Milnor window is final: no rank above source degree
     # 2d-1, the last one the window [3d-5, 3d-2] reads, is computed
-    degrees = []
-    inner = syzygy.rank_jacobian
+    tops = []
+    inner = syzygy._prime_ranks
 
-    def recording(f, k, field=QQ, **kwargs):
-        degrees.append(k)
-        return inner(f, k, field, **kwargs)
+    def recording(f, top, field):
+        tops.append(top)
+        return inner(f, top, field)
 
-    monkeypatch.setattr(syzygy, "rank_jacobian", recording)
+    monkeypatch.setattr(syzygy, "_prime_ranks", recording)
+    kernel_degrees = _record_kernel_fallbacks(monkeypatch)
     f = parse_poly("x^2*y^2*z")
     profile = rank_profile(f, table_max=0)
     assert reducedness_check(profile) is Reducedness.NON_REDUCED
-    assert max(degrees) == 2 * f.degree - 1
+    assert max(tops + kernel_degrees) == 2 * f.degree - 1
+
+
+def _dense_curve(rng, d):
+    return HomogPoly(QQ, d, {mono: Fraction(rng.randint(-9, 9) or 1) for mono in monomial_basis(d)})
+
+
+def _assert_sweep_matches_per_degree(f, top, field):
+    expected = tuple(rank_jacobian(f, k, field) for k in range(top + 1))
+    assert syzygy._prime_ranks(f, top, field) == expected, (str(f), field.name)
+
+
+# 3, 5 and 7 lose rank on many curves; 2147483659 and 2999999929 are the
+# first and the last prime of the range the field plans draw from; 2^61-1
+# is stored in object arrays.
+@pytest.mark.parametrize("p", [3, 5, 7, 2_147_483_659, 2_999_999_929, 2**61 - 1])
+def test_rank_sweep_matches_per_degree_ranks(p):
+    field = GF(p)
+    rng = random.Random(p)
+    # the object-array reference is slow, so it stops at degree 5
+    for d in range(1, 9 if field.fits_int64() else 6):
+        _assert_sweep_matches_per_degree(_dense_curve(rng, d), 3 * d, field)
+    for expr in ("x^5", "x^2*y^2*z", "x^5*y", DEGENERATE_MOD_3_5_7):
+        f = parse_poly(expr)
+        _assert_sweep_matches_per_degree(f, 3 * f.degree, field)
+
+
+def test_rank_sweep_matches_per_degree_ranks_at_degree_12():
+    field = GF(2_147_483_659)
+    free12_a = parse_poly(load_case(shipped_corpus_dir() / "free12_a.curve").expression)
+    for f in (free12_a, _dense_curve(random.Random(12), 12)):
+        _assert_sweep_matches_per_degree(f, 2 * f.degree, field)
 
 
 def test_profile_holds_the_per_degree_ranks():
