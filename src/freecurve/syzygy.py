@@ -38,7 +38,7 @@ from .poly import Gradient, HomogPoly, dim_S, monomial_basis, monomial_index, pa
 # int64 cells are 256 MiB; the bound admits every d <= 32 at the default
 # table degree 2d.  Over Q the certificate's exact kernels may build J_k
 # for any k <= top.  Over a prime the profile builds no J_k: the sweep's
-# largest array is its residual, 2 dim (J_f)_D rows by (D+2) + m(f)_D
+# largest array is its x rows, dim (J_f)_D rows by (D+2) + m(f)_D
 # columns.  The bound still refuses the same inputs in every mode.
 MAX_PROFILE_CELLS = 2**25
 
@@ -246,14 +246,18 @@ def _prime_ranks(f: HomogPoly, top: int, field: Field) -> tuple[int, ...]:
     The state is the reduced echelon basis B_D of (J_f)_D on the degree-D
     monomials, held as its pivot columns `piv` (one per row) and its
     non-pivot block N on the columns `non`: on `piv` the basis is the
-    identity.  (J_f)_(D+1) is spanned by x*B_D, y*B_D and z*B_D.  The
-    degree-(D+1) index of x*mu is the degree-D index of mu, so the rows
-    x*B_D are the identity on the columns `piv` too; they read N on `non`
-    and 0 on the D+2 x-free monomials, and these two sets make up C, the
-    only other columns.  The rows y*B_D and z*B_D minus their entries on
-    `piv` times the x rows leave a residual on C alone.  Its reduced
-    echelon form holds the new pivots; the x rows are cleared at them,
-    and both together are B_(D+1).
+    identity.  Its last rows W_D are the ones the step to D appended (at
+    D = d-1, all of B_D), so (J_f)_D = x*(J_f)_(D-1) + span W_D.  As
+    y*x*(J_f)_(D-1) = x*(y*(J_f)_(D-1)) lies in x*(J_f)_D, and likewise
+    for z, (J_f)_(D+1) = x*(J_f)_D + y*W_D + z*W_D.  The degree-(D+1)
+    index of x*mu is the degree-D index of mu, so the rows x*B_D are the
+    identity on the columns `piv` too; they read N on `non` and 0 on the
+    D+2 x-free monomials, and these two sets make up C, the only other
+    columns.  The rows y*W_D and z*W_D minus their entries on `piv` times
+    the x rows leave a residual on C alone, 2|W_D| rows spanning the part
+    of (J_f)_(D+1) that vanishes on `piv`.  Its reduced echelon form
+    holds the new pivots; the x rows are cleared at them, and both
+    together are B_(D+1).
     """
     p = field.char
     d = f.degree
@@ -273,19 +277,22 @@ def _prime_ranks(f: HomogPoly, top: int, field: Field) -> tuple[int, ...]:
         row_of[piv] = np.arange(len(piv))
         XN = np.zeros((len(piv), len(C)), dtype=N.dtype)
         XN[:, : len(non)] = N
+        # W_D: the rows the last step appended, all of B_D at D = d-1
+        first = len(piv) - len(new)
+        w_piv, w_N = piv[first:], N[first:]
         residuals = []
         for shift in _shifts_by_y_z(D):
-            R = np.zeros_like(XN)
+            R = np.zeros((len(w_piv), len(C)), dtype=N.dtype)
             # the pivot entry 1 of each row, at a column of C or on an x row
-            at = pos[shift[piv]]
+            at = pos[shift[w_piv]]
             on_c, on_x = at >= 0, at < 0
             R[np.nonzero(on_c)[0], at[on_c]] = 1
-            R[on_x] = p - XN[row_of[shift[piv[on_x]]]]
+            R[on_x] = p - XN[row_of[shift[w_piv[on_x]]]]
             # the block N, likewise
             at = pos[shift[non]]
             on_c, on_x = at >= 0, at < 0
-            R[:, at[on_c]] += N[:, on_c]
-            R -= _mod_p_matmul(N[:, on_x], XN[row_of[shift[non[on_x]]]], p)
+            R[:, at[on_c]] += w_N[:, on_c]
+            R -= _mod_p_matmul(w_N[:, on_x], XN[row_of[shift[non[on_x]]]], p)
             residuals.append(R % p)
         echelon, new = _mod_p_echelon(np.vstack(residuals), p, reduced=True)
         echelon = echelon[: len(new)]

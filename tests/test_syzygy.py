@@ -212,9 +212,30 @@ def test_rank_sweep_matches_per_degree_ranks(p):
     # the object-array reference is slow, so it stops at degree 5
     for d in range(1, 9 if field.fits_int64() else 6):
         _assert_sweep_matches_per_degree(_dense_curve(rng, d), 3 * d, field)
-    for expr in ("x^5", "x^2*y^2*z", "x^5*y", DEGENERATE_MOD_3_5_7):
+    # the gradient of the last three collapses mod 3, 5 and 7 (f_x = 0 mod 5
+    # for x^5+y^4*z), so the sweep starts from a short or empty basis
+    for expr in ("x^5", "x^2*y^2*z", "x^5*y", DEGENERATE_MOD_3_5_7, "x^3+y^3+z^3", "x^5+y^4*z", "x^7+y^7+z^7"):
         f = parse_poly(expr)
         _assert_sweep_matches_per_degree(f, 3 * f.degree, field)
+
+
+@pytest.mark.parametrize("p", [7, syzygy.CERT_PRIME])
+def test_rank_sweep_shifts_only_the_rows_the_last_step_appended(p, monkeypatch):
+    # (J_f)_(D+1) = x(J_f)_D + y W_D + z W_D: the residual of the step from
+    # source degree k to k+1 stacks y and z times the ranks[k] - ranks[k-1]
+    # rows that step k appended, not times all of (J_f)_(k+d-1)
+    shapes = []
+    inner = syzygy._mod_p_echelon
+
+    def recording(a, prime, reduced=False):
+        shapes.append(a.shape)
+        return inner(a, prime, reduced)
+
+    monkeypatch.setattr(syzygy, "_mod_p_echelon", recording)
+    f = _dense_curve(random.Random(p), 6)
+    ranks = syzygy._prime_ranks(f, 2 * f.degree, GF(p))
+    residual_rows = [rows for rows, _ in shapes[1:]]
+    assert residual_rows == [2 * (ranks[k] - (ranks[k - 1] if k else 0)) for k in range(len(ranks) - 1)]
 
 
 def test_rank_sweep_matches_per_degree_ranks_at_degree_12():
