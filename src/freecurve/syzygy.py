@@ -9,9 +9,11 @@ reduces to exact ranks and kernels of those multiplication matrices.
 The pipeline agrees on them once per curve, as a `RankProfile`, the
 only source of the graded dimensions ar(f)_k and m(f)_k; the per-degree
 kernels over one field serve the structural checks.  Over a prime the
-profile builds no Jacobian matrix: rank J_k = dim (J_f)_(k+d-1), and one
-sweep up the degrees of the Jacobian ideal J_f, which carries only the
-non-pivot block of its echelon basis, reads every rank (`_prime_ranks`).
+profile builds no Jacobian matrix: rank J_k = dim (J_f)_(k+d-1).  One
+sweep up the degrees of a graded submodule of S^t given by generators
+(`_ModuleSweep`), which carries only the non-pivot block of its echelon
+basis, reads every rank from the Jacobian ideal J_f (`_prime_ranks`) and,
+over Q, the dimensions of the certificate's module of syzygies.
 `jacobian_matrix` and `rank_jacobian` build and rank one J_k, for the
 kernels and as the independent reference.
 """
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import InputError, InternalInconsistencyError
 from .fields import GF, Field, FieldPlan, QQ
-from .linalg import ExactMatrix, _mod_p_echelon, _mod_p_matmul, kernel_basis, pivot_columns, rank
+from .linalg import ExactMatrix, _dtype, _mod_p_echelon, _mod_p_matmul, kernel_basis, pivot_columns, rank
 from .poly import Gradient, HomogPoly, dim_S, monomial_basis, monomial_index, partials
 
 # Cells of the largest Jacobian matrix of a rank profile, J_top.  2^25
@@ -39,7 +41,10 @@ from .poly import Gradient, HomogPoly, dim_S, monomial_basis, monomial_index, pa
 # table degree 2d.  Over Q the certificate's exact kernels may build J_k
 # for any k <= top.  Over a prime the profile builds no J_k: the sweep's
 # largest array is its x rows, dim (J_f)_D rows by (D+2) + m(f)_D
-# columns.  The bound still refuses the same inputs in every mode.
+# columns.  The certificate's sweep of V in S^3 holds at most
+# a*(3 dim S_(k+1) - a) <= (3 dim S_top)^2/4 cells, a = dim V_k, below
+# the count of J_top.  The bound still refuses the same inputs in every
+# mode.
 MAX_PROFILE_CELLS = 2**25
 
 # The largest curve degree some table degree admits (33): a profile of a
@@ -48,10 +53,6 @@ MAX_CURVE_DEGREE = next(d for d in count(1) if dim_S(3 * d + 1) * 3 * dim_S(2 * 
 
 # The prime of the certified rational profile: the first prime above 2^31.
 CERT_PRIME = 2_147_483_659
-
-# The tuples (y,) and (z,), whose multiples are the shifts by y and by z.
-_Y_Z = tuple((HomogPoly(QQ, 1, {mono: QQ.one}),) for mono in ((0, 1, 0), (0, 0, 1)))
-
 
 class Syzygy(NamedTuple):
     """A relation a*f_x + b*f_y + c*f_z = 0 with a, b, c of one degree."""
@@ -91,13 +92,6 @@ def multiples(gens: Sequence[Sequence[HomogPoly]], k: int, field: Field) -> Exac
     degree-k monomials in canonical order.  This is the layout of every
     multiplication matrix here; all tuples have the length of the first.
     """
-    rows, cols, values, m = _multiple_entries(gens, k)
-    return ExactMatrix.from_entries(field, m, len(gens[0]) * dim_S(k) if gens else 0, rows, cols, values)
-
-
-def _multiple_entries(gens: Sequence[Sequence[HomogPoly]], k: int) -> tuple[array, array, list, int]:
-    """The (rows, cols, values) entries of `multiples(gens, k, ...)` and its
-    row count."""
     n = dim_S(k)
     index = monomial_index(k)
     rows, cols = array("q"), array("q")
@@ -111,7 +105,7 @@ def _multiple_entries(gens: Sequence[Sequence[HomogPoly]], k: int) -> tuple[arra
                     cols.append(base + index[(nu[0] + mu[0], nu[1] + mu[1], nu[2] + mu[2])])
                     values.append(coeff)
             row += 1
-    return rows, cols, values, row
+    return ExactMatrix.from_entries(field, row, len(gens[0]) * n if gens else 0, rows, cols, values)
 
 
 def outside_span(span: ExactMatrix, candidates: ExactMatrix) -> list[int]:
@@ -198,21 +192,23 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
     tuple at once.  A constant f, K < 0, or a largest Jacobian matrix J_top
     (dim S_(top+d-1) rows by 3 dim S_top columns) above MAX_PROFILE_CELLS
     raises InputError before any matrix is built.  Over a prime the ranks
-    come from one sweep up the degrees of J_f (see `_prime_ranks`).
+    come from one sweep up the degrees of J_f (see `_ModuleSweep`).
 
     Over Q each rank is proved from one prime p = CERT_PRIME instead of
     eliminated over Q (see `_certified_ranks`):
 
     * lower bound: J_k is p-integral, so rank_p(J_k) <= rank_Q(J_k);
-    * upper bound: a set V of exact Q-syzygies of degree k has
-      rank_p(V) <= dim span_Q V <= dim AR(f)_k = 3 dim S_k - rank_Q(J_k).
+    * upper bound: a set V_k of exact Q-syzygies of degree k has
+      dim_p V_k <= dim span_Q V_k <= dim AR(f)_k = 3 dim S_k - rank_Q(J_k),
+      where dim_p is the dimension of the span mod p.
 
-    When rank_p(V) = 3 dim S_k - rank_p(J_k), or that number is 0, the two
-    bounds meet and the prime rank is the rank over Q.  V holds the
-    monomial multiples of the Koszul relations and of the exact kernel
-    vectors found at the degrees where the bounds did not meet; there the
-    rank is read off the exact kernel over Q.  f is first scaled to coprime
-    integer coefficients, so no denominator can vanish mod p.
+    When dim_p V_k = 3 dim S_k - rank_p(J_k), the two bounds meet and the
+    prime rank is the rank over Q.  V is the submodule of S^3 generated by
+    the Koszul relations, which join at degree d-1, and by the exact kernel
+    vectors found at each degree k where the bounds did not meet, which
+    join at k+1; there the rank is read off the exact kernel over Q.  A
+    second sweep, over V, reads every dim_p V_k.  f is first scaled to
+    coprime integer coefficients, so no denominator can vanish mod p.
     """
     K, top = profile_degrees(f.degree, table_max)
     plan = field if isinstance(field, FieldPlan) else FieldPlan.over(field)
@@ -240,48 +236,61 @@ def profile_degrees(d: int, table_max: int | None = None) -> tuple[int, int]:
 
 def _prime_ranks(f: HomogPoly, top: int, field: Field) -> tuple[int, ...]:
     """The ranks of J_0..J_top over a prime field, in one sweep over the
-    degrees D = d-1 .. top+d-1 of the Jacobian ideal: rank J_k is
-    dim (J_f)_(k+d-1).  The pipeline ranks Jacobians mod p only here.
+    degrees D = d-1 .. top+d-1 of the Jacobian ideal J_f, which the
+    gradient generates in degree d-1: rank J_k is dim (J_f)_(k+d-1).  The
+    pipeline ranks Jacobians mod p only here."""
+    J = _ModuleSweep(field, 1, f.degree - 2)
+    ranks = [J.step([(part,) for part in partials(f.map_field(field))])]
+    return tuple(ranks + [J.step([]) for _ in range(top)])
 
-    The state is the reduced echelon basis B_D of (J_f)_D on the degree-D
-    monomials, held as its pivot columns `piv` (one per row) and its
-    non-pivot block N on the columns `non`: on `piv` the basis is the
-    identity.  Its last rows W_D are the ones the step to D appended (at
-    D = d-1, all of B_D), so (J_f)_D = x*(J_f)_(D-1) + span W_D.  As
-    y*x*(J_f)_(D-1) = x*(y*(J_f)_(D-1)) lies in x*(J_f)_D, and likewise
-    for z, (J_f)_(D+1) = x*(J_f)_D + y*W_D + z*W_D.  The degree-(D+1)
-    index of x*mu is the degree-D index of mu, so the rows x*B_D are the
-    identity on the columns `piv` too; they read N on `non` and 0 on the
-    D+2 x-free monomials, and these two sets make up C, the only other
-    columns.  The rows y*W_D and z*W_D minus their entries on `piv` times
-    the x rows leave a residual on C alone, 2|W_D| rows spanning the part
-    of (J_f)_(D+1) that vanishes on `piv`.  Its reduced echelon form
-    holds the new pivots; the x rows are cleared at them, and both
-    together are B_(D+1).
+
+class _ModuleSweep:
+    """A graded submodule M of S^t over a prime field, given by generators
+    and swept up its degrees: Lazard's Macaulay sweep with the
+    Faugere-Lachartre known-pivot split.
+
+    Degree-D column t*j + b holds block b at the j-th degree-D monomial.
+    The degree-(D+1) index of x*mu is the degree-D index of mu, so x maps
+    each column to the same column.  The state is the reduced echelon
+    basis B_D of M_D, held as its pivot columns `piv` (one per row) and
+    its non-pivot block N on the columns `non`: on `piv` the basis is the
+    identity.  Its last `w` rows W_D are the ones the step to D appended,
+    so M_D = x*M_(D-1) + span W_D.  As y*x*M_(D-1) = x*(y*M_(D-1)) lies in
+    x*M_D, and likewise for z, M_(D+1) = x*M_D + y*W_D + z*W_D + G, where G
+    holds the multiples of the generators that join at D+1.  The rows
+    x*B_D are the identity on `piv` too; they read N on `non` and 0 on the
+    t(D+2) columns of the x-free monomials, and these make up C, the only
+    other columns.  The rows y*W_D, z*W_D and G minus their entries on
+    `piv` times the x rows leave a residual on C alone that spans the part
+    of M_(D+1) vanishing on `piv`.  Its reduced echelon form holds the new
+    pivots, W_(D+1); the x rows are cleared at them, and both together are
+    B_(D+1).
     """
-    p = field.char
-    d = f.degree
-    grad = multiples([(part,) for part in partials(f.map_field(field))], d - 1, field)
-    echelon, new = _mod_p_echelon(grad._data, p, reduced=True)
-    piv = np.array(new, dtype=np.int64)
-    keep = np.ones(grad.cols, dtype=bool)
-    keep[new] = False
-    non = np.flatnonzero(keep)
-    N = echelon[: len(new)][:, keep]
-    ranks = [len(piv)]
-    for D in range(d - 1, top + d - 1):
-        C = np.concatenate([non, np.arange(dim_S(D), dim_S(D + 1))])
-        pos = np.full(dim_S(D + 1), -1)
+
+    def __init__(self, field: Field, t: int, D: int):
+        """The zero submodule of S^t, at degree D."""
+        self.field, self.t, self.D, self.w = field, t, D, 0
+        self.piv = np.zeros(0, dtype=np.int64)
+        self.non = np.arange(t * dim_S(D))
+        self.N = np.zeros((0, len(self.non)), dtype=_dtype(field))
+
+    def step(self, gens: Sequence[Sequence[HomogPoly]]) -> int:
+        """Move to degree D+1, where the multiples of the tuples `gens` (of
+        degree at most D+1) join M; return dim M_(D+1)."""
+        p, t, piv, non, N = self.field.char, self.t, self.piv, self.non, self.N
+        m1 = dim_S(self.D + 1)
+        C = np.concatenate([non, np.arange(t * dim_S(self.D), t * m1)])
+        pos = np.full(t * m1, -1)
         pos[C] = np.arange(len(C))
-        row_of = np.full(dim_S(D + 1), -1)
+        row_of = np.full(t * m1, -1)
         row_of[piv] = np.arange(len(piv))
         XN = np.zeros((len(piv), len(C)), dtype=N.dtype)
         XN[:, : len(non)] = N
-        # W_D: the rows the last step appended, all of B_D at D = d-1
-        first = len(piv) - len(new)
-        w_piv, w_N = piv[first:], N[first:]
-        residuals = []
-        for shift in _shifts_by_y_z(D):
+        w_piv, w_N = piv[len(piv) - self.w :], N[len(piv) - self.w :]
+        # y*W_D and z*W_D; XN[:0] keeps the stack non-empty when W_D is
+        # empty and no generator joins
+        residuals = [XN[:0]]
+        for shift in _shift_maps(self.D, t) if self.w else ():
             R = np.zeros((len(w_piv), len(C)), dtype=N.dtype)
             # the pivot entry 1 of each row, at a column of C or on an x row
             at = pos[shift[w_piv]]
@@ -294,25 +303,32 @@ def _prime_ranks(f: HomogPoly, top: int, field: Field) -> tuple[int, ...]:
             R[:, at[on_c]] += w_N[:, on_c]
             R -= _mod_p_matmul(w_N[:, on_x], XN[row_of[shift[non[on_x]]]], p)
             residuals.append(R % p)
+        if gens:
+            # `multiples` lays the blocks one after the other
+            G = multiples(gens, self.D + 1, self.field)._data[:, (np.arange(m1)[:, None] + m1 * np.arange(t)).ravel()]
+            residuals.append((G[:, C] - _mod_p_matmul(G[:, piv], XN, p)) % p)
         echelon, new = _mod_p_echelon(np.vstack(residuals), p, reduced=True)
         echelon = echelon[: len(new)]
         XN = (XN - _mod_p_matmul(XN[:, new], echelon, p)) % p
         keep = np.ones(len(C), dtype=bool)
         keep[new] = False
-        piv = np.concatenate([piv, C[new]])
-        non = C[keep]
-        N = np.vstack([XN[:, keep], echelon[:, keep]])
-        ranks.append(len(piv))
-    return tuple(ranks)
+        self.D, self.w = self.D + 1, len(new)
+        self.piv = np.concatenate([piv, C[new]])
+        self.non = C[keep]
+        self.N = np.vstack([XN[:, keep], echelon[:, keep]])
+        return len(self.piv)
 
 
 @lru_cache(maxsize=None)
-def _shifts_by_y_z(D: int) -> np.ndarray:
-    """Row s, column j: the degree-(D+1) index of y (s = 0) or z (s = 1)
-    times the j-th degree-D monomial, read off the multiples of y and z.
-    Read-only and cached per degree, like `monomial_basis`: the profile
-    bound keeps D below 100."""
-    cols = np.frombuffer(_multiple_entries(_Y_Z, D + 1)[1], dtype=np.int64).reshape(2, dim_S(D))
+def _shift_maps(D: int, t: int) -> np.ndarray:
+    """Row s, column c: the degree-(D+1) column of y (s = 0) or z (s = 1)
+    times the degree-D column c of S^t (see `_ModuleSweep`).  The degree-D
+    monomials of x-exponent i come in one run of D+1-i, and y*mu lies
+    D+1-i monomials past x*mu, z*mu one more.  Read-only and cached per
+    degree, like `monomial_basis`: the profile bound keeps D below 100."""
+    run = np.arange(1, D + 2)
+    y = np.arange(t * dim_S(D)) + t * np.repeat(np.repeat(run, run), t)
+    cols = np.vstack([y, y + t])
     cols.flags.writeable = False
     return cols
 
@@ -327,19 +343,17 @@ def _certified_ranks(f: HomogPoly, top: int, prime: int = CERT_PRIME) -> tuple[i
     grad = partials(f)
     fx, fy, fz = (g.map_field(P) for g in grad)
     zero = HomogPoly.zero(P, f.degree - 1)
-    gens = [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]
+    # V's generators by the degree they join at: the Koszul relations at
+    # d-1, the exact kernel vectors found at k at k+1
+    joining = {f.degree - 1: [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]}
+    V = _ModuleSweep(P, 3, -1)
     ranks = []
     for k, r in enumerate(_prime_ranks(f, top, P)):
         n = 3 * dim_S(k)
-        if r < n:
-            V = multiples(gens, k, P)
-            if rank(V) != n - r:
-                basis = syzygy_basis(f, k, QQ, grad=grad)
-                r = n - len(basis)
-                # Keep the kernel vectors that V does not span mod p: the
-                # multiples then span at least what the whole kernel's do.
-                new = [tuple(part.map_field(P) for part in _integral(s)) for s in basis]
-                gens = gens + [new[i] for i in outside_span(V, multiples(new, k, P))]
+        if V.step(joining.pop(k, [])) != n - r:
+            basis = syzygy_basis(f, k, QQ, grad=grad)
+            r = n - len(basis)
+            joining.setdefault(k + 1, []).extend(tuple(part.map_field(P) for part in _integral(s)) for s in basis)
         ranks.append(r)
     return tuple(ranks)
 

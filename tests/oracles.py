@@ -1,13 +1,20 @@
-"""Independent brute-force oracles built on sympy.
+"""Independent brute-force oracles built on sympy, and dense references.
 
-These recompute graded dimensions through a completely separate code path
-(sympy polynomials and sympy's rational matrix rank) and exist only to
-pin expected values in the tests; keep them small-input only.
+The oracles recompute graded dimensions through a completely separate code
+path (sympy polynomials and sympy's rational matrix rank) and exist only to
+pin expected values in the tests; keep them small-input only.  The dense
+references keep a plainer algorithm that the package replaced, to pin
+behaviour that no rank can show.
 """
 
 from fractions import Fraction
 
 import sympy
+
+from freecurve import syzygy
+from freecurve.fields import GF, QQ
+from freecurve.linalg import rank
+from freecurve.poly import HomogPoly, dim_S, partials
 
 X, Y, Z = sympy.symbols("x y z")
 _GENS = (X, Y, Z)
@@ -92,3 +99,28 @@ def smooth_series_oracle(d: int, kmax: int) -> list[int]:
     t = sympy.symbols("t")
     series = sympy.Poly(sum(t**i for i in range(d - 1)) ** 3, t)
     return [int(series.coeff_monomial(t**k)) for k in range(kmax + 1)]
+
+
+def dense_certificate_kernel_degrees(f, top: int, prime: int) -> list[int]:
+    """The degrees at which the certified rational profile of f reads an
+    exact kernel, with V (the module the upper bounds come from) ranked
+    densely: at every degree the multiples of all generators so far are
+    built and ranked mod p from scratch, and only the kernel vectors
+    outside their span join the generators."""
+    P = GF(prime)
+    (f,) = syzygy._integral((f,))
+    grad = partials(f)
+    fx, fy, fz = (g.map_field(P) for g in grad)
+    zero = HomogPoly.zero(P, f.degree - 1)
+    gens = [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]
+    degrees = []
+    for k, r in enumerate(syzygy._prime_ranks(f, top, P)):
+        n = 3 * dim_S(k)
+        if r < n:
+            V = syzygy.multiples(gens, k, P)
+            if rank(V) != n - r:
+                degrees.append(k)
+                basis = syzygy.syzygy_basis(f, k, QQ, grad=grad)
+                new = [tuple(part.map_field(P) for part in syzygy._integral(s)) for s in basis]
+                gens = gens + [new[i] for i in syzygy.outside_span(V, syzygy.multiples(new, k, P))]
+    return degrees

@@ -11,7 +11,7 @@ from freecurve.data import shipped_corpus_dir
 from freecurve.fields import GF, QQ, FieldPlan
 from freecurve.linalg import ExactMatrix, rank
 from freecurve.parser import parse_poly
-from freecurve.poly import HomogPoly, dim_S, dim_choose2, monomial_basis
+from freecurve.poly import HomogPoly, dim_S, dim_choose2, monomial_basis, partials
 from freecurve.syzygy import (
     Reducedness,
     jacobian_matrix,
@@ -25,7 +25,7 @@ from freecurve.syzygy import (
 )
 
 from curvegen import random_reduced_curves
-from oracles import ar_dim_oracle, jacobian_matrix_oracle, milnor_dim_oracle
+from oracles import ar_dim_oracle, dense_certificate_kernel_degrees, jacobian_matrix_oracle, milnor_dim_oracle
 
 TRIANGLE = parse_poly("x*y*z")
 CUSP = parse_poly("x^3-y^2*z")
@@ -238,6 +238,30 @@ def test_rank_sweep_shifts_only_the_rows_the_last_step_appended(p, monkeypatch):
     assert residual_rows == [2 * (ranks[k] - (ranks[k - 1] if k else 0)) for k in range(len(ranks) - 1)]
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, syzygy.CERT_PRIME, 2**61 - 1])
+def test_module_sweep_matches_dense_ranks_of_the_multiples(p):
+    # a submodule of S^3: the Koszul relations of a dense quartic (degree
+    # 3), a tuple of degree 1 below them, one of degree 5 above them, and
+    # one of degree 2 that vanishes mod p, so it joins nothing
+    field = GF(p)
+    rng = random.Random(p)
+    f = _dense_curve(rng, 4)
+    fx, fy, fz = partials(f.map_field(field))
+    zero = HomogPoly.zero(field, 3)
+
+    def triple(e, scale=1):
+        parts = (HomogPoly(QQ, e, {mono: Fraction(scale * rng.randint(1, 9)) for mono in monomial_basis(e)}) for _ in range(3))
+        return tuple(part.map_field(field) for part in parts)
+
+    vanishing = triple(2, p)
+    assert all(part.is_zero() for part in vanishing)
+    gens = [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy), triple(1), triple(5), vanishing]
+    sweep = syzygy._ModuleSweep(field, 3, -1)
+    for k in range(9):
+        dense = rank(multiples([g for g in gens if g[0].degree <= k], k, field))
+        assert sweep.step([g for g in gens if g[0].degree == k]) == dense, k
+
+
 def test_rank_sweep_matches_per_degree_ranks_at_degree_12():
     field = GF(2_147_483_659)
     free12_a = parse_poly(load_case(shipped_corpus_dir() / "free12_a.curve").expression)
@@ -332,6 +356,13 @@ def _record_kernel_fallbacks(monkeypatch) -> list[int]:
     return degrees
 
 
+def _small_prime_cases(bareiss_profiles):
+    # shipped curves of degree <= 4 and the cubic: with dense random
+    # coefficients, an exact kernel at nearly every degree costs 6 s for a
+    # quartic and more than 12 s for a quintic
+    return [case for case in bareiss_profiles if not case[0].startswith("random") and case[1].degree <= 4]
+
+
 def test_certified_profile_equals_bareiss(bareiss_profiles):
     for name, f, bareiss in bareiss_profiles:
         assert rank_profile(f, QQ).ranks == bareiss, name
@@ -339,11 +370,8 @@ def test_certified_profile_equals_bareiss(bareiss_profiles):
 
 def test_certificate_at_small_primes_falls_back_and_stays_exact(bareiss_profiles, monkeypatch):
     # A small prime often loses rank, so the bounds meet less often and the
-    # exact kernel steps in; the ranks must not change.  Shipped curves of
-    # degree <= 4 and the cubic only: with dense random coefficients, an
-    # exact kernel at nearly every degree costs 6 s for a quartic and more
-    # than 12 s for a quintic.
-    cases = [case for case in bareiss_profiles if not case[0].startswith("random") and case[1].degree <= 4]
+    # exact kernel steps in; the ranks must not change.
+    cases = _small_prime_cases(bareiss_profiles)
     fallbacks = _record_kernel_fallbacks(monkeypatch)
     for name, f, bareiss in cases:
         assert syzygy._certified_ranks(f, len(bareiss) - 1) == bareiss, name
@@ -353,6 +381,23 @@ def test_certificate_at_small_primes_falls_back_and_stays_exact(bareiss_profiles
         for name, f, bareiss in cases:
             assert syzygy._certified_ranks(f, len(bareiss) - 1, prime) == bareiss, (name, prime)
         assert len(fallbacks) > at_cert_prime, prime
+
+
+def test_certificate_reads_kernels_where_the_dense_reference_does(bareiss_profiles, monkeypatch):
+    # A kernel vector that never joins V costs only time, which no rank can
+    # show: the sweep of V must fall back at the same degrees as ranking
+    # the multiples of every generator afresh at each degree.
+    cases = _small_prime_cases(bareiss_profiles)
+    primes = (syzygy.CERT_PRIME, 3, 5, 7)
+    expected = {
+        prime: [dense_certificate_kernel_degrees(f, len(bareiss) - 1, prime) for _, f, bareiss in cases] for prime in primes
+    }
+    fallbacks = _record_kernel_fallbacks(monkeypatch)
+    for prime in primes:
+        for (name, f, bareiss), degrees in zip(cases, expected[prime]):
+            fallbacks.clear()
+            syzygy._certified_ranks(f, len(bareiss) - 1, prime)
+            assert fallbacks == degrees, (name, prime)
 
 
 def test_certificate_clears_a_denominator_divisible_by_the_prime():
