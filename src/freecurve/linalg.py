@@ -11,7 +11,10 @@ arithmetic of the elimination depends on the field.  All of it is exact:
   also clears above each pivot in integers (fraction-free Gauss-Jordan) and
   divides each entry by its pivot minor once at the end;
 * over a prime field, ordinary Gaussian elimination mod p, vectorised on
-  the matrix's own array.
+  the matrix's own array.  It scans only the columns that start with a
+  nonzero entry: a step swaps rows, scales the pivot row and subtracts
+  multiples of it from other rows, so a column zero in every row stays
+  zero and never holds a pivot.
 
 Pivoting is pinned: columns are scanned left to right and the topmost
 nonzero entry of the current column is the pivot.  This makes every
@@ -123,39 +126,46 @@ def _mod_p_echelon(a: np.ndarray, p: int, reduced: bool = False) -> tuple[np.nda
 
     Forward only, this is a row echelon form.  With `reduced`, each pivot
     row is scaled to 1 and also clears its column in the rows above: the
-    RREF.
+    RREF.  Only the columns with a nonzero entry are scanned: each step
+    swaps rows, scales one and subtracts multiples of the pivot row from
+    others, so a column that starts zero stays zero and never holds a pivot.
     """
     a = a.copy()
-    m, n = a.shape
+    m = a.shape[0]
     r = 0
     pivots: list[int] = []
-    for col in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, col])[0]
+    for col in np.flatnonzero(a.any(axis=0)).tolist():
+        nz = a[r:, col].nonzero()[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, col]), p - 2, p)
+            a[r], a[i] = a[i], a[r].copy()
+        row = a[r, col:]
+        inv = pow(int(row[0]), -1, p)
+        column = a[:, col]
         if reduced:
-            a[r, col:] = a[r, col:] * inv % p
-        lo = 0 if reduced else r + 1
-        column = a[lo:, col]
-        hits = np.nonzero(column)[0]
-        if reduced:
-            hits = hits[hits != r]
+            row *= inv
+            row %= p
+            # every other row with an entry in the column; the pivot's 1
+            # is hidden while they are found
+            column[r] = 0
+            hits = column.nonzero()[0]
+            factors = column[hits]
+            column[r] = 1
+        else:
+            hits = r + 1 + a[r + 1 :, col].nonzero()[0]
+            factors = column[hits] * inv % p
         if hits.size:
             # Entries stay in [0, p), so every product is below p^2 and
             # every difference above -p^2.  That is exact in int64, which
             # holds only primes with p^2 < 2^63, and in the Python ints of
             # an object array at any size.
-            factors = column[hits] if reduced else column[hits] * inv % p
-            rows = lo + hits
-            a[rows, col:] = (a[rows, col:] - factors[:, None] * a[r, col:][None, :]) % p
+            a[hits, col:] = (a[hits, col:] - factors[:, None] * row) % p
         pivots.append(col)
         r += 1
+        if r == m:
+            break
     return a, pivots
 
 
@@ -166,19 +176,24 @@ LIMB_INNER_BOUND = 2**15
 def _mod_p_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for arrays of field elements in [0, p).
 
-    In int64 (p^2 < 2^63, so p < 2^32) b is split into 16-bit limbs: each
-    term a_ij * limb is below 2^48, so a sum of fewer than 2^15 of them is
-    below 2^63 and exact.  numpy's integer matmul runs no BLAS, so no
-    thread or buffer pool.  An object array holds Python ints, exact at any
-    size.
+    In int64 (p^2 < 2^63, so p < 2^31.5) b is split into 16-bit limbs:
+    each term a_ij * limb is below 2^47.5, so a sum of fewer than 2^15 of
+    them is below 2^62.5.  The high product, reduced and shifted back by 16
+    bits, is below 2^47.5, so adding the low product to it stays below 2^63
+    and one last reduction gives the exact result.  numpy's integer matmul
+    runs no BLAS, so no thread or buffer pool.  An object array holds
+    Python ints, exact at any size.  An empty product (inner dimension 0)
+    is the zero matrix, made without arithmetic.
     """
+    if a.shape[1] == 0:
+        return np.zeros((a.shape[0], b.shape[1]), dtype=a.dtype)
     if a.dtype == object:
         return a @ b % p
     if a.shape[1] >= LIMB_INNER_BOUND:
         raise ValueError(f"inner dimension {a.shape[1]} is not below {LIMB_INNER_BOUND}")
     high = b >> 16
     low = b - (high << 16)
-    return (a @ low % p + (a @ high % p << 16)) % p
+    return ((a @ high % p << 16) + a @ low) % p
 
 
 # ---------------------------------------------------------------------------

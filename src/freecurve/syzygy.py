@@ -78,9 +78,26 @@ class Syzygy(NamedTuple):
         return syz
 
     def holds_for(self, f: HomogPoly, grad: Gradient | None = None) -> bool:
-        fx, fy, fz = grad if grad is not None else partials(f.map_field(self.a.field))
-        total = self.a * fx + self.b * fy + self.c * fz
-        return total.is_zero()
+        """Whether a*f_x + b*f_y + c*f_z = 0, summed in Python integers.
+
+        Over Q the triple and the gradient are each scaled by one nonzero
+        factor to integer coefficients (`_integral`), which keeps the
+        identity; over a prime the integer sums are reduced mod p once.
+        """
+        field = self.a.field
+        triple, gradient = self, grad if grad is not None else partials(f.map_field(field))
+        if field.char == 0:
+            triple, gradient = _integral(triple), _integral(gradient)
+        total: dict[tuple[int, int, int], int] = {}
+        for u, g in zip(triple, gradient):
+            g_terms = [(mono, int(c)) for mono, c in g.terms.items()]
+            for (i, j, k), c in u.terms.items():
+                c = int(c)
+                for (gi, gj, gk), gc in g_terms:
+                    mono = (i + gi, j + gj, k + gk)
+                    total[mono] = total.get(mono, 0) + c * gc
+        p = field.char
+        return not any(v % p for v in total.values()) if p else not any(total.values())
 
 
 def multiples(gens: Sequence[Sequence[HomogPoly]], k: int, field: Field) -> ExactMatrix:
@@ -284,38 +301,49 @@ class _ModuleSweep:
         pos[C] = np.arange(len(C))
         row_of = np.full(t * m1, -1)
         row_of[piv] = np.arange(len(piv))
-        XN = np.zeros((len(piv), len(C)), dtype=N.dtype)
-        XN[:, : len(non)] = N
+        nn = len(non)
         w_piv, w_N = piv[len(piv) - self.w :], N[len(piv) - self.w :]
-        # y*W_D and z*W_D; XN[:0] keeps the stack non-empty when W_D is
-        # empty and no generator joins
-        residuals = [XN[:0]]
+        # y*W_D and z*W_D; the empty block keeps the stack non-empty when
+        # W_D is empty and no generator joins.  The x rows read N on the
+        # first nn columns of C and 0 on the rest.
+        residuals = [np.zeros((0, len(C)), dtype=N.dtype)]
         for shift in _shift_maps(self.D, t) if self.w else ():
             R = np.zeros((len(w_piv), len(C)), dtype=N.dtype)
             # the pivot entry 1 of each row, at a column of C or on an x row
             at = pos[shift[w_piv]]
             on_c, on_x = at >= 0, at < 0
             R[np.nonzero(on_c)[0], at[on_c]] = 1
-            R[on_x] = p - XN[row_of[shift[w_piv[on_x]]]]
+            R[on_x, :nn] = p - N[row_of[shift[w_piv[on_x]]]]
             # the block N, likewise
             at = pos[shift[non]]
             on_c, on_x = at >= 0, at < 0
             R[:, at[on_c]] += w_N[:, on_c]
-            R -= _mod_p_matmul(w_N[:, on_x], XN[row_of[shift[non[on_x]]]], p)
+            R[:, :nn] -= _mod_p_matmul(w_N[:, on_x], N[row_of[shift[non[on_x]]]], p)
             residuals.append(R % p)
         if gens:
             # `multiples` lays the blocks one after the other
             G = multiples(gens, self.D + 1, self.field)._data[:, (np.arange(m1)[:, None] + m1 * np.arange(t)).ravel()]
-            residuals.append((G[:, C] - _mod_p_matmul(G[:, piv], XN, p)) % p)
+            GC = G[:, C]
+            GC[:, :nn] -= _mod_p_matmul(G[:, piv], N, p)
+            residuals.append(GC % p)
         echelon, new = _mod_p_echelon(np.vstack(residuals), p, reduced=True)
-        echelon = echelon[: len(new)]
-        XN = (XN - _mod_p_matmul(XN[:, new], echelon, p)) % p
+        echelon, new = echelon[: len(new)], np.array(new, dtype=np.int64)
         keep = np.ones(len(C), dtype=bool)
         keep[new] = False
+        # B_(D+1) on the columns it keeps: the x rows cleared at the new
+        # pivots (only those on `non`, as the x rows are 0 on the rest of
+        # C), then the new rows
+        on_non = new < nn
+        state = np.empty((len(piv) + len(new), len(C) - len(new)), dtype=N.dtype)
+        x_rows = state[: len(piv)]
+        np.subtract(p, _mod_p_matmul(N[:, new[on_non]], echelon[on_non][:, keep], p), out=x_rows)
+        x_rows[:, : nn - int(on_non.sum())] += N[:, keep[:nn]]
+        x_rows %= p
+        state[len(piv) :] = echelon[:, keep]
         self.D, self.w = self.D + 1, len(new)
         self.piv = np.concatenate([piv, C[new]])
         self.non = C[keep]
-        self.N = np.vstack([XN[:, keep], echelon[:, keep]])
+        self.N = state
         return len(self.piv)
 
 

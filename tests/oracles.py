@@ -4,11 +4,12 @@ The oracles recompute graded dimensions through a completely separate code
 path (sympy polynomials and sympy's rational matrix rank) and exist only to
 pin expected values in the tests; keep them small-input only.  The dense
 references keep a plainer algorithm that the package replaced, to pin
-behaviour that no rank can show.
+behaviour that no rank can show, or every row of an elimination.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import sympy
 
 from freecurve import syzygy
@@ -124,3 +125,40 @@ def dense_certificate_kernel_degrees(f, top: int, prime: int) -> list[int]:
                 new = [tuple(part.map_field(P) for part in syzygy._integral(s)) for s in basis]
                 gens = gens + [new[i] for i in syzygy.outside_span(V, syzygy.multiples(new, k, P))]
     return degrees
+
+
+def dense_mod_p_echelon(a, p: int, reduced: bool = False):
+    """Gaussian elimination mod p on a copy of the array `a`, one column at
+    a time: every column is scanned for a pivot in the rows not yet used
+    (the topmost nonzero entry), the inverse is Fermat's p-2 power, and the
+    pivot row clears the column in the rows below it and, with `reduced`,
+    also in the rows above after scaling to 1.  Returns (rows, pivot
+    columns); `linalg._mod_p_echelon` must agree with it."""
+    a = a.copy()
+    m, n = a.shape
+    r = 0
+    pivots = []
+    for col in range(n):
+        if r == m:
+            break
+        nz = np.nonzero(a[r:, col])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+        inv = pow(int(a[r, col]), p - 2, p)
+        if reduced:
+            a[r, col:] = a[r, col:] * inv % p
+        lo = 0 if reduced else r + 1
+        column = a[lo:, col]
+        hits = np.nonzero(column)[0]
+        if reduced:
+            hits = hits[hits != r]
+        if hits.size:
+            factors = column[hits] if reduced else column[hits] * inv % p
+            rows = lo + hits
+            a[rows, col:] = (a[rows, col:] - factors[:, None] * a[r, col:][None, :]) % p
+        pivots.append(col)
+        r += 1
+    return a, pivots

@@ -9,13 +9,23 @@ from hypothesis import given, settings, strategies as st
 from freecurve.corpus import load_case
 from freecurve.data import shipped_corpus_dir
 from freecurve.fields import GF, QQ, random_prime
-from freecurve.linalg import LIMB_INNER_BOUND, ExactMatrix, _mod_p_matmul, kernel_basis, pivot_columns, rank, solve_exact
+from freecurve.linalg import (
+    LIMB_INNER_BOUND,
+    ExactMatrix,
+    _dtype,
+    _mod_p_echelon,
+    _mod_p_matmul,
+    kernel_basis,
+    pivot_columns,
+    rank,
+    solve_exact,
+)
 from freecurve.parser import parse_poly
-from freecurve.syzygy import jacobian_matrix
+from freecurve.syzygy import CERT_PRIME, jacobian_matrix
 
 import random
 
-from oracles import jacobian_matrix_oracle, kernel_oracle
+from oracles import dense_mod_p_echelon, jacobian_matrix_oracle, kernel_oracle
 
 # p^2 > 2^63: these matrices are numpy object arrays of Python ints
 P63 = GF(random_prime(random.Random(63), 2**62, 2**63 - 1))
@@ -197,7 +207,7 @@ def test_prime_field_rank_matches_rational(rows):
 def shipped_test_matrices():
     """The fixed matrices the agreement property is asserted on."""
     from freecurve.parser import parse_poly
-    from freecurve.syzygy import jacobian_matrix
+    from freecurve.syzygy import CERT_PRIME, jacobian_matrix
 
     mats = [
         [[1, 2, 3], [2, 4, 6]],
@@ -300,3 +310,72 @@ def test_limb_product_is_exact_below_its_inner_bound():
     assert (_mod_p_matmul(a, b, p) == expected).all()
     with pytest.raises(ValueError, match="inner dimension"):
         _mod_p_matmul(np.zeros((1, n + 1), np.int64), np.zeros((n + 1, 1), np.int64), p)
+
+
+@pytest.mark.parametrize("p", [CERT_PRIME, 2**61 - 1])
+def test_empty_product_is_the_zero_matrix(p):
+    dtype = _dtype(GF(p))
+    out = _mod_p_matmul(np.zeros((3, 0), dtype), np.zeros((0, 4), dtype), p)
+    assert out.shape == (3, 4)
+    assert out.dtype == dtype
+    assert not out.any()
+
+
+def _echelon_cases(rng: random.Random, p: int) -> list[np.ndarray]:
+    """Matrices mod p of rank 0, full rank and deficient rank, some with
+    zero rows and columns, as the arrays `ExactMatrix` stores over GF(p)."""
+    def rand(m, n):
+        return [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+
+    def full(m, n):
+        # an upper staircase with units on its corners, rows mixed and shuffled
+        k = min(m, n)
+        cols = sorted(rng.sample(range(n), k))
+        rows = [[0] * n for _ in range(m)]
+        for i, c in enumerate(cols):
+            rows[i][c] = rng.randrange(1, p)
+            for j in range(c + 1, n):
+                rows[i][j] = rng.randrange(p)
+        for i in range(1, k):
+            j = rng.randrange(i)
+            factor = rng.randrange(p)
+            rows[i] = [(u + factor * v) % p for u, v in zip(rows[i], rows[j])]
+        rng.shuffle(rows)
+        return rows
+
+    def deficient(m, n):
+        k = rng.randrange(1, min(m, n))
+        left, right = rand(m, k), rand(k, n)
+        return [[sum(u * right[t][j] for t, u in enumerate(row)) % p for j in range(n)] for row in left]
+
+    def holes(rows):
+        m, n = len(rows), len(rows[0])
+        dead_rows, dead_cols = set(rng.sample(range(m), m // 3)), set(rng.sample(range(n), n // 3))
+        return [[0 if i in dead_rows or j in dead_cols else v for j, v in enumerate(row)] for i, row in enumerate(rows)]
+
+    dtype = _dtype(GF(p))
+    cases = [np.zeros((0, 4), dtype), np.zeros((3, 0), dtype), np.zeros((4, 5), dtype)]
+    for m, n in [(1, 1), (2, 5), (5, 2), (4, 4), (6, 9), (9, 6), (12, 12), (16, 24)]:
+        for rows in (rand(m, n), full(m, n), holes(full(m, n))):
+            cases.append(np.array(rows, dtype=dtype))
+        if min(m, n) > 1:
+            cases.append(np.array(deficient(m, n), dtype=dtype))
+            cases.append(np.array(holes(deficient(m, n)), dtype=dtype))
+    return cases
+
+
+# 3, 5 and 7 make many entries and pivots vanish; 2^61-1 is stored in
+# object arrays
+@pytest.mark.parametrize("p", [3, 5, 7, CERT_PRIME, 2**61 - 1])
+@pytest.mark.parametrize("reduced", [False, True])
+def test_mod_p_echelon_matches_the_dense_per_column_reference(p, reduced):
+    kinds = set()
+    for a in _echelon_cases(random.Random(p), p):
+        before = a.copy()
+        rows, pivots = _mod_p_echelon(a, p, reduced)
+        ref_rows, ref_pivots = dense_mod_p_echelon(a, p, reduced)
+        assert pivots == ref_pivots, a.tolist()
+        assert rows[: len(pivots)].tolist() == ref_rows[: len(pivots)].tolist(), a.tolist()
+        assert (a == before).all()
+        kinds.add("zero" if not pivots else "full" if len(pivots) == min(a.shape) else "deficient")
+    assert kinds == {"zero", "full", "deficient"}

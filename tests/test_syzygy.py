@@ -8,12 +8,14 @@ import pytest
 from freecurve import syzygy
 from freecurve.corpus import load_case
 from freecurve.data import shipped_corpus_dir
+from freecurve.errors import InternalInconsistencyError
 from freecurve.fields import GF, QQ, FieldPlan
 from freecurve.linalg import ExactMatrix, rank
 from freecurve.parser import parse_poly
 from freecurve.poly import HomogPoly, dim_S, dim_choose2, monomial_basis, partials
 from freecurve.syzygy import (
     Reducedness,
+    Syzygy,
     jacobian_matrix,
     mdr,
     multiples,
@@ -108,6 +110,40 @@ def test_syzygy_basis_verifies_and_is_canonical():
         assert syz.holds_for(TRIANGLE)
     again = syzygy_basis(TRIANGLE, 1)
     assert again == basis
+
+
+def test_holds_for_checks_rational_syzygies_with_denominators():
+    f = parse_poly("1/2*x^3 + 2/3*x*y*z + 1/5*y^3 - 3/7*z^3")
+    fx, fy, fz = partials(f)
+    eleventh = Fraction(1, 11)
+    koszul = Syzygy(fy.scale(eleventh), (-fx).scale(eleventh), HomogPoly.zero(QQ, 2))
+    assert koszul.holds_for(f)
+    assert koszul.holds_for(f, partials(f))
+    bump = HomogPoly(QQ, 2, {(0, 1, 1): Fraction(1, 13)})
+    assert not Syzygy(koszul.a + bump, koszul.b, koszul.c).holds_for(f)
+    for syz in syzygy_basis(f, 2):
+        assert any(c.denominator > 1 for part in syz for c in part.terms.values())
+        assert syz.holds_for(f)
+        assert not Syzygy(syz.a, syz.b, syz.c + bump).holds_for(f)
+
+
+def test_holds_for_reduces_the_integer_sums_mod_p():
+    # f_x = 2x and f_y = 2y over GF(7): 3y*2x + 4x*2y = 14xy, a nonzero
+    # integer multiple of 7, while 3y*2x + 5x*2y = 16xy is not
+    field = GF(7)
+    f = parse_poly("x^2+y^2")
+    zero = HomogPoly.zero(field, 1)
+    good = Syzygy(HomogPoly(field, 1, {(0, 1, 0): 3}), HomogPoly(field, 1, {(1, 0, 0): 4}), zero)
+    bad = Syzygy(good.a, HomogPoly(field, 1, {(1, 0, 0): 5}), zero)
+    grad = partials(f.map_field(field))
+    assert good.holds_for(f) and good.holds_for(f, grad)
+    assert not bad.holds_for(f) and not bad.holds_for(f, grad)
+    # blocks a, b, c on the monomials x, y, z
+    assert Syzygy.from_vector(f, 1, [0, 3, 0, 4, 0, 0, 0, 0, 0], field) == good
+    with pytest.raises(InternalInconsistencyError, match="fails the defining relation"):
+        Syzygy.from_vector(f, 1, [0, 3, 0, 5, 0, 0, 0, 0, 0], field)
+    with pytest.raises(InternalInconsistencyError, match="fails the defining relation"):
+        Syzygy.from_vector(f, 1, [Fraction(v) for v in (0, 3, 0, 4, 0, 0, 0, 0, 0)], QQ)
 
 
 def test_cusp_minimal_syzygy_is_normalized():
