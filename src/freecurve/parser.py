@@ -41,13 +41,13 @@ MAX_LITERAL_DIGITS = 4300
 # Bits in a coefficient a power may produce: as many as the largest literal.
 MAX_COEFF_BITS = (10**MAX_LITERAL_DIGITS - 1).bit_length()
 
-_Sparse = dict[Monomial, Fraction]  # possibly inhomogeneous expansion
+_Sparse = dict[Monomial, int | Fraction]  # possibly inhomogeneous; int until a num/den literal
 
 
 def _sadd(a: _Sparse, b: _Sparse) -> _Sparse:
     out = dict(a)
     for m, c in b.items():
-        s = out.get(m, Fraction(0)) + c
+        s = out.get(m, 0) + c
         if s:
             out[m] = s
         else:
@@ -64,7 +64,7 @@ def _smul(a: _Sparse, b: _Sparse) -> _Sparse:
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-            s = out.get(mono, Fraction(0)) + c1 * c2
+            s = out.get(mono, 0) + c1 * c2
             if s:
                 out[mono] = s
             else:
@@ -81,7 +81,7 @@ def _sbits(a: _Sparse) -> int:
 
 
 def _spow(a: _Sparse, e: int) -> _Sparse:
-    result: _Sparse = {(0, 0, 0): Fraction(1)}
+    result: _Sparse = {(0, 0, 0): 1}
     base = a
     while e:
         if e & 1:
@@ -187,7 +187,7 @@ class _Parser:
         if ch and ch in "xyz":
             self.pos += 1
             mono = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}[ch]
-            return {mono: Fraction(1)}
+            return {mono: 1}
         if ch.isdigit():
             num = self.natural()
             if self.peek() == "/":
@@ -196,7 +196,7 @@ class _Parser:
                 if den == 0:
                     self.error("zero denominator")
                 return {(0, 0, 0): Fraction(num, den)}
-            return {(0, 0, 0): Fraction(num)}
+            return {(0, 0, 0): num}
         if ch == "":
             self.error("unexpected end of input")
         self.error(f"unexpected character {ch!r}")
@@ -225,7 +225,7 @@ def parse_poly(text: str) -> HomogPoly:
             f"{_mono_text(low)} has degree {sum(low)} but term "
             f"{_mono_text(high)} has degree {sum(high)}"
         )
-    return HomogPoly(QQ, degrees.pop(), value)
+    return HomogPoly(QQ, degrees.pop(), {m: Fraction(c) for m, c in value.items()})
 
 
 def _mono_text(mono: Monomial) -> str:

@@ -39,12 +39,18 @@ from .poly import Gradient, HomogPoly, dim_S, monomial_basis, monomial_index, pa
 # Cells of the largest Jacobian matrix of a rank profile, J_top.  2^25
 # int64 cells are 256 MiB; the bound admits every d <= 32 at the default
 # table degree 2d.  Over Q the certificate's exact kernels may build J_k
-# for any k <= top.  Over a prime the profile builds no J_k: the sweep's
-# largest array is its x rows, dim (J_f)_D rows by (D+2) + m(f)_D
-# columns.  The certificate's sweep of V in S^3 holds at most
-# a*(3 dim S_(k+1) - a) <= (3 dim S_top)^2/4 cells, a = dim V_k, below
-# the count of J_top.  The bound still refuses the same inputs in every
-# mode.
+# for any k <= top.  Over a prime the profile builds no J_k.  The sweep's
+# largest arrays (see `_ModuleSweep`) are its x rows, dim (J_f)_D rows by
+# (D+2) + m(f)_D columns, and the rows that join at D+1, 2|W_D| + |G|
+# rows by t dim S_(D+1) columns.  For J_f (t = 1) the gradient joins
+# alone, at d-1, and |W_D| = rank J_k - rank J_(k-1) <= 3(k+1) for
+# k = D-d+1, as ar(f) never drops; so the joining rows hold at most
+# 6 top * dim S_(top+d-1) cells, below the count of J_top.  The
+# certificate's sweep of V in S^3 holds at most a*(3 dim S_(k+1) - a)
+# <= (3 dim S_top)^2/4 cells, a = dim V_k, in its state.  At k+1 it
+# joins at most 2a shifted rows, the 3 Koszul relations (at d-1 only) and
+# 3 rows per exact kernel vector of degree k, each 3 dim S_(k+1) wide.
+# The bound still refuses the same inputs in every mode.
 MAX_PROFILE_CELLS = 2**25
 
 # The largest curve degree some table degree admits (33): a profile of a
@@ -277,11 +283,11 @@ class _ModuleSweep:
     holds the multiples of the generators that join at D+1.  The rows
     x*B_D are the identity on `piv` too; they read N on `non` and 0 on the
     t(D+2) columns of the x-free monomials, and these make up C, the only
-    other columns.  The rows y*W_D, z*W_D and G minus their entries on
-    `piv` times the x rows leave a residual on C alone that spans the part
-    of M_(D+1) vanishing on `piv`.  Its reduced echelon form holds the new
-    pivots, W_(D+1); the x rows are cleared at them, and both together are
-    B_(D+1).
+    other columns.  The rows y*W_D, z*W_D and G, laid out together at
+    degree D+1, minus their entries on `piv` times the x rows leave a
+    residual on C alone that spans the part of M_(D+1) vanishing on `piv`.
+    Its reduced echelon form holds the new pivots, W_(D+1); the x rows are
+    cleared at them, and both together are B_(D+1).
     """
 
     def __init__(self, field: Field, t: int, D: int):
@@ -297,36 +303,26 @@ class _ModuleSweep:
         p, t, piv, non, N = self.field.char, self.t, self.piv, self.non, self.N
         m1 = dim_S(self.D + 1)
         C = np.concatenate([non, np.arange(t * dim_S(self.D), t * m1)])
-        pos = np.full(t * m1, -1)
-        pos[C] = np.arange(len(C))
-        row_of = np.full(t * m1, -1)
-        row_of[piv] = np.arange(len(piv))
         nn = len(non)
         w_piv, w_N = piv[len(piv) - self.w :], N[len(piv) - self.w :]
-        # y*W_D and z*W_D; the empty block keeps the stack non-empty when
-        # W_D is empty and no generator joins.  The x rows read N on the
-        # first nn columns of C and 0 on the rest.
-        residuals = [np.zeros((0, len(C)), dtype=N.dtype)]
-        for shift in _shift_maps(self.D, t) if self.w else ():
-            R = np.zeros((len(w_piv), len(C)), dtype=N.dtype)
-            # the pivot entry 1 of each row, at a column of C or on an x row
-            at = pos[shift[w_piv]]
-            on_c, on_x = at >= 0, at < 0
-            R[np.nonzero(on_c)[0], at[on_c]] = 1
-            R[on_x, :nn] = p - N[row_of[shift[w_piv[on_x]]]]
-            # the block N, likewise
-            at = pos[shift[non]]
-            on_c, on_x = at >= 0, at < 0
-            R[:, at[on_c]] += w_N[:, on_c]
-            R[:, :nn] -= _mod_p_matmul(w_N[:, on_x], N[row_of[shift[non[on_x]]]], p)
-            residuals.append(R % p)
-        if gens:
-            # `multiples` lays the blocks one after the other
-            G = multiples(gens, self.D + 1, self.field)._data[:, (np.arange(m1)[:, None] + m1 * np.arange(t)).ravel()]
-            GC = G[:, C]
-            GC[:, :nn] -= _mod_p_matmul(G[:, piv], N, p)
-            residuals.append(GC % p)
-        echelon, new = _mod_p_echelon(np.vstack(residuals), p, reduced=True)
+        G = multiples(gens, self.D + 1, self.field)._data if gens else np.zeros((0, t * m1), dtype=N.dtype)
+        # the joining rows at full width: y*W_D, z*W_D, then G, which
+        # `multiples` lays out one block after the other
+        rows = np.zeros((2 * self.w + len(G), t * m1), dtype=N.dtype)
+        for s, shift in enumerate(_shift_maps(self.D, t)):
+            block = rows[s * self.w : (s + 1) * self.w]
+            block[np.arange(self.w), shift[w_piv]] = 1
+            block[:, shift[non]] = w_N
+        rows[2 * self.w :] = G[:, (np.arange(m1)[:, None] + m1 * np.arange(t)).ravel()]
+        # the x rows read N on the first nn columns of C and 0 on the rest;
+        # only the pivots some row touches, and the rows that touch one,
+        # enter the product
+        hit = rows.any(axis=0)[piv]
+        on_hit = rows[:, piv[hit]]
+        at = on_hit.any(axis=1)
+        R = rows[:, C]
+        R[at, :nn] -= _mod_p_matmul(on_hit[at], N[hit], p)
+        echelon, new = _mod_p_echelon(R % p, p, reduced=True)
         echelon, new = echelon[: len(new)], np.array(new, dtype=np.int64)
         keep = np.ones(len(C), dtype=bool)
         keep[new] = False

@@ -135,6 +135,14 @@ def test_parse_rational_coefficients_and_unary_minus():
     assert f.terms[(0, 2, 0)] == 1
 
 
+@pytest.mark.parametrize("text", ["x^3+y^3+z^3", "1/2*x*y+z^2", "(2*x+3*y)^5"])
+def test_parse_gives_fraction_coefficients(text):
+    # the expansion runs in integers until a num/den literal; every
+    # coefficient of the result is a Fraction all the same
+    f = parse_poly(text)
+    assert f.terms and all(type(c) is Fraction for c in f.terms.values())
+
+
 def test_partials_examples():
     fx, fy, fz = partials(parse_poly("x*y*z"))
     assert poly_str(fx) == "y*z" and poly_str(fy) == "x*z" and poly_str(fz) == "x*y"

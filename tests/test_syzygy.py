@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from freecurve import syzygy
@@ -10,7 +11,7 @@ from freecurve.corpus import load_case
 from freecurve.data import shipped_corpus_dir
 from freecurve.errors import InternalInconsistencyError
 from freecurve.fields import GF, QQ, FieldPlan
-from freecurve.linalg import ExactMatrix, rank
+from freecurve.linalg import ExactMatrix, _rref, rank
 from freecurve.parser import parse_poly
 from freecurve.poly import HomogPoly, dim_S, dim_choose2, monomial_basis, partials
 from freecurve.syzygy import (
@@ -258,8 +259,9 @@ def test_rank_sweep_matches_per_degree_ranks(p):
 @pytest.mark.parametrize("p", [7, syzygy.CERT_PRIME])
 def test_rank_sweep_shifts_only_the_rows_the_last_step_appended(p, monkeypatch):
     # (J_f)_(D+1) = x(J_f)_D + y W_D + z W_D: the residual of the step from
-    # source degree k to k+1 stacks y and z times the ranks[k] - ranks[k-1]
-    # rows that step k appended, not times all of (J_f)_(k+d-1)
+    # source degree k to k+1 holds the joining rows y and z times the
+    # ranks[k] - ranks[k-1] rows that step k appended, reduced in one pass,
+    # not times all of (J_f)_(k+d-1)
     shapes = []
     inner = syzygy._mod_p_echelon
 
@@ -274,11 +276,11 @@ def test_rank_sweep_shifts_only_the_rows_the_last_step_appended(p, monkeypatch):
     assert residual_rows == [2 * (ranks[k] - (ranks[k - 1] if k else 0)) for k in range(len(ranks) - 1)]
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, syzygy.CERT_PRIME, 2**61 - 1])
-def test_module_sweep_matches_dense_ranks_of_the_multiples(p):
-    # a submodule of S^3: the Koszul relations of a dense quartic (degree
-    # 3), a tuple of degree 1 below them, one of degree 5 above them, and
-    # one of degree 2 that vanishes mod p, so it joins nothing
+def _module_generators(p):
+    """A submodule of S^3 over GF(p): the Koszul relations of a dense
+    quartic (degree 3), a tuple of degree 1 below them, one of degree 5
+    above them, and one of degree 2 that vanishes mod p, so it joins
+    nothing."""
     field = GF(p)
     rng = random.Random(p)
     f = _dense_curve(rng, 4)
@@ -291,11 +293,52 @@ def test_module_sweep_matches_dense_ranks_of_the_multiples(p):
 
     vanishing = triple(2, p)
     assert all(part.is_zero() for part in vanishing)
-    gens = [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy), triple(1), triple(5), vanishing]
+    return [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy), triple(1), triple(5), vanishing]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, syzygy.CERT_PRIME, 2**61 - 1])
+def test_module_sweep_matches_dense_ranks_of_the_multiples(p):
+    field = GF(p)
+    gens = _module_generators(p)
     sweep = syzygy._ModuleSweep(field, 3, -1)
     for k in range(9):
         dense = rank(multiples([g for g in gens if g[0].degree <= k], k, field))
         assert sweep.step([g for g in gens if g[0].degree == k]) == dense, k
+
+
+def _assert_sweep_state_is_the_rref(sweep, gens, previous_piv):
+    # B_D from the state (identity on `piv`, N on `non`) against the RREF
+    # of the dense multiples at degree D, columns in monomial-major order
+    t, D, field = sweep.t, sweep.D, sweep.field
+    n = dim_S(D)
+    B = np.zeros((len(sweep.piv), t * n), dtype=sweep.N.dtype)
+    B[np.arange(len(sweep.piv)), sweep.piv] = 1
+    B[:, sweep.non] = sweep.N
+    order = np.argsort(sweep.piv, kind="stable")
+    dense = multiples([g for g in gens if g[0].degree <= D], D, field)
+    expected = ([], []) if dense.rows == 0 else _rref(dense.columns((np.arange(n)[:, None] + n * np.arange(t)).ravel()))
+    assert (B[order].tolist(), sorted(sweep.piv.tolist())) == expected, D
+    # the last w rows are the ones with the pivots this step added
+    assert sweep.piv[: len(previous_piv)].tolist() == previous_piv.tolist(), D
+    assert len(sweep.piv) - len(previous_piv) == sweep.w, D
+
+
+@pytest.mark.parametrize("p", [7, syzygy.CERT_PRIME, 2**61 - 1])
+def test_module_sweep_state_is_the_reduced_echelon_basis(p):
+    field = GF(p)
+    # t = 1: the Jacobian ideal of a dense sextic and of a cubic whose
+    # gradient collapses mod 7; t = 3: the submodule of S^3 above
+    cases = [
+        (1, f.degree - 2, [(part,) for part in partials(f.map_field(field))])
+        for f in (_dense_curve(random.Random(p), 6), parse_poly(DEGENERATE_MOD_3_5_7))
+    ]
+    cases.append((3, -1, _module_generators(p)))
+    for t, D, gens in cases:
+        sweep = syzygy._ModuleSweep(field, t, D)
+        for _ in range(9):
+            previous_piv = sweep.piv
+            sweep.step([g for g in gens if g[0].degree == sweep.D + 1])
+            _assert_sweep_state_is_the_rref(sweep, gens, previous_piv)
 
 
 def test_rank_sweep_matches_per_degree_ranks_at_degree_12():
