@@ -9,7 +9,8 @@ the concrete scalar type.
 The module also provides `FieldPlan`, the field-selection strategy used by
 the analysis pipeline: compute every classification-feeding quantity over
 two independent random primes and fall back to exact rational arithmetic
-when they disagree.
+when they disagree.  The pipeline hands it the curve's primitive integer
+form (see `syzygy.rank_profile`), which reduces mod every prime.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ _PRIME_LO = 2**31 + 1
 _PRIME_HI = 2_999_999_999
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-class UnluckyPrimeError(ArithmeticError):
-    """A denominator vanished mod p; this prime cannot represent the input."""
 
 
 def is_probable_prime(n: int) -> bool:
@@ -149,10 +146,8 @@ class PrimeField:
         return n % self.p
 
     def from_fraction(self, q: Fraction):
-        den = q.denominator % self.p
-        if den == 0:
-            raise UnluckyPrimeError(f"denominator of {q} vanishes mod {self.p}")
-        return q.numerator % self.p * pow(den, self.p - 2, self.p) % self.p
+        """q mod p; ValueError if p divides its denominator."""
+        return q.numerator * pow(q.denominator, -1, self.p) % self.p
 
     def fits_int64(self) -> bool:
         # p^2 must stay below 2^63 for int64 matrix storage.
@@ -185,6 +180,9 @@ class FieldPlan:
       cross-check (a bare `PrimeField` handed to the library).
 
     The callable must return a plainly comparable value (int, bool, tuple).
+    It computes from the curve's primitive integer form, so every prime can
+    evaluate it; a prime that divides a coefficient of that form is an
+    ordinary unlucky prime.
     """
 
     __slots__ = ("mode", "seed", "fields", "fallbacks")
@@ -222,17 +220,8 @@ class FieldPlan:
     def agree(self, compute: Callable[[Field], T]) -> T:
         if len(self.fields) == 1:
             return compute(self.fields[0])
-        first = second = None
-        unlucky = False
-        try:
-            first = compute(self.fields[0])
-        except UnluckyPrimeError:
-            unlucky = True
-        try:
-            second = compute(self.fields[1])
-        except UnluckyPrimeError:
-            unlucky = True
-        if not unlucky and first == second:
+        first, second = (compute(F) for F in self.fields)
+        if first == second:
             return first
         if self.mode == "pp":
             raise InternalInconsistencyError(

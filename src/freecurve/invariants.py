@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InternalInconsistencyError, NotReducedError
-from .fields import Field, QQ
+from .fields import QQ
 from .linalg import ExactMatrix, kernel_basis, rank
 from .poly import HomogPoly, choose2, dim_choose2, dim_S, monomial_basis, monomial_index
 from .syzygy import RankProfile, jacobian_matrix, mdr, milnor_plateau, rank_jacobian
@@ -90,17 +90,17 @@ def n_dim(d: int, j: int, tau: int, ar: Callable[[int], int]) -> int:
     return value
 
 
-def _saturation_dim(f: HomogPoly, j: int, e: int, field: Field, functionals: dict) -> int:
-    """dim {g in S_j : x^e g, y^e g, z^e g all lie in J_f}."""
+def _saturation_dim(f: HomogPoly, j: int, e: int, functionals: dict) -> int:
+    """dim {g in S_j : x^e g, y^e g, z^e g all lie in J_f}, over Q."""
     target = j + e
     if target not in functionals:
         src = target - f.degree + 1
         if src < 0:
-            jac = ExactMatrix.zeros(field, dim_S(target), 0)
+            jac = ExactMatrix.zeros(QQ, dim_S(target), 0)
         else:
-            jac = jacobian_matrix(f, src, field)
+            jac = jacobian_matrix(f, src)
         # Functionals cutting out J at the target degree, one per row.
-        functionals[target] = ExactMatrix.from_rows(field, kernel_basis(jac.transpose()))
+        functionals[target] = ExactMatrix.from_rows(QQ, kernel_basis(jac.transpose()))
     left_null = functionals[target]
     n_j = dim_S(j)
     if left_null.rows == 0:
@@ -117,10 +117,8 @@ def _saturation_dim(f: HomogPoly, j: int, e: int, field: Field, functionals: dic
     return n_j - rank(parts[0].stack(parts[1]).stack(parts[2]))
 
 
-def n_dim_saturation_oracle(
-    f: HomogPoly, j: int, field: Field = QQ, functionals: dict | None = None
-) -> int:
-    """Brute-force n(f)_j: saturate the Jacobian ideal degree by degree.
+def n_dim_saturation_oracle(f: HomogPoly, j: int, functionals: dict | None = None) -> int:
+    """Brute-force n(f)_j over Q: saturate the Jacobian ideal degree by degree.
 
     The functionals on S_t that vanish on (J_f)_t, a left null space of
     the Jacobian matrix, are computed once per target degree t.  Composed
@@ -131,8 +129,8 @@ def n_dim_saturation_oracle(
     minus dim (J_f)_j.  The Euler-characteristic formula is not used.
 
     `functionals` maps a target degree to its functionals.  One dict,
-    owned by the caller and shared by every j of one curve over one
-    field, computes each target once: every j <= T probes T+1, T+2, ...
+    owned by the caller and shared by every j of one curve, computes each
+    target once: every j <= T probes T+1, T+2, ...
     """
     if j < 0:
         raise ValueError("degree must be non-negative")
@@ -140,12 +138,12 @@ def n_dim_saturation_oracle(
         functionals = {}
     d = f.degree
     T = 3 * (d - 2)
-    dim_j_f = rank_jacobian(f, j - d + 1, field)
+    dim_j_f = rank_jacobian(f, j - d + 1)
     e = max(1, T + 1 - j)
-    previous = _saturation_dim(f, j, e, field, functionals)
+    previous = _saturation_dim(f, j, e, functionals)
     while True:
         e += 1
-        current = _saturation_dim(f, j, e, field, functionals)
+        current = _saturation_dim(f, j, e, functionals)
         if current < previous:
             raise InternalInconsistencyError(
                 f"(J : m^{e})_{j} has dimension {current} < {previous} = "

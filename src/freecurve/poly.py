@@ -149,14 +149,9 @@ class HomogPoly:
                     out[mono] = s
         return HomogPoly(f, self.degree + other.degree, out)
 
-    def mul_monomial(self, mono: Monomial, coeff=None) -> "HomogPoly":
-        f = self.field
-        if coeff is None:
-            coeff = f.one
-        out = {}
-        for m, c in self.terms.items():
-            out[(m[0] + mono[0], m[1] + mono[1], m[2] + mono[2])] = f.mul(c, coeff)
-        return HomogPoly(f, self.degree + sum(mono), out)
+    def mul_monomial(self, mono: Monomial) -> "HomogPoly":
+        out = {(m[0] + mono[0], m[1] + mono[1], m[2] + mono[2]): c for m, c in self.terms.items()}
+        return HomogPoly(self.field, self.degree + sum(mono), out)
 
     def partial(self, axis: int) -> "HomogPoly":
         """Formal partial derivative along x, y or z (axis 0, 1, 2)."""

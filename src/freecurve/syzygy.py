@@ -159,11 +159,11 @@ def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient |
     return multiples([(part,) for part in grad], k + d - 1, field).transpose()
 
 
-def rank_jacobian(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> int:
+def rank_jacobian(f: HomogPoly, k: int, field: Field = QQ) -> int:
     """Rank of the degree-k Jacobian multiplication matrix (0 for k < 0)."""
     if k < 0:
         return 0
-    return rank(jacobian_matrix(f, k, field, grad=grad))
+    return rank(jacobian_matrix(f, k, field))
 
 
 def syzygy_basis(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> list[Syzygy]:
@@ -178,9 +178,11 @@ def syzygy_basis(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | No
 class RankProfile:
     """The Jacobian ranks of one curve at source degrees 0..top, agreed once.
 
-    `plan` is the field plan the ranks were agreed over; the structural
-    checks of a verdict run over the same plan.  `table_max` is the top
-    degree of the reported tables.
+    `f` is the curve's primitive integer form: coprime integer
+    coefficients, which reduce mod every prime.  `plan` is the field plan
+    the ranks were agreed over; the structural checks of a verdict run on
+    `f` over the same plan.  `table_max` is the top degree of the reported
+    tables.
     """
 
     f: HomogPoly
@@ -209,18 +211,22 @@ class RankProfile:
 def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | None = None) -> RankProfile:
     """Agree once on the Jacobian ranks of f at source degrees 0..top.
 
-    top = max(2d-1, K), where K = `table_max` (default 2d) is the top of
-    the reported tables and 2d-1 the last degree the reducedness window
-    reads.  A bare field is computed over once; a plan agrees on the whole
-    tuple at once.  A constant f, K < 0, or a largest Jacobian matrix J_top
-    (dim S_(top+d-1) rows by 3 dim S_top columns) above MAX_PROFILE_CELLS
-    raises InputError before any matrix is built.  Over a prime the ranks
-    come from one sweep up the degrees of J_f (see `_ModuleSweep`).
+    f is first scaled to coprime integer coefficients, its primitive
+    integer form, which the profile keeps as `RankProfile.f`: a multiple
+    of f has the same ranks and syzygies, and the form reduces mod every
+    prime, where ranks only drop.  top = max(2d-1, K), where K =
+    `table_max` (default 2d) is the top of the reported tables and 2d-1
+    the last degree the reducedness window reads.  A bare field is
+    computed over once; a plan agrees on the whole tuple at once.  A zero
+    or constant f, K < 0, or a largest Jacobian matrix J_top (dim S_(top+d-1)
+    rows by 3 dim S_top columns) above MAX_PROFILE_CELLS raises InputError
+    before any matrix is built.  Over a prime the ranks come from one
+    sweep up the degrees of J_f (see `_ModuleSweep`).
 
     Over Q each rank is proved from one prime p = CERT_PRIME instead of
     eliminated over Q (see `_certified_ranks`):
 
-    * lower bound: J_k is p-integral, so rank_p(J_k) <= rank_Q(J_k);
+    * lower bound: J_k is an integer matrix, so rank_p(J_k) <= rank_Q(J_k);
     * upper bound: a set V_k of exact Q-syzygies of degree k has
       dim_p V_k <= dim span_Q V_k <= dim AR(f)_k = 3 dim S_k - rank_Q(J_k),
       where dim_p is the dimension of the span mod p.
@@ -230,10 +236,12 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
     the Koszul relations, which join at degree d-1, and by the exact kernel
     vectors found at each degree k where the bounds did not meet, which
     join at k+1; there the rank is read off the exact kernel over Q.  A
-    second sweep, over V, reads every dim_p V_k.  f is first scaled to
-    coprime integer coefficients, so no denominator can vanish mod p.
+    second sweep, over V, reads every dim_p V_k.
     """
     K, top = profile_degrees(f.degree, table_max)
+    if f.is_zero():
+        raise InputError("the zero polynomial defines no curve")
+    (f,) = _integral((f,))
     plan = field if isinstance(field, FieldPlan) else FieldPlan.over(field)
     ranks = plan.agree(lambda F: _certified_ranks(f, top) if F.char == 0 else _prime_ranks(f, top, F))
     return RankProfile(f, plan, K, ranks)
@@ -358,12 +366,10 @@ def _shift_maps(D: int, t: int) -> np.ndarray:
 
 
 def _certified_ranks(f: HomogPoly, top: int, prime: int = CERT_PRIME) -> tuple[int, ...]:
-    """The ranks of J_0..J_top over Q, each proved from rank_p bounds or
-    read off an exact kernel (see `rank_profile`)."""
+    """The ranks of J_0..J_top over Q of f, an integer form (see
+    `rank_profile`), each proved from rank_p bounds or read off an exact
+    kernel."""
     P = GF(prime)
-    # A multiple of f has the same Jacobian ranks and syzygies; with coprime
-    # integer coefficients its gradient reduces mod p, where ranks only drop.
-    (f,) = _integral((f,))
     grad = partials(f)
     fx, fy, fz = (g.map_field(P) for g in grad)
     zero = HomogPoly.zero(P, f.degree - 1)

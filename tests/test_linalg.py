@@ -100,6 +100,14 @@ def test_constructors_and_views_hold_field_elements():
             assert_field_entries(M)
 
 
+def test_prime_field_refuses_a_denominator_it_divides():
+    F = GF(7)
+    assert F.from_fraction(Fraction(3, 2)) == 5
+    assert F.from_fraction(Fraction(-1, 2)) == 3
+    with pytest.raises(ValueError):
+        F.from_fraction(Fraction(1, 7))
+
+
 def test_kernel_injective_map():
     assert kernel_basis(ExactMatrix.identity(QQ, 2)) == []
 

@@ -13,6 +13,8 @@ from freecurve.syzygy import rank_profile
 
 # The first prime drawn from seed 0 divides a denominator of this cubic.
 UNLUCKY_AT_SEED_0 = "x^3+y^3+z^3+1/2190953423*x*y*z"
+# The second prime drawn from seed 0 divides a denominator of this cubic.
+SECOND_UNLUCKY_AT_SEED_0 = "x^3+y^3+z^3+1/2582278367*x*y*z"
 
 
 def _without_field(report):
@@ -33,6 +35,37 @@ def test_unlucky_prime_falls_back_once():
 def test_unlucky_prime_without_fallback_aborts(capsys):
     assert main(["analyze", "--poly", UNLUCKY_AT_SEED_0, "--json", "--field", "pp"]) == 3
     assert "internal inconsistency" in capsys.readouterr().err
+
+
+def test_unlucky_second_prime_falls_back_once(capsys):
+    # the primitive form reduces mod the second prime to x*y*z, whose ranks
+    # differ from the smooth cubic's
+    f = parse_poly(SECOND_UNLUCKY_AT_SEED_0)
+    plan = FieldPlan.from_mode("auto", 0)
+    assert plan.fields[1].p == 2582278367
+    auto = analyze(f, plan)
+    assert _without_field(auto) == _without_field(analyze(f, FieldPlan.from_mode("qq")))
+    assert auto["field"]["fallbacks"] == plan.fallbacks == 1
+    assert main(["analyze", "--poly", SECOND_UNLUCKY_AT_SEED_0, "--json", "--field", "pp"]) == 3
+    assert "internal inconsistency" in capsys.readouterr().err
+
+
+def test_a_denominator_that_scaling_clears_needs_no_fallback():
+    # the primitive form is x*y*z, so the prime that divides the denominator
+    # is not unlucky
+    f = parse_poly("1/2190953423*x*y*z")
+    plan = FieldPlan.from_mode("auto", 0)
+    auto = analyze(f, plan)
+    assert _without_field(auto) == _without_field(analyze(f, FieldPlan.from_mode("qq")))
+    assert auto["classification"]["verdict"] == "Free"
+    assert auto["field"]["fallbacks"] == plan.fallbacks == 0
+
+
+def test_a_bare_prime_analyzes_the_reduction_mod_p():
+    p = 2190953423
+    over_p = analyze(parse_poly(UNLUCKY_AT_SEED_0), GF(p))
+    reduction = analyze(parse_poly("x*y*z"), GF(p))
+    assert {k: v for k, v in over_p.items() if k != "input"} == {k: v for k, v in reduction.items() if k != "input"}
 
 
 def test_one_agreement_per_profile_and_verdict(monkeypatch):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from freecurve import syzygy
 from freecurve.corpus import load_case
 from freecurve.data import shipped_corpus_dir
-from freecurve.errors import InternalInconsistencyError
+from freecurve.errors import InputError, InternalInconsistencyError
 from freecurve.fields import GF, QQ, FieldPlan
 from freecurve.linalg import ExactMatrix, _rref, rank
 from freecurve.parser import parse_poly
@@ -361,6 +362,24 @@ def test_profile_holds_the_per_degree_ranks():
     assert len(rank_profile(CUSP, table_max=9).ranks) == 10
     with pytest.raises(ValueError):
         rank_profile(CUSP).ar(2 * CUSP.degree + 1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(syzygy.CERT_PRIME), FieldPlan.from_mode("auto", 0)], ids=repr)
+def test_profile_keeps_the_primitive_integer_form(field):
+    f = parse_poly("1/2*x^3+3/4*y^2*z-6*x*y*z")
+    profile = rank_profile(f, field)
+    assert profile.f == f.scale(Fraction(4))
+    coeffs = profile.f.terms.values()
+    assert all(c.denominator == 1 for c in coeffs) and gcd(*(c.numerator for c in coeffs)) == 1
+    for c in (Fraction(7, 3), Fraction(-2)):
+        assert rank_profile(f.scale(c), field).ranks == profile.ranks, c
+
+
+def test_profile_refuses_what_defines_no_curve():
+    for f in (HomogPoly.zero(QQ, 3), parse_poly("2")):
+        for field in (QQ, FieldPlan.from_mode("auto", 0)):
+            with pytest.raises(InputError, match="no curve"):
+                rank_profile(f, field)
 
 
 def test_profile_guard_admits_degree_32():
