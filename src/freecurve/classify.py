@@ -28,7 +28,7 @@ from .fields import Field, QQ
 from .linalg import ExactMatrix, kernel_basis, solve_exact
 from .poly import HomogPoly, dim_choose2, partials
 from .invariants import InvariantBundle, delta_dim, tau_max
-from .syzygy import RankProfile, Syzygy, jacobian_matrix, multiples, outside_span, syzygy_basis
+from .syzygy import RankProfile, Syzygy, integral_gradient, jacobian_matrix, multiples, outside_span, syzygy_basis
 
 FREE = "Free"
 NEARLY_FREE = "NearlyFree"
@@ -178,18 +178,19 @@ def _generators(f: HomogPoly, r: int, degree: int, count: int, field: Field) -> 
     """The canonical minimal-degree relation rho1, then the `count`
     vectors of the canonical kernel basis of AR(f)_degree that lie outside
     S_(degree-r) * rho1, each re-verified; any other count aborts."""
-    basis = syzygy_basis(f, r, field)
+    grad = integral_gradient(f, field)
+    basis = syzygy_basis(f, r, field, grad=grad)
     if not basis:
         raise ValueError(f"no relation in degree {r}; is r really mdr(f)?")
     rho1 = basis[0]
-    kernel = kernel_basis(jacobian_matrix(f, degree, field))
+    kernel = kernel_basis(jacobian_matrix(f, degree, field, grad=grad))
     picked = outside_span(multiples([rho1], degree, field), ExactMatrix.from_rows(field, kernel))
     if len(picked) != count:
         raise InternalInconsistencyError(
             f"complement of the minimal relation in degree {degree} has "
             f"dimension {len(picked)}, expected {count}"
         )
-    return (rho1, *(Syzygy.from_vector(f, degree, kernel[i], field) for i in picked))
+    return (rho1, *(Syzygy.from_vector(f, degree, kernel[i], field, grad) for i in picked))
 
 
 def nearly_free_generators(f: HomogPoly, r: int, field: Field = QQ) -> tuple[Syzygy, Syzygy, Syzygy]:

@@ -12,7 +12,8 @@ kernels over one field serve the structural checks.  Over a prime the
 profile builds no Jacobian matrix: rank J_k = dim (J_f)_(k+d-1).  One
 sweep up the degrees of a graded submodule of S^t given by generators
 (`_ModuleSweep`), which carries only the non-pivot block of its echelon
-basis, reads every rank from the Jacobian ideal J_f (`_prime_ranks`) and,
+basis, and for J_f only the rows a later degree can read, reads every
+rank from the Jacobian ideal J_f (`_prime_ranks`) and,
 over Q, the dimensions of the certificate's module of syzygies.
 `jacobian_matrix` and `rank_jacobian` build and rank one J_k, for the
 kernels and as the independent reference.
@@ -40,8 +41,9 @@ from .poly import Gradient, HomogPoly, dim_S, monomial_basis, monomial_index, pa
 # int64 cells are 256 MiB; the bound admits every d <= 32 at the default
 # table degree 2d.  Over Q the certificate's exact kernels may build J_k
 # for any k <= top.  Over a prime the profile builds no J_k.  The sweep's
-# largest arrays (see `_ModuleSweep`) are its x rows, dim (J_f)_D rows by
-# (D+2) + m(f)_D columns, and the rows that join at D+1, 2|W_D| + |G|
+# largest arrays (see `_ModuleSweep`) are its x rows, the live ones only
+# for J_f (at most dim (J_f)_D, on free12_a 20% of it at the top degree)
+# by (D+2) + m(f)_D columns, and the rows that join at D+1, 2|W_D| + |G|
 # rows by t dim S_(D+1) columns.  For J_f (t = 1) the gradient joins
 # alone, at d-1, and |W_D| = rank J_k - rank J_(k-1) <= 3(k+1) for
 # k = D-d+1, as ar(f) never drops; so the joining rows hold at most
@@ -56,6 +58,14 @@ MAX_PROFILE_CELLS = 2**25
 # The largest curve degree some table degree admits (33): a profile of a
 # degree-(d+1) curve reaches at least source degree 2d+1.
 MAX_CURVE_DEGREE = next(d for d in count(1) if dim_S(3 * d + 1) * 3 * dim_S(2 * d + 1) > MAX_PROFILE_CELLS)
+
+# The J_f sweep looks for x rows to retire (see `_ModuleSweep`) only once
+# it holds this many.  Below it the scan, about a dozen numpy calls, costs
+# more than the clearing it can save, and a row kept now is retired by a
+# later scan, as the argument holds at any step.  The sweeps of most small
+# corpus curves stay below it; those of the degree-12 arrangements pass it
+# midway.
+RETIRE_MIN_ROWS = 2**6
 
 # The prime of the certified rational profile: the first prime above 2^31.
 CERT_PRIME = 2_147_483_659
@@ -74,7 +84,8 @@ class Syzygy(NamedTuple):
     @classmethod
     def from_vector(cls, f: HomogPoly, k: int, vec, field: Field, grad: Gradient | None = None) -> "Syzygy":
         """The degree-k triple with coefficient blocks a, b, c in `vec`,
-        re-verified against f (whose gradient over `field` may be passed)."""
+        re-verified against f (whose gradient over `field`, or a nonzero
+        multiple of it such as `integral_gradient`, may be passed)."""
         n = dim_S(k)
         syz = cls(*(HomogPoly.from_vector(field, k, vec[i * n : (i + 1) * n]) for i in range(3)))
         if not syz.holds_for(f, grad):
@@ -86,19 +97,24 @@ class Syzygy(NamedTuple):
     def holds_for(self, f: HomogPoly, grad: Gradient | None = None) -> bool:
         """Whether a*f_x + b*f_y + c*f_z = 0, summed in Python integers.
 
-        Over Q the triple and the gradient are each scaled by one nonzero
-        factor to integer coefficients (`_integral`), which keeps the
-        identity; over a prime the integer sums are reduced mod p once.
+        `grad` may be any nonzero multiple of the gradient of f over the
+        triple's field.  Over Q the triple, and a gradient with a
+        denominator, are each scaled by one nonzero factor to integer
+        coefficients (`_integral`), which keeps the identity: a caller that
+        checks many triples passes `integral_gradient`, which needs no scaling.
+        Over a prime the integer sums are reduced mod p once.
         """
         field = self.a.field
-        triple, gradient = self, grad if grad is not None else partials(f.map_field(field))
+        triple, gradient = self, grad if grad is not None else integral_gradient(f, field)
         if field.char == 0:
-            triple, gradient = _integral(triple), _integral(gradient)
+            triple = _integral(triple)
+            if any(c.denominator != 1 for g in gradient for c in g.terms.values()):
+                gradient = _integral(gradient)
         total: dict[tuple[int, int, int], int] = {}
         for u, g in zip(triple, gradient):
-            g_terms = [(mono, int(c)) for mono, c in g.terms.items()]
+            g_terms = [(mono, _as_int(c)) for mono, c in g.terms.items()]
             for (i, j, k), c in u.terms.items():
-                c = int(c)
+                c = _as_int(c)
                 for (gi, gj, gk), gc in g_terms:
                     mono = (i + gi, j + gj, k + gk)
                     total[mono] = total.get(mono, 0) + c * gc
@@ -166,10 +182,21 @@ def rank_jacobian(f: HomogPoly, k: int, field: Field = QQ) -> int:
     return rank(jacobian_matrix(f, k, field))
 
 
+def integral_gradient(f: HomogPoly, field: Field = QQ) -> Gradient:
+    """The gradient of f over `field`, over Q scaled by one factor to
+    coprime integer coefficients: the form `Syzygy.holds_for` sums without
+    rescaling.  A multiple of the gradient has the same relations, so its
+    Jacobian matrices have the same kernels."""
+    grad = partials(f.map_field(field))
+    return grad if field.char else _integral(grad)
+
+
 def syzygy_basis(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> list[Syzygy]:
-    """Canonical echelon basis of AR(f)_k; every triple is re-verified."""
+    """Canonical echelon basis of AR(f)_k; every triple is re-verified.
+    `grad` is the gradient of f over `field` or a nonzero multiple of it
+    (default `integral_gradient`)."""
     if grad is None:
-        grad = partials(f.map_field(field))
+        grad = integral_gradient(f, field)
     M = jacobian_matrix(f, k, field, grad=grad)
     return [Syzygy.from_vector(f, k, vec, field, grad) for vec in kernel_basis(M)]
 
@@ -270,7 +297,7 @@ def _prime_ranks(f: HomogPoly, top: int, field: Field) -> tuple[int, ...]:
     degrees D = d-1 .. top+d-1 of the Jacobian ideal J_f, which the
     gradient generates in degree d-1: rank J_k is dim (J_f)_(k+d-1).  The
     pipeline ranks Jacobians mod p only here."""
-    J = _ModuleSweep(field, 1, f.degree - 2)
+    J = _ModuleSweep(field, 1, f.degree - 2, retire=True)
     ranks = [J.step([(part,) for part in partials(f.map_field(field))])]
     return tuple(ranks + [J.step([]) for _ in range(top)])
 
@@ -296,12 +323,31 @@ class _ModuleSweep:
     residual on C alone that spans the part of M_(D+1) vanishing on `piv`.
     Its reduced echelon form holds the new pivots, W_(D+1); the x rows are
     cleared at them, and both together are B_(D+1).
+
+    With `retire`, which promises that generators join at the first step
+    only (J_f: the gradient joins at d-1), the state drops for good every
+    x row that no later step can read, and dim M_D is the count of these
+    retired pivots (`gone`) plus the rows kept.  Give the monomial
+    x^i y^b z^c the cell (b, c).  Column t*j + s has the cell of the j-th
+    monomial at every degree, as x keeps it, while y and z raise b or c by
+    one (the t blocks share their cells, which can only keep more rows).
+    A step reads an old x row only where a joining row y*w or z*w, w in
+    W_D, is nonzero at its pivot.  Let the frontier be the new pivots and
+    the non-pivot columns some kept row is nonzero on.  The support of
+    M_(D+1) lies in that of M_D and the shifts of supp W_D, and the new
+    x-free columns (b + c = D+1) lie below no old pivot, so every column a
+    later joining row can touch lies on or above a frontier cell: an x row
+    whose pivot cell lies above none is never read again.  The sweep looks
+    for such rows once it holds RETIRE_MIN_ROWS x rows.  The certificate's
+    sweep keeps every row, as its kernel vectors join at any degree.  A joining row nonzero at a retired pivot raises
+    InternalInconsistencyError.
     """
 
-    def __init__(self, field: Field, t: int, D: int):
-        """The zero submodule of S^t, at degree D."""
-        self.field, self.t, self.D, self.w = field, t, D, 0
-        self.piv = np.zeros(0, dtype=np.int64)
+    def __init__(self, field: Field, t: int, D: int, *, retire: bool = False):
+        """The zero submodule of S^t, at degree D.  `retire` promises that
+        generators join at the first step only."""
+        self.field, self.t, self.D, self.w, self.retire = field, t, D, 0, retire
+        self.piv = self.gone = np.zeros(0, dtype=np.int64)
         self.non = np.arange(t * dim_S(D))
         self.N = np.zeros((0, len(self.non)), dtype=_dtype(field))
 
@@ -313,19 +359,23 @@ class _ModuleSweep:
         C = np.concatenate([non, np.arange(t * dim_S(self.D), t * m1)])
         nn = len(non)
         w_piv, w_N = piv[len(piv) - self.w :], N[len(piv) - self.w :]
-        G = multiples(gens, self.D + 1, self.field)._data if gens else np.zeros((0, t * m1), dtype=N.dtype)
         # the joining rows at full width: y*W_D, z*W_D, then G, which
         # `multiples` lays out one block after the other
-        rows = np.zeros((2 * self.w + len(G), t * m1), dtype=N.dtype)
+        rows = np.zeros((2 * self.w, t * m1), dtype=N.dtype)
         for s, shift in enumerate(_shift_maps(self.D, t)):
             block = rows[s * self.w : (s + 1) * self.w]
             block[np.arange(self.w), shift[w_piv]] = 1
             block[:, shift[non]] = w_N
-        rows[2 * self.w :] = G[:, (np.arange(m1)[:, None] + m1 * np.arange(t)).ravel()]
+        if gens:
+            G = multiples(gens, self.D + 1, self.field)._data
+            rows = np.vstack([rows, G[:, (np.arange(m1)[:, None] + m1 * np.arange(t)).ravel()]])
         # the x rows read N on the first nn columns of C and 0 on the rest;
         # only the pivots some row touches, and the rows that touch one,
         # enter the product
-        hit = rows.any(axis=0)[piv]
+        touched = rows.any(axis=0)
+        if touched[self.gone].any():
+            raise InternalInconsistencyError(f"a row joining at degree {self.D + 1} is nonzero at a retired pivot")
+        hit = touched[piv]
         on_hit = rows[:, piv[hit]]
         at = on_hit.any(axis=1)
         R = rows[:, C]
@@ -334,6 +384,15 @@ class _ModuleSweep:
         echelon, new = echelon[: len(new)], np.array(new, dtype=np.int64)
         keep = np.ones(len(C), dtype=bool)
         keep[new] = False
+        if self.retire and len(piv) >= RETIRE_MIN_ROWS:
+            # the frontier: the columns of C that the new rows, or the x
+            # rows before clearing, are nonzero on (clearing adds only
+            # multiples of the new rows); it holds the new pivots
+            supp = echelon.any(axis=0)
+            supp[:nn] |= N.any(axis=0)
+            live = self._reachable(piv, C[supp])
+            self.gone = np.concatenate([self.gone, piv[~live]])
+            piv, N = piv[live], N[live]
         # B_(D+1) on the columns it keeps: the x rows cleared at the new
         # pivots (only those on `non`, as the x rows are 0 on the rest of
         # C), then the new rows
@@ -348,7 +407,18 @@ class _ModuleSweep:
         self.piv = np.concatenate([piv, C[new]])
         self.non = C[keep]
         self.N = state
-        return len(self.piv)
+        return len(self.gone) + len(self.piv)
+
+    def _reachable(self, piv: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+        """Which x rows, with pivots `piv` at degree D+1, some later step may
+        read: those whose pivot cell lies on or above a cell of `frontier`."""
+        cells = _column_cells(self.D + 1, self.t)
+        fb, fc = cells[:, frontier]
+        pb, pc = cells[:, piv]
+        lowest = np.full(self.D + 2, self.D + 2)
+        np.minimum.at(lowest, fb, fc)
+        np.minimum.accumulate(lowest, out=lowest)
+        return lowest[pb] <= pc
 
 
 @lru_cache(maxsize=None)
@@ -363,6 +433,19 @@ def _shift_maps(D: int, t: int) -> np.ndarray:
     cols = np.vstack([y, y + t])
     cols.flags.writeable = False
     return cols
+
+
+@lru_cache(maxsize=None)
+def _column_cells(D: int, t: int) -> np.ndarray:
+    """Row 0, column c: the y-exponent b of the monomial at the degree-D
+    column c of S^t; row 1: its z-exponent (see `_ModuleSweep`).  The
+    degree-D monomials with b + c = s form one run, in which c counts up
+    from 0.  Read-only and cached per degree, like `_shift_maps`."""
+    s = np.repeat(np.arange(D + 1), np.arange(1, D + 2))
+    c = np.arange(dim_S(D)) - s * (s + 1) // 2
+    cells = np.repeat(np.vstack([s - c, c]), t, axis=1)
+    cells.flags.writeable = False
+    return cells
 
 
 def _certified_ranks(f: HomogPoly, top: int, prime: int = CERT_PRIME) -> tuple[int, ...]:
@@ -386,6 +469,14 @@ def _certified_ranks(f: HomogPoly, top: int, prime: int = CERT_PRIME) -> tuple[i
             joining.setdefault(k + 1, []).extend(tuple(part.map_field(P) for part in _integral(s)) for s in basis)
         ranks.append(r)
     return tuple(ranks)
+
+
+def _as_int(c) -> int:
+    """An integer coefficient, int or Fraction, as an int; a Fraction with
+    a denominator raises where int() would truncate it."""
+    if c.denominator != 1:
+        raise ValueError(f"coefficient {c} is not an integer")
+    return c.numerator
 
 
 def _integral(parts: tuple[HomogPoly, ...]) -> tuple[HomogPoly, ...]:
