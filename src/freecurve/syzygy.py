@@ -14,7 +14,10 @@ sweep up the degrees of a graded submodule of S^t given by generators
 (`_ModuleSweep`), which carries only the non-pivot block of its echelon
 basis, and for J_f only the rows a later degree can read, reads every
 rank from the Jacobian ideal J_f (`_prime_ranks`) and,
-over Q, the dimensions of the certificate's module of syzygies.
+over Q, the dimensions of the certificate's module of syzygies.  Both
+sweeps stop once the Hilbert function of S/J_f meets Gotzmann's
+persistence condition, past which every rank follows from Macaulay's
+bound (`_persistent`).
 `jacobian_matrix` and `rank_jacobian` build and rank one J_k, for the
 kernels and as the independent reference.
 """
@@ -27,8 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import gcd, lcm
-from typing import NamedTuple, Sequence
+from math import comb, gcd, lcm
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,10 +43,13 @@ from .poly import Gradient, HomogPoly, dim_S, monomial_basis, monomial_index, pa
 # Cells of the largest Jacobian matrix of a rank profile, J_top.  2^25
 # int64 cells are 256 MiB; the bound admits every d <= 32 at the default
 # table degree 2d.  Over Q the certificate's exact kernels may build J_k
-# for any k <= top.  Over a prime the profile builds no J_k.  The sweep's
-# largest arrays (see `_ModuleSweep`) are its x rows, the live ones only
-# for J_f (at most dim (J_f)_D, on free12_a 20% of it at the top degree)
-# by (D+2) + m(f)_D columns, and the rows that join at D+1, 2|W_D| + |G|
+# for any k <= top.  Over a prime the profile builds no J_k.  The sweeps
+# may stop below J_top, where Gotzmann persistence fixes the remaining
+# ranks (`_persistent`), but the bound is still taken at J_top, so the
+# same inputs are refused whether or not a sweep would stop early.  The
+# sweep's largest arrays (see `_ModuleSweep`) are its x rows, the live
+# ones only for J_f (at most dim (J_f)_D, on free12_a 20% of it at the top
+# degree) by (D+2) + m(f)_D columns, and the rows that join at D+1, 2|W_D| + |G|
 # rows by t dim S_(D+1) columns.  For J_f (t = 1) the gradient joins
 # alone, at d-1, and |W_D| = rank J_k - rank J_(k-1) <= 3(k+1) for
 # k = D-d+1, as ar(f) never drops; so the joining rows hold at most
@@ -248,7 +254,10 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
     or constant f, K < 0, or a largest Jacobian matrix J_top (dim S_(top+d-1)
     rows by 3 dim S_top columns) above MAX_PROFILE_CELLS raises InputError
     before any matrix is built.  Over a prime the ranks come from one
-    sweep up the degrees of J_f (see `_ModuleSweep`).
+    sweep up the degrees of J_f (see `_ModuleSweep`).  Every field reads
+    ranks only until Gotzmann's persistence condition holds on them, and
+    fills in the rest from Macaulay's bound (see `_persistent`); by the
+    theorem the tuple is exactly the one a sweep to top would give.
 
     Over Q each rank is proved from one prime p = CERT_PRIME instead of
     eliminated over Q (see `_certified_ranks`):
@@ -263,7 +272,9 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
     the Koszul relations, which join at degree d-1, and by the exact kernel
     vectors found at each degree k where the bounds did not meet, which
     join at k+1; there the rank is read off the exact kernel over Q.  A
-    second sweep, over V, reads every dim_p V_k.
+    second sweep, over V, reads every dim_p V_k.  The persistence stop is
+    tested on these proved ranks, never on the ranks mod p, which may be
+    lower, so both sweeps and the exact kernels stop together.
     """
     K, top = profile_degrees(f.degree, table_max)
     if f.is_zero():
@@ -293,13 +304,70 @@ def profile_degrees(d: int, table_max: int | None = None) -> tuple[int, int]:
 
 
 def _prime_ranks(f: HomogPoly, top: int, field: Field) -> tuple[int, ...]:
-    """The ranks of J_0..J_top over a prime field, in one sweep over the
-    degrees D = d-1 .. top+d-1 of the Jacobian ideal J_f, which the
-    gradient generates in degree d-1: rank J_k is dim (J_f)_(k+d-1).  The
+    """The ranks of J_0..J_top over a prime field, read from one sweep up
+    the degrees D = d-1, d, ... of the Jacobian ideal J_f (`_swept_ranks`)
+    until Gotzmann persistence fixes the rest (`_persistent`).  The
     pipeline ranks Jacobians mod p only here."""
+    return _persistent(f.degree, top, _swept_ranks(f, field))
+
+
+def _swept_ranks(f: HomogPoly, field: Field) -> Iterator[int]:
+    """rank J_0, J_1, ... over a prime field, one sweep step each: rank
+    J_k is dim (J_f)_(k+d-1), and the gradient generates J_f in degree
+    d-1."""
     J = _ModuleSweep(field, 1, f.degree - 2, retire=True)
-    ranks = [J.step([(part,) for part in partials(f.map_field(field))])]
-    return tuple(ranks + [J.step([]) for _ in range(top)])
+    yield J.step([(part,) for part in partials(f.map_field(field))])
+    while True:
+        yield J.step([])
+
+
+def _persistent(d: int, top: int, ranks: Iterator[int]) -> tuple[int, ...]:
+    """The ranks of J_0..J_top of a degree-d curve, read from `ranks` only
+    until Gotzmann's persistence theorem fixes the rest.
+
+    With H(D) = dim (S/J_f)_D = dim S_D - rank J_(D-d+1), Macaulay's
+    theorem bounds H(D+1) <= H(D)^<D> (`_macaulay_bound`).  J_f is
+    generated in degree d-1, so once H(D+1) = H(D)^<D> at some D >= d-1,
+    H(E+1) = H(E)^<E> for every E >= D (G. Gotzmann, Math. Z. 158, 1978;
+    Bruns-Herzog, Cohen-Macaulay Rings, 4.3.3), and no later rank is read.
+    A rank read above Macaulay's bound raises InternalInconsistencyError.
+    """
+    out: list[int] = []
+    settled = False
+    for k in range(top + 1):
+        # rank J_k fixes H(D+1); once k >= 1, D >= d-1 and H(D) is known
+        # (Macaulay's representation needs D >= 1, which fails for a
+        # line at k = 1 only)
+        D = k + d - 2
+        bound = _macaulay_bound(dim_S(D) - out[-1], D) if k and D >= 1 else None
+        if settled:
+            out.append(dim_S(D + 1) - bound)
+            continue
+        out.append(next(ranks))
+        if bound is not None:
+            h = dim_S(D + 1) - out[-1]
+            if h > bound:
+                raise InternalInconsistencyError(f"H({D + 1}) = {h} exceeds Macaulay's bound {bound}")
+            settled = h == bound
+    return tuple(out)
+
+
+def _macaulay_bound(h: int, D: int) -> int:
+    """h^<D> for D >= 1: with h = C(a_D, D) + C(a_(D-1), D-1) + ... +
+    C(a_j, j), a_D > ... > a_j >= j >= 1 (the D-th Macaulay
+    representation, taken greedily), the sum of C(a_i + 1, i + 1).  It is
+    the largest H(D+1) of a standard graded algebra with H(D) = h, attained
+    by a lex-segment ideal."""
+    bound = 0
+    for i in range(D, 0, -1):
+        if not h:
+            break
+        a = i
+        while comb(a + 1, i) <= h:
+            a += 1
+        h -= comb(a, i)
+        bound += comb(a + 1, i + 1)
+    return bound
 
 
 class _ModuleSweep:
@@ -451,7 +519,15 @@ def _column_cells(D: int, t: int) -> np.ndarray:
 def _certified_ranks(f: HomogPoly, top: int, prime: int = CERT_PRIME) -> tuple[int, ...]:
     """The ranks of J_0..J_top over Q of f, an integer form (see
     `rank_profile`), each proved from rank_p bounds or read off an exact
-    kernel."""
+    kernel, until Gotzmann persistence fixes the rest (`_persistent`): the
+    stop is read on the proved ranks only, so both sweeps and the kernels
+    stop together."""
+    return _persistent(f.degree, top, _proved_ranks(f, prime))
+
+
+def _proved_ranks(f: HomogPoly, prime: int) -> Iterator[int]:
+    """rank_Q J_0, J_1, ... of f, an integer form: the rank mod `prime`
+    where the sweep of V meets it, else read off the exact kernel."""
     P = GF(prime)
     grad = partials(f)
     fx, fy, fz = (g.map_field(P) for g in grad)
@@ -460,15 +536,13 @@ def _certified_ranks(f: HomogPoly, top: int, prime: int = CERT_PRIME) -> tuple[i
     # d-1, the exact kernel vectors found at k at k+1
     joining = {f.degree - 1: [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]}
     V = _ModuleSweep(P, 3, -1)
-    ranks = []
-    for k, r in enumerate(_prime_ranks(f, top, P)):
+    for k, r in enumerate(_swept_ranks(f, P)):
         n = 3 * dim_S(k)
         if V.step(joining.pop(k, [])) != n - r:
             basis = syzygy_basis(f, k, QQ, grad=grad)
             r = n - len(basis)
             joining.setdefault(k + 1, []).extend(tuple(part.map_field(P) for part in _integral(s)) for s in basis)
-        ranks.append(r)
-    return tuple(ranks)
+        yield r
 
 
 def _as_int(c) -> int:

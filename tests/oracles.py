@@ -102,12 +102,36 @@ def smooth_series_oracle(d: int, kmax: int) -> list[int]:
     return [int(series.coeff_monomial(t**k)) for k in range(kmax + 1)]
 
 
-def dense_certificate_kernel_degrees(f, top: int, prime: int) -> list[int]:
+def lex_segment_bound(h: int, D: int) -> int:
+    """The degree-(D+1) monomials outside the ideal generated by the
+    dim S_D - h lex-largest degree-D monomials, counted.  Lex segments
+    attain Macaulay's bound, so this is h^<D>."""
+    monomials = _exponents(D)
+    segment = monomials[: len(monomials) - h]
+    above = {(i + a, j + b, k + c) for i, j, k in segment for a, b, c in _exponents(1)}
+    return len(_exponents(D + 1)) - len(above)
+
+
+def persistence_stop(d: int, ranks) -> int:
+    """The first source degree k at which the Jacobian ranks of a degree-d
+    curve meet Gotzmann's condition, H(D+1) = H(D)^<D> for D = k+d-2 >=
+    max(d-1, 1) with H(D) = dim S_D - rank J_(D-d+1), the bound taken from
+    lex segments; the last degree of `ranks` if none does."""
+    for k in range(1, len(ranks)):
+        D = k + d - 2
+        if D >= 1 and dim_S(D + 1) - ranks[k] == lex_segment_bound(dim_S(D) - ranks[k - 1], D):
+            return k
+    return len(ranks) - 1
+
+
+def dense_certificate_kernel_degrees(f, ranks, prime: int) -> list[int]:
     """The degrees at which the certified rational profile of f reads an
     exact kernel, with V (the module the upper bounds come from) ranked
     densely: at every degree the multiples of all generators so far are
     built and ranked mod p from scratch, and only the kernel vectors
-    outside their span join the generators."""
+    outside their span join the generators.  `ranks` are f's ranks over Q;
+    like the profile, the reference stops where they meet Gotzmann's
+    condition (`persistence_stop`)."""
     P = GF(prime)
     (f,) = syzygy._integral((f,))
     grad = partials(f)
@@ -115,8 +139,9 @@ def dense_certificate_kernel_degrees(f, top: int, prime: int) -> list[int]:
     zero = HomogPoly.zero(P, f.degree - 1)
     gens = [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]
     degrees = []
-    for k, r in enumerate(syzygy._prime_ranks(f, top, P)):
+    for k in range(persistence_stop(f.degree, ranks) + 1):
         n = 3 * dim_S(k)
+        r = syzygy.rank_jacobian(f, k, P)
         if r < n:
             V = syzygy.multiples(gens, k, P)
             if rank(V) != n - r:

@@ -29,7 +29,14 @@ from freecurve.syzygy import (
 )
 
 from curvegen import random_reduced_curves
-from oracles import ar_dim_oracle, dense_certificate_kernel_degrees, jacobian_matrix_oracle, milnor_dim_oracle
+from oracles import (
+    ar_dim_oracle,
+    dense_certificate_kernel_degrees,
+    jacobian_matrix_oracle,
+    lex_segment_bound,
+    milnor_dim_oracle,
+    persistence_stop,
+)
 
 TRIANGLE = parse_poly("x*y*z")
 CUSP = parse_poly("x^3-y^2*z")
@@ -213,22 +220,33 @@ def test_reducedness(expr, expected):
     assert reducedness_check(rank_profile(parse_poly(expr))) is expected
 
 
+def _record_swept_degrees(monkeypatch) -> list[int]:
+    """The source degrees k whose rank the J_f sweeps read, in order."""
+    degrees = []
+    inner = syzygy._swept_ranks
+
+    def recording(f, field):
+        for k, r in enumerate(inner(f, field)):
+            degrees.append(k)
+            yield r
+
+    monkeypatch.setattr(syzygy, "_swept_ranks", recording)
+    return degrees
+
+
 def test_reducedness_reads_one_window(monkeypatch):
-    # a non-constant Milnor window is final: no rank above source degree
-    # 2d-1, the last one the window [3d-5, 3d-2] reads, is computed
-    tops = []
-    inner = syzygy._prime_ranks
-
-    def recording(f, top, field):
-        tops.append(top)
-        return inner(f, top, field)
-
-    monkeypatch.setattr(syzygy, "_prime_ranks", recording)
+    # a non-constant Milnor window is final, and here H(D) = m(f)_D grows
+    # at Macaulay's bound from D = 5 on: the sweep stops at the first
+    # source degree where Gotzmann persistence holds, far below 2d-1, the
+    # last one the window [3d-5, 3d-2] reads
+    swept = _record_swept_degrees(monkeypatch)
     kernel_degrees = _record_kernel_fallbacks(monkeypatch)
     f = parse_poly("x^2*y^2*z")
     profile = rank_profile(f, table_max=0)
     assert reducedness_check(profile) is Reducedness.NON_REDUCED
-    assert max(tops + kernel_degrees) == 2 * f.degree - 1
+    assert persistence_stop(f.degree, profile.ranks) == 2
+    assert swept == [0, 1, 2]
+    assert max(swept + kernel_degrees) == 2
 
 
 def _dense_curve(rng, d):
@@ -273,8 +291,76 @@ def test_rank_sweep_shifts_only_the_rows_the_last_step_appended(p, monkeypatch):
     monkeypatch.setattr(syzygy, "_mod_p_echelon", recording)
     f = _dense_curve(random.Random(p), 6)
     ranks = syzygy._prime_ranks(f, 2 * f.degree, GF(p))
+    # the sweep stops where Gotzmann persistence holds: at source degree
+    # 2d-3 for the sextic mod CERT_PRIME, where it is smooth, and one below
+    # mod 7, where H settles at 1; one step per source degree, the first
+    # from the gradient alone
+    stop = persistence_stop(f.degree, ranks)
+    assert stop == {7: 2 * f.degree - 4, syzygy.CERT_PRIME: 2 * f.degree - 3}[p]
+    assert len(shapes) == stop + 1
     residual_rows = [rows for rows, _ in shapes[1:]]
-    assert residual_rows == [2 * (ranks[k] - (ranks[k - 1] if k else 0)) for k in range(len(ranks) - 1)]
+    assert residual_rows == [2 * (ranks[k] - (ranks[k - 1] if k else 0)) for k in range(len(shapes) - 1)]
+
+
+def test_macaulay_bound_is_the_lex_segment_count():
+    # lex segments attain Macaulay's bound, so the count of monomials one
+    # degree up outside the ideal a lex segment generates is h^<D>
+    for D in range(1, 11):
+        for h in range(dim_S(D) + 1):
+            assert syzygy._macaulay_bound(h, D) == lex_segment_bound(h, D), (h, D)
+
+
+def _record_sweep_steps(monkeypatch) -> list[tuple[int, int]]:
+    """(t, degree) of every `_ModuleSweep.step`, the degree the step moves to."""
+    steps = []
+    inner = syzygy._ModuleSweep.step
+
+    def recording(self, gens):
+        steps.append((self.t, self.D + 1))
+        return inner(self, gens)
+
+    monkeypatch.setattr(syzygy._ModuleSweep, "step", recording)
+    return steps
+
+
+# a generic arrangement of 7 lines: 21 nodes, so tau = 21
+SEVEN_LINES = "x*y*z*(x+y+z)*(x+2*y+3*z)*(x-3*y+5*z)*(2*x+7*y-z)"
+
+
+@pytest.mark.parametrize("field", [QQ, GF(syzygy.CERT_PRIME)], ids=repr)
+def test_rank_sweep_stops_where_persistence_holds(field, monkeypatch):
+    # each sweep steps once per source degree 0..stop: the J_f sweep from
+    # degree d-1 (t = 1), and over Q the certificate's V too (t = 3)
+    steps = _record_sweep_steps(monkeypatch)
+
+    def last_swept(f):
+        steps.clear()
+        rank_profile(f, field)
+        swept = [D - f.degree + 1 for t, D in steps if t == 1]
+        assert swept == list(range(len(swept))), str(f)
+        if field is QQ:
+            assert [D for t, D in steps if t == 3] == swept, str(f)
+        return swept[-1]
+
+    # a smooth curve's Milnor algebra is 0 from degree 3d-5 on
+    for d in range(3, 7):
+        assert last_swept(_dense_curve(random.Random(d), d)) == 2 * d - 3, d
+    f = parse_poly("x^2*y^2*z")
+    assert last_swept(f) == 2 < 2 * f.degree - 1
+    # a reduced curve meets the condition only at D >= tau, where H has
+    # settled; here tau = 21 > 3d-2, the last D it is tested at, so the
+    # sweep runs to top = 2d
+    f = parse_poly(SEVEN_LINES)
+    assert rank_profile(f, field).m(3 * f.degree - 1) == 21
+    assert last_swept(f) == 2 * f.degree
+
+
+def test_persistence_refuses_a_rank_above_macaulays_bound():
+    # for a cubic, rank J_k fixes H(k+2): H(3) = 2 cannot follow H(2) = 1,
+    # as 1^<2> = 1, so a source that reports it is broken
+    ranks = iter([dim_S(2) - 1, dim_S(3) - 2])
+    with pytest.raises(InternalInconsistencyError, match="Macaulay"):
+        syzygy._persistent(3, 6, ranks)
 
 
 def _module_generators(p):
@@ -536,9 +622,7 @@ def test_certificate_reads_kernels_where_the_dense_reference_does(bareiss_profil
     # the multiples of every generator afresh at each degree.
     cases = _small_prime_cases(bareiss_profiles)
     primes = (syzygy.CERT_PRIME, 3, 5, 7)
-    expected = {
-        prime: [dense_certificate_kernel_degrees(f, len(bareiss) - 1, prime) for _, f, bareiss in cases] for prime in primes
-    }
+    expected = {prime: [dense_certificate_kernel_degrees(f, bareiss, prime) for _, f, bareiss in cases] for prime in primes}
     fallbacks = _record_kernel_fallbacks(monkeypatch)
     for prime in primes:
         for (name, f, bareiss), degrees in zip(cases, expected[prime]):
