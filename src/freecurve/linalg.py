@@ -7,9 +7,11 @@ independent columns.  Every matrix is one numpy array, whatever its field
 arithmetic of the elimination depends on the field.  All of it is exact:
 
 * over Q, fraction-free (Bareiss) elimination on row-scaled integer
-  matrices, which keeps intermediate entries at minor size; a reduced form
-  also clears above each pivot in integers (fraction-free Gauss-Jordan) and
-  divides each entry by its pivot minor once at the end;
+  matrices, which keeps intermediate entries at minor size.  Each row's
+  scaling is deferred until a pivot hits it, so a row that is zero in the
+  pivot column is not touched.  The reduced form is read from the echelon
+  rows by fraction-free back-substitution, and a `Fraction` is made only
+  at the non-pivot columns;
 * over a prime field, ordinary Gaussian elimination mod p, vectorised on
   the matrix's own array.  It scans only the columns that start with a
   nonzero entry: a step swaps rows, scales the pivot row and subtracts
@@ -25,8 +27,7 @@ canonical for a given matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -204,33 +205,31 @@ def _scaled_int_rows(rows: list[list[Fraction]]) -> list[list[int]]:
     """Scale each row to coprime integers; rank-preserving."""
     out = []
     for row in rows:
-        denlcm = 1
-        for v in row:
-            d = v.denominator
-            denlcm = denlcm // gcd(denlcm, d) * d
-        ints = [v.numerator * (denlcm // v.denominator) if v else 0 for v in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
+        ratios = [v.as_integer_ratio() for v in row]
+        denlcm = lcm(*{d for _, d in ratios})
+        ints = [v * (denlcm // d) for v, d in ratios] if denlcm > 1 else [v for v, _ in ratios]
+        g = gcd(*ints)
+        out.append([v // g for v in ints] if g > 1 else ints)
     return out
 
 
-def _bareiss_echelon(a: list[list[int]], reduced: bool = False) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free elimination in place; returns (rows, pivot cols).
+def _bareiss_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Bareiss's fraction-free row echelon form, in place; returns (rows,
+    pivot cols).
 
-    Forward only, this is Bareiss's row echelon form.  With `reduced`, each
-    pivot row also clears its column in the rows above (fraction-free
-    Gauss-Jordan; Nakos, Turner and Williams 1997).  Either way step k
-    updates only the columns right of its pivot, so in the reduced form an
-    entry between pivots k and k+1 is its RREF value times pivot k's value.
+    Bareiss's step with pivot value pval divides the rows below the pivot
+    by the previous pivot value prev, so it multiplies a row that is zero
+    in the pivot column by pval/prev.  That scaling is deferred: level[i]
+    is the pivot value row i is current to, so its Bareiss entries are its
+    stored ones times prev/level[i].  A row that is hit becomes
+    (pval*r - ival*p) // level[i], the Bareiss minor itself (the skipped
+    factors telescope), and the pivot row is brought current first.  Stored
+    and Bareiss entries vanish together, so the pivots and pivot rows are
+    Bareiss's.
     """
     m = len(a)
     n = len(a[0]) if m else 0
+    level = [1] * m
     pivots: list[int] = []
     piv = 0
     prev = 1
@@ -246,27 +245,24 @@ def _bareiss_echelon(a: list[list[int]], reduced: bool = False) -> tuple[list[li
             continue
         if pr != piv:
             a[piv], a[pr] = a[pr], a[piv]
+            level[piv], level[pr] = level[pr], level[piv]
         prow = a[piv]
+        lv = level[piv]
+        if lv != prev:
+            prow[col:] = [v * prev // lv for v in prow[col:]]
         pval = prow[col]
-        others = range(piv + 1, m)
-        if reduced:
-            others = chain(range(piv), others)
-        for i in others:
+        for i in range(piv + 1, m):
             row = a[i]
             ival = row[col]
             if ival:
+                li = level[i]
                 for j in range(col + 1, n):
                     pj = prow[j]
                     rj = row[j]
                     if rj or pj:
-                        row[j] = (pval * rj - ival * pj) // prev
+                        row[j] = (pval * rj - ival * pj) // li
                 row[col] = 0
-            elif pval != prev:
-                # Bareiss updates every row below the pivot, including ones
-                # already zero in the pivot column, to keep exact divisibility.
-                for j in range(col + 1, n):
-                    if row[j]:
-                        row[j] = pval * row[j] // prev
+                level[i] = pval
         pivots.append(col)
         prev = pval
         piv += 1
@@ -274,19 +270,53 @@ def _bareiss_echelon(a: list[list[int]], reduced: bool = False) -> tuple[list[li
 
 
 def _rref(M: ExactMatrix) -> tuple[list[list], list[int]]:
-    """Unique RREF of M (nonzero rows only) plus pivot columns."""
+    """Unique RREF of M (nonzero rows only) plus pivot columns.
+
+    Over Q it is read from Bareiss's echelon rows U by fraction-free
+    back-substitution.  Let A be the scaled integer rows that became pivot
+    rows, in the order they did, and B their entries at the pivot columns.
+    Then R = B^-1 A, and the last pivot value D is det B, so X = D*R =
+    adj(B) A is an integer matrix.  Row i of U is the sum over k >= i of
+    U[i, pc_k] times row k of R, so from the last row up X[i, f] =
+    (D*U[i, f] - sum over k > i of U[i, pc_k] * X[k, f]) // U[i, pc_i],
+    exactly.  R is the identity on the pivot columns, so X and the
+    `Fraction`s are made only at the other columns.
+    """
     if M.rows == 0 or M.cols == 0:
         return [], []
     if M.field.char:
         rr, pivots = _mod_p_echelon(M._data, M.field.char, reduced=True)
         return rr[: len(pivots)].tolist(), pivots
-    ech, pivots = _bareiss_echelon(_scaled_int_rows(M._data.tolist()), reduced=True)
-    # den[j]: the value of the last pivot at or left of column j
-    den = [1] * M.cols
-    for i, pc in enumerate(pivots):
-        den[pc:] = [ech[i][pc]] * (M.cols - pc)
-    zero = Fraction(0)
-    rows = [[Fraction(v, den[j]) if v else zero for j, v in enumerate(ech[i])] for i in range(len(pivots))]
+    u, pivots = _bareiss_echelon(_scaled_int_rows(M._data.tolist()))
+    r = len(pivots)
+    if r == 0:
+        return [], []
+    n = M.cols
+    D = u[r - 1][pivots[-1]]
+    pivset = set(pivots)
+    free = [f for f in range(n) if f not in pivset]
+    x: list[list[int]] = [[]] * r
+    for i in range(r - 1, -1, -1):
+        ui = u[i]
+        xi = [D * ui[f] for f in free]
+        for k in range(i + 1, r):
+            c = ui[pivots[k]]
+            if c:
+                for t, v in enumerate(x[k]):
+                    if v:
+                        xi[t] -= c * v
+        pval = ui[pivots[i]]
+        x[i] = [v // pval for v in xi]
+        u[i] = None  # not read again; freeing it keeps U and X from peaking together
+    zero, one = M.field.zero, M.field.one
+    rows = []
+    for pc, xi in zip(pivots, x):
+        row = [zero] * n
+        row[pc] = one
+        for f, v in zip(free, xi):
+            if v:
+                row[f] = Fraction(v, D)
+        rows.append(row)
     return rows, pivots
 
 

@@ -187,3 +187,61 @@ def dense_mod_p_echelon(a, p: int, reduced: bool = False):
         pivots.append(col)
         r += 1
     return a, pivots
+
+
+def fraction_rref(rows):
+    """The reduced row echelon form of a rational matrix by plain
+    Gauss-Jordan in `Fraction`s: for each column left to right, the topmost
+    unused row with a nonzero entry is swapped up, divided by that entry
+    and subtracted from every other row.  Returns (nonzero rows, pivot
+    columns); `linalg`'s fraction-free elimination over Q must agree."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    r = 0
+    pivots = []
+    for col in range(n):
+        if r == m:
+            break
+        i = next((i for i in range(r, m) if a[i][col]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        pval = a[r][col]
+        a[r] = [v / pval for v in a[r]]
+        for k in range(m):
+            factor = a[k][col]
+            if k != r and factor:
+                a[k] = [u - factor * v for u, v in zip(a[k], a[r])]
+        pivots.append(col)
+        r += 1
+    return a[:r], pivots
+
+
+def dense_bareiss_echelon(a):
+    """Bareiss's fraction-free elimination as published, on a copy of the
+    integer rows `a`: at each pivot every row below it, including the rows
+    that are zero in the pivot column, becomes (pval*row - ival*pivot row)
+    // prev, with the topmost nonzero entry of the column as the pivot.
+    Returns (rows, pivot columns); `linalg._bareiss_echelon` must agree."""
+    a = [list(row) for row in a]
+    m = len(a)
+    n = len(a[0]) if m else 0
+    r = 0
+    prev = 1
+    pivots = []
+    for col in range(n):
+        if r == m:
+            break
+        i = next((i for i in range(r, m) if a[i][col]), None)
+        if i is None:
+            continue
+        a[r], a[i] = a[i], a[r]
+        pval = a[r][col]
+        for k in range(r + 1, m):
+            ival = a[k][col]
+            a[k] = [(pval * u - ival * v) // prev for u, v in zip(a[k], a[r])]
+        pivots.append(col)
+        prev = pval
+        r += 1
+    return a, pivots

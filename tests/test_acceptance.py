@@ -149,6 +149,20 @@ def test_criterion_06_saturation_oracle_equivalence(corpus_results):
     _report(6, f"formula n_j equals the saturation oracle on {compared} graded pieces")
 
 
+def test_saturation_oracle_on_a_degree_12_arrangement(corpus_results):
+    # free12_c lies above ORACLE_MAX_DEGREE, so `corpus` does not
+    # oracle-check it; its n formula is checked here, at every j in [0, T]
+    (result,) = [r for r in corpus_results if r.name == "free12_c.curve"]
+    report = result.report
+    d, tau, T = report["degree"], report["tau"], report["T"]
+    assert d == 12 > ORACLE_MAX_DEGREE
+    ar = report["tables"]["ar"]["values"]
+    functionals: dict = {}
+    for j in range(T + 1):
+        oracle = n_dim_saturation_oracle(result.poly, j, functionals=functionals)
+        assert n_dim(d, j, tau, ar.__getitem__) == oracle, j
+
+
 def test_criterion_07_delta_characterization(corpus_results, random_curve_survey):
     observed_nearly_free_delta = set()
     checked = 0

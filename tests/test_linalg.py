@@ -1,6 +1,7 @@
 """Exact linear algebra: examples, properties, and cross-field agreement."""
 
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ from freecurve.fields import GF, QQ, random_prime
 from freecurve.linalg import (
     LIMB_INNER_BOUND,
     ExactMatrix,
+    _bareiss_echelon,
     _dtype,
     _mod_p_echelon,
     _mod_p_matmul,
+    _rref,
+    _scaled_int_rows,
     kernel_basis,
     pivot_columns,
     rank,
@@ -25,7 +29,7 @@ from freecurve.syzygy import CERT_PRIME, jacobian_matrix
 
 import random
 
-from oracles import dense_mod_p_echelon, jacobian_matrix_oracle, kernel_oracle
+from oracles import dense_bareiss_echelon, dense_mod_p_echelon, fraction_rref, jacobian_matrix_oracle, kernel_oracle
 
 # p^2 > 2^63: these matrices are numpy object arrays of Python ints
 P63 = GF(random_prime(random.Random(63), 2**62, 2**63 - 1))
@@ -210,6 +214,116 @@ def test_prime_field_rank_matches_rational(rows):
     field = GF(2_147_483_659)
     Mp = ExactMatrix.from_rows(field, [[field.from_fraction(v) for v in r] for r in rows])
     assert rank(Mp) == rank(M)
+
+
+def assert_q_elimination_matches_fraction_rref(rows, b):
+    """pivot_columns, _rref, kernel_basis and solve_exact over Q against
+    plain Gauss-Jordan in Fractions (`fraction_rref`), and every row of the
+    echelon form against Bareiss's elimination as published."""
+    n = len(rows[0])
+    M = ExactMatrix.from_rows(QQ, rows)
+    ints = _scaled_int_rows(M._data.tolist())
+    for row, scaled in zip(rows, ints):
+        # a positive multiple of the row, in coprime integers
+        lead = next((j for j, v in enumerate(row) if v), None)
+        if lead is None:
+            assert not any(scaled)
+        else:
+            c = scaled[lead] / row[lead]
+            assert c > 0 and gcd(*scaled) == 1 and scaled == [c * v for v in row]
+    assert _bareiss_echelon([list(r) for r in ints]) == dense_bareiss_echelon(ints)
+    ref_rows, ref_pivots = fraction_rref(rows)
+    assert pivot_columns(M) == ref_pivots
+    assert _rref(M) == (ref_rows, ref_pivots)
+    # the kernel vector of each free column, made canonical by one more RREF
+    free = [f for f in range(n) if f not in ref_pivots]
+    spanning = []
+    for f in free:
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, pc in zip(ref_rows, ref_pivots):
+            v[pc] = -row[f]
+        spanning.append(v)
+    assert kernel_basis(M) == [tuple(v) for v in fraction_rref(spanning)[0]]
+    aug_rows, aug_pivots = fraction_rref([list(r) + [v] for r, v in zip(rows, b)])
+    if aug_pivots and aug_pivots[-1] == n:
+        assert solve_exact(M, b) is None
+    else:
+        x = [Fraction(0)] * n
+        for row, pc in zip(aug_rows, aug_pivots):
+            x[pc] = row[n]
+        assert solve_exact(M, b) == tuple(x)
+
+
+# Each case exercises a step of the deferred-scaling elimination: a row
+# left at an older level must be divided by that level when it is hit,
+# keep its level through a row swap, and be brought current when it
+# becomes the pivot row.
+Q_ELIMINATION_CASES = {
+    "rank 0": [[0, 0, 0], [0, 0, 0]],
+    "zero rows and columns": [[0, 0, 0, 0], [0, 2, 0, 1], [0, 0, 0, 0], [0, 4, 0, 3]],
+    "deficient rank": [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]],
+    "a row skips a pivot, then is hit": [[2, 1, 0], [1, 0, 0], [0, -1, -1]],
+    "a zero leading entry forces a row swap": [[0, 0, 1], [2, 1, 0]],
+    "rows at different levels are swapped": [[2, -1, -1], [2, -1, -1], [0, 0, 2]],
+    "rows skip several pivots": [
+        [2, 1, 0, 0, 1],
+        [1, 3, 1, 0, 0],
+        [0, 1, 2, 1, 0],
+        [0, 0, 1, 2, 1],
+        [0, 0, 0, 1, 3],
+        [2, 1, 0, 1, 4],
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(Q_ELIMINATION_CASES))
+def test_q_elimination_matches_fraction_gauss_jordan_on_named_cases(name):
+    rows = [[Fraction(v) for v in r] for r in Q_ELIMINATION_CASES[name]]
+    for b in ([Fraction(i + 1) for i in range(len(rows))], [sum(r, Fraction(0)) for r in rows]):
+        assert_q_elimination_matches_fraction_rref(rows, b)
+
+
+def sparse_q_case(pick):
+    """A sparse rational matrix and a right-hand side, with `pick(lo, hi)`
+    giving each integer in [lo, hi].  It has 3 to 7 rows, the fewest with
+    which a row can skip a pivot and then be hit, and is a product through
+    a factor of 2 to 7 columns whose entries are zero half the time, so
+    leading entries vanish and rows skip pivots.  Some rows are multiples
+    of earlier ones (so that a row hit by a pivot can vanish and a row
+    below it become the next pivot row), and a few rows and columns are
+    zero."""
+    m, n = pick(3, 7), pick(2, 7)
+
+    def entry():
+        return Fraction(pick(-9, 9), pick(1, 5)) if pick(0, 1) else Fraction(0)
+
+    k = pick(2, min(m, n))
+    left = [[entry() for _ in range(k)] for _ in range(m)]
+    right = [[entry() for _ in range(n)] for _ in range(k)]
+    rows = [[sum((row[t] * right[t][j] for t in range(k)), Fraction(0)) for j in range(n)] for row in left]
+    for i in range(1, m):
+        if pick(0, 3) == 3:
+            factor = entry()
+            rows[i] = [factor * v for v in rows[pick(0, i - 1)]]
+    dead_rows = {pick(0, m - 1) for _ in range(pick(0, m // 3))}
+    dead_cols = {pick(0, n - 1) for _ in range(pick(0, n // 3))}
+    rows = [[Fraction(0) if i in dead_rows or j in dead_cols else v for j, v in enumerate(r)] for i, r in enumerate(rows)]
+    return rows, [entry() for _ in range(m)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_q_elimination_matches_fraction_gauss_jordan(data):
+    assert_q_elimination_matches_fraction_rref(*sparse_q_case(lambda lo, hi: data.draw(st.integers(lo, hi))))
+
+
+def test_q_elimination_matches_fraction_gauss_jordan_on_seeded_matrices():
+    # hypothesis's draws cluster within a run, and some runs miss a wrong
+    # divisor; 200 seeded matrices catch each such mutant every time
+    rng = random.Random(0)
+    for _ in range(200):
+        assert_q_elimination_matches_fraction_rref(*sparse_q_case(rng.randint))
 
 
 def shipped_test_matrices():
