@@ -28,7 +28,7 @@ from .fields import Field, QQ
 from .linalg import ExactMatrix, kernel_basis, solve_exact
 from .poly import HomogPoly, dim_choose2, partials
 from .invariants import InvariantBundle, delta_dim, tau_max
-from .syzygy import RankProfile, Syzygy, integral_gradient, jacobian_matrix, multiples, outside_span, syzygy_basis
+from .syzygy import RankProfile, Syzygy, jacobian_matrix, multiples, outside_span, syzygy_basis
 
 FREE = "Free"
 NEARLY_FREE = "NearlyFree"
@@ -178,7 +178,7 @@ def _generators(f: HomogPoly, r: int, degree: int, count: int, field: Field) -> 
     """The canonical minimal-degree relation rho1, then the `count`
     vectors of the canonical kernel basis of AR(f)_degree that lie outside
     S_(degree-r) * rho1, each re-verified; any other count aborts."""
-    grad = integral_gradient(f, field)
+    grad = partials(f.map_field(field))
     basis = syzygy_basis(f, r, field, grad=grad)
     if not basis:
         raise ValueError(f"no relation in degree {r}; is r really mdr(f)?")

@@ -37,14 +37,13 @@ INTEGER_KEYS = {"expect_tau": 1, "expect_mdr": 1, "expect_exponents": 2}
 
 @dataclass
 class CurveCase:
-    """One corpus file: source, metadata, and the parsed polynomial."""
+    """One corpus file: its source and metadata."""
 
     path: Path
     expression: str
     metadata: dict[str, str]
     # the INTEGER_KEYS present: an int, or a list for expect_exponents
     expected: dict[str, int | list[int]] = dc_field(default_factory=dict)
-    poly: HomogPoly | None = None
 
 
 @dataclass
@@ -110,9 +109,10 @@ def _check_expectations(case: CurveCase, report: dict, failures: list[str]) -> N
         failures.append(f"exponents {cls['exponents']} != expected {expected['expect_exponents']}")
 
 
-def _check_cross_invariants(case: CurveCase, report: dict, failures: list[str]) -> None:
-    """The checks that need more than the analysis: every identity the
-    analysis proves is already asserted on each `analyze` (exit 3)."""
+def _check_cross_invariants(case: CurveCase, f: HomogPoly, report: dict, failures: list[str]) -> None:
+    """The checks on the curve f of `case` that need more than the
+    analysis: every identity the analysis proves is already asserted on
+    each `analyze` (exit 3)."""
     cls = report.get("classification")
     if not cls or cls["verdict"] not in (FREE, NEARLY_FREE, NEITHER):
         return
@@ -133,7 +133,7 @@ def _check_cross_invariants(case: CurveCase, report: dict, failures: list[str]) 
         functionals: dict = {}  # shared by every j of this curve
         for j in range(0, report["T"] + 1):
             formula = n_dim(d, j, report["tau"], ar_table.__getitem__)
-            oracle = n_dim_saturation_oracle(case.poly, j, functionals=functionals)
+            oracle = n_dim_saturation_oracle(f, j, functionals=functionals)
             if formula != oracle:
                 failures.append(f"n_{j} = {formula} but saturation oracle gives {oracle}")
 
@@ -150,13 +150,11 @@ def _check_cross_invariants(case: CurveCase, report: dict, failures: list[str]) 
 def run_case(case: CurveCase, plan: FieldPlan, table_max: int | None = None) -> CaseResult:
     result = CaseResult(name=case.path.name, plan=plan)
     try:
-        case.poly = parse_poly(case.expression)
-        result.poly = case.poly
-        report = analyze(case.poly, plan, table_max=table_max, source=case.expression)
-        result.report = report
+        f = result.poly = parse_poly(case.expression)
+        report = result.report = analyze(f, plan, table_max=table_max, source=case.expression)
         _check_expectations(case, report, result.failures)
         if report.get("classification"):
-            _check_cross_invariants(case, report, result.failures)
+            _check_cross_invariants(case, f, report, result.failures)
     except FreecurveError as exc:
         result.failures.append(f"{type(exc).__name__}: {exc}")
     return result

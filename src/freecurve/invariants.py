@@ -94,12 +94,9 @@ def _saturation_dim(f: HomogPoly, j: int, e: int, functionals: dict) -> int:
     """dim {g in S_j : x^e g, y^e g, z^e g all lie in J_f}, over Q."""
     target = j + e
     if target not in functionals:
-        src = target - f.degree + 1
-        if src < 0:
-            jac = ExactMatrix.zeros(QQ, dim_S(target), 0)
-        else:
-            jac = jacobian_matrix(f, src)
-        # Functionals cutting out J at the target degree, one per row.
+        # Functionals cutting out J at the target degree, one per row.  The
+        # target is at least max(j+1, T+1), so the source degree is >= 0.
+        jac = jacobian_matrix(f, target - f.degree + 1)
         functionals[target] = ExactMatrix.from_rows(QQ, kernel_basis(jac.transpose()))
     left_null = functionals[target]
     n_j = dim_S(j)

@@ -12,11 +12,12 @@ arithmetic of the elimination depends on the field.  All of it is exact:
   pivot column is not touched.  The reduced form is read from the echelon
   rows by fraction-free back-substitution, and a `Fraction` is made only
   at the non-pivot columns;
-* over a prime field, ordinary Gaussian elimination mod p, vectorised on
-  the matrix's own array.  It scans only the columns that start with a
-  nonzero entry: a step swaps rows, scales the pivot row and subtracts
-  multiples of it from other rows, so a column zero in every row stays
-  zero and never holds a pivot.
+* over a prime field, Gauss-Jordan elimination mod p to the RREF,
+  vectorised on the matrix's own array; ranks and pivot columns read its
+  pivots too.  It scans only the columns that start with a nonzero entry:
+  a step swaps rows, scales the pivot row and subtracts multiples of it
+  from other rows, so a column zero in every row stays zero and never
+  holds a pivot.
 
 Pivoting is pinned: columns are scanned left to right and the topmost
 nonzero entry of the current column is the pivot.  This makes every
@@ -122,14 +123,14 @@ def _entries(field: Field, values) -> np.ndarray:
 # prime-field elimination, vectorised
 
 
-def _mod_p_echelon(a: np.ndarray, p: int, reduced: bool = False) -> tuple[np.ndarray, list[int]]:
-    """Gaussian elimination mod p on a copy of `a`; returns (rows, pivot cols).
+def _mod_p_echelon(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Gauss-Jordan elimination mod p on a copy of `a`: the RREF, as
+    (rows, pivot cols).
 
-    Forward only, this is a row echelon form.  With `reduced`, each pivot
-    row is scaled to 1 and also clears its column in the rows above: the
-    RREF.  Only the columns with a nonzero entry are scanned: each step
-    swaps rows, scales one and subtracts multiples of the pivot row from
-    others, so a column that starts zero stays zero and never holds a pivot.
+    Each pivot row is scaled to 1 and clears its column in every other row.
+    Only the columns with a nonzero entry are scanned: each step swaps rows,
+    scales one and subtracts multiples of the pivot row from others, so a
+    column that starts zero stays zero and never holds a pivot.
     """
     a = a.copy()
     m = a.shape[0]
@@ -143,20 +144,15 @@ def _mod_p_echelon(a: np.ndarray, p: int, reduced: bool = False) -> tuple[np.nda
         if i != r:
             a[r], a[i] = a[i], a[r].copy()
         row = a[r, col:]
-        inv = pow(int(row[0]), -1, p)
+        row *= pow(int(row[0]), -1, p)
+        row %= p
+        # every other row with an entry in the column; the pivot's 1 is
+        # hidden while they are found
         column = a[:, col]
-        if reduced:
-            row *= inv
-            row %= p
-            # every other row with an entry in the column; the pivot's 1
-            # is hidden while they are found
-            column[r] = 0
-            hits = column.nonzero()[0]
-            factors = column[hits]
-            column[r] = 1
-        else:
-            hits = r + 1 + a[r + 1 :, col].nonzero()[0]
-            factors = column[hits] * inv % p
+        column[r] = 0
+        hits = column.nonzero()[0]
+        factors = column[hits]
+        column[r] = 1
         if hits.size:
             # Entries stay in [0, p), so every product is below p^2 and
             # every difference above -p^2.  That is exact in int64, which
@@ -285,7 +281,7 @@ def _rref(M: ExactMatrix) -> tuple[list[list], list[int]]:
     if M.rows == 0 or M.cols == 0:
         return [], []
     if M.field.char:
-        rr, pivots = _mod_p_echelon(M._data, M.field.char, reduced=True)
+        rr, pivots = _mod_p_echelon(M._data, M.field.char)
         return rr[: len(pivots)].tolist(), pivots
     u, pivots = _bareiss_echelon(_scaled_int_rows(M._data.tolist()))
     r = len(pivots)
@@ -325,8 +321,9 @@ def _rref(M: ExactMatrix) -> tuple[list[list], list[int]]:
 
 
 def pivot_columns(M: ExactMatrix) -> list[int]:
-    """Pivot columns of the pinned row echelon form of M: scanned left to
-    right, the columns independent of all columns before them."""
+    """Pivot columns of M, scanned left to right: the columns independent of
+    all columns before them.  They are read from the RREF over a prime and
+    from Bareiss's echelon form over Q."""
     if M.rows == 0 or M.cols == 0:
         return []
     if M.field.char:

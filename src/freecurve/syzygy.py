@@ -13,8 +13,8 @@ profile builds no Jacobian matrix: rank J_k = dim (J_f)_(k+d-1).  One
 sweep up the degrees of a graded submodule of S^t given by generators
 (`_ModuleSweep`), which carries only the non-pivot block of its echelon
 basis, and for J_f only the rows a later degree can read, reads every
-rank from the Jacobian ideal J_f (`_prime_ranks`) and,
-over Q, the dimensions of the certificate's module of syzygies.  Both
+rank from the Jacobian ideal J_f (`_swept_ranks`) and, over Q, the
+dimensions of the certificate's module of syzygies (`_proved_ranks`).  Both
 sweeps stop once the Hilbert function of S/J_f meets Gotzmann's
 persistence condition, past which every rank follows from Macaulay's
 bound (`_persistent`).
@@ -91,7 +91,7 @@ class Syzygy(NamedTuple):
     def from_vector(cls, f: HomogPoly, k: int, vec, field: Field, grad: Gradient | None = None) -> "Syzygy":
         """The degree-k triple with coefficient blocks a, b, c in `vec`,
         re-verified against f (whose gradient over `field`, or a nonzero
-        multiple of it such as `integral_gradient`, may be passed)."""
+        multiple of it, may be passed)."""
         n = dim_S(k)
         syz = cls(*(HomogPoly.from_vector(field, k, vec[i * n : (i + 1) * n]) for i in range(3)))
         if not syz.holds_for(f, grad):
@@ -104,14 +104,15 @@ class Syzygy(NamedTuple):
         """Whether a*f_x + b*f_y + c*f_z = 0, summed in Python integers.
 
         `grad` may be any nonzero multiple of the gradient of f over the
-        triple's field.  Over Q the triple, and a gradient with a
-        denominator, are each scaled by one nonzero factor to integer
-        coefficients (`_integral`), which keeps the identity: a caller that
-        checks many triples passes `integral_gradient`, which needs no scaling.
-        Over a prime the integer sums are reduced mod p once.
+        triple's field (default `partials`).  Over Q the triple, and a
+        gradient with a denominator, are each scaled by one nonzero factor
+        to integer coefficients (`_integral`), which keeps the identity.
+        The gradient of an integer form such as `RankProfile.f` has none,
+        so only the gradient of a rational f is scaled.  Over a prime the
+        integer sums are reduced mod p once.
         """
         field = self.a.field
-        triple, gradient = self, grad if grad is not None else integral_gradient(f, field)
+        triple, gradient = self, grad if grad is not None else partials(f.map_field(field))
         if field.char == 0:
             triple = _integral(triple)
             if any(c.denominator != 1 for g in gradient for c in g.terms.values()):
@@ -188,21 +189,13 @@ def rank_jacobian(f: HomogPoly, k: int, field: Field = QQ) -> int:
     return rank(jacobian_matrix(f, k, field))
 
 
-def integral_gradient(f: HomogPoly, field: Field = QQ) -> Gradient:
-    """The gradient of f over `field`, over Q scaled by one factor to
-    coprime integer coefficients: the form `Syzygy.holds_for` sums without
-    rescaling.  A multiple of the gradient has the same relations, so its
-    Jacobian matrices have the same kernels."""
-    grad = partials(f.map_field(field))
-    return grad if field.char else _integral(grad)
-
-
 def syzygy_basis(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> list[Syzygy]:
     """Canonical echelon basis of AR(f)_k; every triple is re-verified.
     `grad` is the gradient of f over `field` or a nonzero multiple of it
-    (default `integral_gradient`)."""
+    (default `partials`): a multiple has the same relations, so its
+    Jacobian matrices have the same kernels."""
     if grad is None:
-        grad = integral_gradient(f, field)
+        grad = partials(f.map_field(field))
     M = jacobian_matrix(f, k, field, grad=grad)
     return [Syzygy.from_vector(f, k, vec, field, grad) for vec in kernel_basis(M)]
 
@@ -254,13 +247,13 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
     or constant f, K < 0, or a largest Jacobian matrix J_top (dim S_(top+d-1)
     rows by 3 dim S_top columns) above MAX_PROFILE_CELLS raises InputError
     before any matrix is built.  Over a prime the ranks come from one
-    sweep up the degrees of J_f (see `_ModuleSweep`).  Every field reads
+    sweep up the degrees of J_f (see `_swept_ranks`).  Every field reads
     ranks only until Gotzmann's persistence condition holds on them, and
     fills in the rest from Macaulay's bound (see `_persistent`); by the
     theorem the tuple is exactly the one a sweep to top would give.
 
     Over Q each rank is proved from one prime p = CERT_PRIME instead of
-    eliminated over Q (see `_certified_ranks`):
+    eliminated over Q (see `_proved_ranks`):
 
     * lower bound: J_k is an integer matrix, so rank_p(J_k) <= rank_Q(J_k);
     * upper bound: a set V_k of exact Q-syzygies of degree k has
@@ -281,7 +274,7 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
         raise InputError("the zero polynomial defines no curve")
     (f,) = _integral((f,))
     plan = field if isinstance(field, FieldPlan) else FieldPlan.over(field)
-    ranks = plan.agree(lambda F: _certified_ranks(f, top) if F.char == 0 else _prime_ranks(f, top, F))
+    ranks = plan.agree(lambda F: _persistent(f.degree, top, _proved_ranks(f) if F.char == 0 else _swept_ranks(f, F)))
     return RankProfile(f, plan, K, ranks)
 
 
@@ -303,18 +296,11 @@ def profile_degrees(d: int, table_max: int | None = None) -> tuple[int, int]:
     return K, top
 
 
-def _prime_ranks(f: HomogPoly, top: int, field: Field) -> tuple[int, ...]:
-    """The ranks of J_0..J_top over a prime field, read from one sweep up
-    the degrees D = d-1, d, ... of the Jacobian ideal J_f (`_swept_ranks`)
-    until Gotzmann persistence fixes the rest (`_persistent`).  The
-    pipeline ranks Jacobians mod p only here."""
-    return _persistent(f.degree, top, _swept_ranks(f, field))
-
-
 def _swept_ranks(f: HomogPoly, field: Field) -> Iterator[int]:
-    """rank J_0, J_1, ... over a prime field, one sweep step each: rank
-    J_k is dim (J_f)_(k+d-1), and the gradient generates J_f in degree
-    d-1."""
+    """rank J_0, J_1, ... over a prime field, one step each of a sweep up
+    the degrees D = d-1, d, ... of the Jacobian ideal J_f (`_ModuleSweep`):
+    rank J_k is dim (J_f)_(k+d-1), and the gradient generates J_f in
+    degree d-1.  The pipeline ranks Jacobians mod p only here."""
     J = _ModuleSweep(field, 1, f.degree - 2, retire=True)
     yield J.step([(part,) for part in partials(f.map_field(field))])
     while True:
@@ -448,7 +434,7 @@ class _ModuleSweep:
         at = on_hit.any(axis=1)
         R = rows[:, C]
         R[at, :nn] -= _mod_p_matmul(on_hit[at], N[hit], p)
-        echelon, new = _mod_p_echelon(R % p, p, reduced=True)
+        echelon, new = _mod_p_echelon(R % p, p)
         echelon, new = echelon[: len(new)], np.array(new, dtype=np.int64)
         keep = np.ones(len(C), dtype=bool)
         keep[new] = False
@@ -516,18 +502,11 @@ def _column_cells(D: int, t: int) -> np.ndarray:
     return cells
 
 
-def _certified_ranks(f: HomogPoly, top: int, prime: int = CERT_PRIME) -> tuple[int, ...]:
-    """The ranks of J_0..J_top over Q of f, an integer form (see
-    `rank_profile`), each proved from rank_p bounds or read off an exact
-    kernel, until Gotzmann persistence fixes the rest (`_persistent`): the
-    stop is read on the proved ranks only, so both sweeps and the kernels
-    stop together."""
-    return _persistent(f.degree, top, _proved_ranks(f, prime))
-
-
-def _proved_ranks(f: HomogPoly, prime: int) -> Iterator[int]:
-    """rank_Q J_0, J_1, ... of f, an integer form: the rank mod `prime`
-    where the sweep of V meets it, else read off the exact kernel."""
+def _proved_ranks(f: HomogPoly, prime: int = CERT_PRIME) -> Iterator[int]:
+    """rank_Q J_0, J_1, ... of f, an integer form (see `rank_profile`): the
+    rank mod `prime` where the sweep of V meets it, else read off the exact
+    kernel.  `_persistent` stops reading on these proved ranks, so both
+    sweeps and the kernels stop together."""
     P = GF(prime)
     grad = partials(f)
     fx, fy, fz = (g.map_field(P) for g in grad)

@@ -15,6 +15,18 @@ def test_shipped_corpus_all_pass(corpus_results):
     assert not failures, failures
 
 
+def test_shipped_corpus_in_qq_passes_and_matches_auto(corpus_results):
+    # every rank proved over Q, every structural check over Q: the reports
+    # may differ from the two-prime ones only in how the field was chosen
+    rational = run_corpus(shipped_corpus_dir(), mode="qq")
+    assert [r.name for r in rational] == [r.name for r in corpus_results]
+    failures = {r.name: r.failures for r in rational if not r.passed}
+    assert not failures, failures
+    for q, a in zip(rational, corpus_results):
+        assert q.report["field"]["mode"] == "qq"
+        assert {**q.report, "field": None} == {**a.report, "field": None}, q.name
+
+
 def test_corpus_covers_all_verdicts(corpus_results):
     verdicts = set()
     for result in corpus_results:

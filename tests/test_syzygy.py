@@ -255,7 +255,7 @@ def _dense_curve(rng, d):
 
 def _assert_sweep_matches_per_degree(f, top, field):
     expected = tuple(rank_jacobian(f, k, field) for k in range(top + 1))
-    assert syzygy._prime_ranks(f, top, field) == expected, (str(f), field.name)
+    assert syzygy._persistent(f.degree, top, syzygy._swept_ranks(f, field)) == expected, (str(f), field.name)
 
 
 # 3, 5 and 7 lose rank on many curves; 2147483659 and 2999999929 are the
@@ -284,13 +284,13 @@ def test_rank_sweep_shifts_only_the_rows_the_last_step_appended(p, monkeypatch):
     shapes = []
     inner = syzygy._mod_p_echelon
 
-    def recording(a, prime, reduced=False):
+    def recording(a, prime):
         shapes.append(a.shape)
-        return inner(a, prime, reduced)
+        return inner(a, prime)
 
     monkeypatch.setattr(syzygy, "_mod_p_echelon", recording)
     f = _dense_curve(random.Random(p), 6)
-    ranks = syzygy._prime_ranks(f, 2 * f.degree, GF(p))
+    ranks = syzygy._persistent(f.degree, 2 * f.degree, syzygy._swept_ranks(f, GF(p)))
     # the sweep stops where Gotzmann persistence holds: at source degree
     # 2d-3 for the sextic mod CERT_PRIME, where it is smooth, and one below
     # mod 7, where H settles at 1; one step per source degree, the first
@@ -453,7 +453,7 @@ def test_rank_sweep_matches_per_degree_ranks_at_degree_12():
 
 
 def _jacobian_sweep(f, field, top):
-    """The sweep of J_f that `_prime_ranks` runs, after its top step."""
+    """The sweep of J_f that `_swept_ranks` runs, after its top step."""
     sweep = syzygy._ModuleSweep(field, 1, f.degree - 2, retire=True)
     sweep.step([(part,) for part in partials(f.map_field(field))])
     for _ in range(top):
@@ -468,7 +468,7 @@ def test_rank_sweep_keeps_few_rows_live():
     field = GF(syzygy.CERT_PRIME)
     for f in (_load_curve("free12_a"), _dense_curve(random.Random(12), 12)):
         sweep = _jacobian_sweep(f, field, 2 * f.degree)
-        assert len(sweep.piv) + len(sweep.gone) == syzygy._prime_ranks(f, 2 * f.degree, field)[-1]
+        assert len(sweep.piv) + len(sweep.gone) == syzygy._persistent(f.degree, 2 * f.degree, syzygy._swept_ranks(f, field))[-1]
         assert len(sweep.piv) <= (len(sweep.piv) + len(sweep.gone)) / 4, str(f)
 
 
@@ -482,6 +482,33 @@ def test_rank_sweep_refuses_a_joining_row_at_a_retired_pivot():
     D = sweep.D
     with pytest.raises(InternalInconsistencyError, match="retired pivot"):
         sweep.step([(HomogPoly(field, D + 1, {(D + 1, 0, 0): 1}),)])
+
+
+def test_retiring_sweep_matches_a_keeping_sweep_on_random_ideals(monkeypatch):
+    # The retirement argument holds for any ideal whose generators all join
+    # at the first step, not only a gradient.  With the threshold at 0 the
+    # sweep scans at every step; small primes and sparse generators make
+    # pivots and frontier cells move.  A keeping sweep, pinned to the dense
+    # RREF elsewhere, is the reference.
+    monkeypatch.setattr(syzygy, "RETIRE_MIN_ROWS", 0)
+    rng = random.Random(2024)
+    retired = 0
+    for _ in range(500):
+        field = GF(rng.choice([3, 5, 7, 11]))
+        degrees = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
+        gens = [
+            (HomogPoly(field, e, {mono: rng.randrange(field.char) for mono in monomial_basis(e) if rng.random() < 0.5}),)
+            for e in degrees
+        ]
+        e = max(degrees)
+        keeping = syzygy._ModuleSweep(field, 1, e - 1)
+        retiring = syzygy._ModuleSweep(field, 1, e - 1, retire=True)
+        for step in range(rng.randint(3, 8)):
+            joining = gens if step == 0 else []
+            assert retiring.step(joining) == keeping.step(joining), ([str(g) for (g,) in gens], field.name, step)
+        retired += len(retiring.gone) > 0
+    # most sets retire some row, so the comparison is not vacuous
+    assert retired > 400, retired
 
 
 def test_profile_holds_the_per_degree_ranks():
@@ -607,12 +634,12 @@ def test_certificate_at_small_primes_falls_back_and_stays_exact(bareiss_profiles
     cases = _small_prime_cases(bareiss_profiles)
     fallbacks = _record_kernel_fallbacks(monkeypatch)
     for name, f, bareiss in cases:
-        assert syzygy._certified_ranks(f, len(bareiss) - 1) == bareiss, name
+        assert syzygy._persistent(f.degree, len(bareiss) - 1, syzygy._proved_ranks(f)) == bareiss, name
     at_cert_prime = len(fallbacks)
     for prime in (3, 5, 7):
         fallbacks.clear()
         for name, f, bareiss in cases:
-            assert syzygy._certified_ranks(f, len(bareiss) - 1, prime) == bareiss, (name, prime)
+            assert syzygy._persistent(f.degree, len(bareiss) - 1, syzygy._proved_ranks(f, prime)) == bareiss, (name, prime)
         assert len(fallbacks) > at_cert_prime, prime
 
 
@@ -627,7 +654,7 @@ def test_certificate_reads_kernels_where_the_dense_reference_does(bareiss_profil
     for prime in primes:
         for (name, f, bareiss), degrees in zip(cases, expected[prime]):
             fallbacks.clear()
-            syzygy._certified_ranks(f, len(bareiss) - 1, prime)
+            syzygy._persistent(f.degree, len(bareiss) - 1, syzygy._proved_ranks(f, prime))
             assert fallbacks == degrees, (name, prime)
 
 
