@@ -14,10 +14,13 @@ sweep up the degrees of a graded submodule of S^t given by generators
 (`_ModuleSweep`), which carries only the non-pivot block of its echelon
 basis, and for J_f only the rows a later degree can read, reads every
 rank from the Jacobian ideal J_f (`_swept_ranks`) and, over Q, the
-dimensions of the certificate's module of syzygies (`_proved_ranks`).  Both
-sweeps stop once the Hilbert function of S/J_f meets Gotzmann's
-persistence condition, past which every rank follows from Macaulay's
-bound (`_persistent`).
+dimensions of the certificate's module of syzygies (`_proved_ranks`).
+Where the certificate's two bounds do not meet, it lifts ker_Q J_k from
+its images mod successive primes by CRT and rational reconstruction and
+verifies every vector exactly (`_lifted_kernel`).  Both sweeps stop once
+the Hilbert function of S/J_f meets Gotzmann's persistence condition, or
+reaches 0, past which every rank follows from Macaulay's bound
+(`_persistent`).
 `jacobian_matrix` and `rank_jacobian` build and rank one J_k, for the
 kernels and as the independent reference.
 """
@@ -30,24 +33,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InputError, InternalInconsistencyError
-from .fields import GF, Field, FieldPlan, QQ
+from .fields import GF, Field, FieldPlan, QQ, is_probable_prime
 from .linalg import ExactMatrix, _dtype, _mod_p_echelon, _mod_p_matmul, kernel_basis, pivot_columns, rank
 from .poly import Gradient, HomogPoly, dim_S, monomial_basis, monomial_index, partials
 
 # Cells of the largest Jacobian matrix of a rank profile, J_top.  2^25
 # int64 cells are 256 MiB; the bound admits every d <= 32 at the default
-# table degree 2d.  Over Q the certificate's exact kernels may build J_k
-# for any k <= top.  Over a prime the profile builds no J_k.  The sweeps
-# may stop below J_top, where Gotzmann persistence fixes the remaining
-# ranks (`_persistent`), but the bound is still taken at J_top, so the
-# same inputs are refused whether or not a sweep would stop early.  The
-# sweep's largest arrays (see `_ModuleSweep`) are its x rows, the live
+# table degree 2d.  Over Q the certificate's kernels, lifted mod primes,
+# may build J_k for any k <= top.  Over a prime the profile builds no J_k.
+# The sweeps may stop below J_top, where Gotzmann persistence fixes the
+# remaining ranks (`_persistent`), but the bound is still taken at J_top,
+# so the same inputs are refused whether or not a sweep would stop early.
+# The sweep's largest arrays (see `_ModuleSweep`) are its x rows, the live
 # ones only for J_f (at most dim (J_f)_D, on free12_a 20% of it at the top
 # degree) by (D+2) + m(f)_D columns, and the rows that join at D+1, 2|W_D| + |G|
 # rows by t dim S_(D+1) columns.  For J_f (t = 1) the gradient joins
@@ -57,7 +60,7 @@ from .poly import Gradient, HomogPoly, dim_S, monomial_basis, monomial_index, pa
 # certificate's sweep of V in S^3 holds at most a*(3 dim S_(k+1) - a)
 # <= (3 dim S_top)^2/4 cells, a = dim V_k, in its state.  At k+1 it
 # joins at most 2a shifted rows, the 3 Koszul relations (at d-1 only) and
-# 3 rows per exact kernel vector of degree k, each 3 dim S_(k+1) wide.
+# 3 rows per kernel vector over Q of degree k, each 3 dim S_(k+1) wide.
 # The bound still refuses the same inputs in every mode.
 MAX_PROFILE_CELLS = 2**25
 
@@ -117,16 +120,29 @@ class Syzygy(NamedTuple):
             triple = _integral(triple)
             if any(c.denominator != 1 for g in gradient for c in g.terms.values()):
                 gradient = _integral(gradient)
-        total: dict[tuple[int, int, int], int] = {}
-        for u, g in zip(triple, gradient):
-            g_terms = [(mono, _as_int(c)) for mono, c in g.terms.items()]
-            for (i, j, k), c in u.terms.items():
-                c = _as_int(c)
-                for (gi, gj, gk), gc in g_terms:
-                    mono = (i + gi, j + gj, k + gk)
-                    total[mono] = total.get(mono, 0) + c * gc
-        p = field.char
-        return not any(v % p for v in total.values()) if p else not any(total.values())
+        return _relation_vanishes([u.terms.items() for u in triple], _integer_terms(gradient), field.char)
+
+
+def _integer_terms(parts: Sequence[HomogPoly]) -> list[list[tuple[tuple[int, int, int], int]]]:
+    """The (monomial, int) pairs of polynomials with integer coefficients."""
+    return [[(mono, _as_int(c)) for mono, c in part.terms.items()] for part in parts]
+
+
+def _relation_vanishes(triple, gradient, p: int = 0) -> bool:
+    """Whether u_1*g_1 + u_2*g_2 + u_3*g_3 = 0, summed in Python integers
+    and reduced mod p once if p > 0.  Each u_i is an iterable of (monomial,
+    integer coefficient) pairs, int or `Fraction`; each g_i a list of
+    (monomial, int) pairs (`_integer_terms`).  The one exact check of a
+    syzygy: `Syzygy.holds_for` and the lifted kernel vectors
+    (`_lifted_kernel`) are verified here."""
+    total: dict[tuple[int, int, int], int] = {}
+    for u, g_terms in zip(triple, gradient):
+        for (i, j, k), c in u:
+            c = _as_int(c)
+            for (gi, gj, gk), gc in g_terms:
+                mono = (i + gi, j + gj, k + gk)
+                total[mono] = total.get(mono, 0) + c * gc
+    return not any(v % p for v in total.values()) if p else not any(total.values())
 
 
 def multiples(gens: Sequence[Sequence[HomogPoly]], k: int, field: Field) -> ExactMatrix:
@@ -262,12 +278,14 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
 
     When dim_p V_k = 3 dim S_k - rank_p(J_k), the two bounds meet and the
     prime rank is the rank over Q.  V is the submodule of S^3 generated by
-    the Koszul relations, which join at degree d-1, and by the exact kernel
-    vectors found at each degree k where the bounds did not meet, which
-    join at k+1; there the rank is read off the exact kernel over Q.  A
-    second sweep, over V, reads every dim_p V_k.  The persistence stop is
-    tested on these proved ranks, never on the ranks mod p, which may be
-    lower, so both sweeps and the exact kernels stop together.
+    the Koszul relations, which join at degree d-1, and by the kernel
+    vectors over Q found at each degree k where the bounds did not meet,
+    which join at k+1.  There the rank is n - s for the s vectors of a
+    basis of ker_Q J_k, lifted from prime images and verified exactly
+    (`_lifted_kernel`).  A second sweep, over V, reads every dim_p V_k.
+    The persistence stop is tested on these proved ranks, never on the
+    ranks mod p, which may be lower, so both sweeps and the kernels stop
+    together.
     """
     K, top = profile_degrees(f.degree, table_max)
     if f.is_zero():
@@ -316,6 +334,9 @@ def _persistent(d: int, top: int, ranks: Iterator[int]) -> tuple[int, ...]:
     generated in degree d-1, so once H(D+1) = H(D)^<D> at some D >= d-1,
     H(E+1) = H(E)^<E> for every E >= D (G. Gotzmann, Math. Z. 158, 1978;
     Bruns-Herzog, Cohen-Macaulay Rings, 4.3.3), and no later rank is read.
+    Once H(D) = 0 the bound is 0, so H(D+1) = 0 is not read either: a
+    smooth curve, whose H vanishes from 3d-5 on, stops at source degree
+    2d-4.
     A rank read above Macaulay's bound raises InternalInconsistencyError.
     """
     out: list[int] = []
@@ -326,7 +347,7 @@ def _persistent(d: int, top: int, ranks: Iterator[int]) -> tuple[int, ...]:
         # line at k = 1 only)
         D = k + d - 2
         bound = _macaulay_bound(dim_S(D) - out[-1], D) if k and D >= 1 else None
-        if settled:
+        if settled or bound == 0:
             out.append(dim_S(D + 1) - bound)
             continue
         out.append(next(ranks))
@@ -504,24 +525,132 @@ def _column_cells(D: int, t: int) -> np.ndarray:
 
 def _proved_ranks(f: HomogPoly, prime: int = CERT_PRIME) -> Iterator[int]:
     """rank_Q J_0, J_1, ... of f, an integer form (see `rank_profile`): the
-    rank mod `prime` where the sweep of V meets it, else read off the exact
-    kernel.  `_persistent` stops reading on these proved ranks, so both
-    sweeps and the kernels stop together."""
+    rank mod `prime` where the sweep of V meets it, else n - s for the s
+    vectors of a basis of ker_Q J_k lifted from `prime` up
+    (`_lifted_kernel`).  The vectors join V at k+1, reduced mod `prime`.
+    `_persistent` stops reading on these proved ranks, so both sweeps and
+    the kernels stop together."""
     P = GF(prime)
-    grad = partials(f)
-    fx, fy, fz = (g.map_field(P) for g in grad)
+    fx, fy, fz = (g.map_field(P) for g in partials(f))
     zero = HomogPoly.zero(P, f.degree - 1)
     # V's generators by the degree they join at: the Koszul relations at
-    # d-1, the exact kernel vectors found at k at k+1
+    # d-1, the kernel vectors over Q found at k at k+1
     joining = {f.degree - 1: [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]}
     V = _ModuleSweep(P, 3, -1)
     for k, r in enumerate(_swept_ranks(f, P)):
         n = 3 * dim_S(k)
         if V.step(joining.pop(k, [])) != n - r:
-            basis = syzygy_basis(f, k, QQ, grad=grad)
-            r = n - len(basis)
-            joining.setdefault(k + 1, []).extend(tuple(part.map_field(P) for part in _integral(s)) for s in basis)
+            vectors = _lifted_kernel(f, k, prime)
+            r = n - len(vectors)
+            m = n // 3
+            joining.setdefault(k + 1, []).extend(
+                tuple(HomogPoly.from_vector(P, k, [c % prime for c in v[i * m : (i + 1) * m]]) for i in range(3)) for v in vectors
+            )
         yield r
+
+
+def _lifted_kernel(f: HomogPoly, k: int, prime: int) -> list[list[int]]:
+    """ker_Q J_k of f, an integer form, as primitive integer vectors, lifted
+    from its images mod `prime` and the primes above it.  The integer
+    gradient of f is mapped to each prime once.
+
+    The image mod p is the reduced echelon basis of ker_p J_k
+    (`kernel_basis`): 1 at its free columns, 0 at the others.  Ranks only
+    drop mod p, and the pivot columns over Q, the greedy basis of the
+    column matroid, dominate any other, so a lucky prime has the fewest
+    vectors and the earliest free columns.  A prime whose pattern is worse
+    than the best seen is dropped, and a better one restarts the
+    combination.  The images of the best pattern are combined by CRT, and
+    the entries at the pivot columns are rationally reconstructed (Wang,
+    on a common denominator: `_reconstructed`).  Every vector of a
+    reconstruction is verified exactly (`_relation_vanishes`), and the
+    first one that verifies is returned.  Its s vectors are independent,
+    as they carry the identity on the free columns, and lie in ker_Q, and
+    dim ker_Q <= dim ker_p = s: they are a basis, the reduced echelon one
+    scaled.
+
+    The loop ends.  Every prime that does not divide the pivot minor over
+    Q has Q's pattern, and its image is the reduction of Q's reduced
+    echelon basis; once one is seen, no prime is better, so every image
+    combined after it is such a reduction too.  Each entry of that basis
+    is a ratio of r x r minors of J_k, r = n - s, and every column of J_k
+    is a monomial times a partial, so by Hadamard each minor is at most
+    H = max ||f_i||_2^r.  Past a modulus of 2H^2 a reconstruction
+    recovers them and verifies; it usually does at a far smaller one.
+    """
+    n = 3 * dim_S(k)
+    grad = partials(f)
+    gradient = _integer_terms(grad)
+    basis = monomial_basis(k)
+    best = None
+    for p in _primes_from(prime):
+        P = GF(p)
+        image = kernel_basis(jacobian_matrix(f, k, P, grad=Gradient(*(g.map_field(P) for g in grad))))
+        free = tuple(v.index(1) for v in image)
+        pattern = (len(free), free)
+        if best is not None and pattern > best:
+            continue
+        freeset = set(free)
+        pivots = [c for c in range(n) if c not in freeset]
+        residues = np.array([[v[c] for c in pivots] for v in image], dtype=object).reshape(len(image), len(pivots))
+        if pattern != best:
+            best, modulus, R = pattern, p, residues
+        else:
+            R = R + modulus * ((residues - R % p) * pow(modulus, -1, p) % p)
+            modulus *= p
+        lifted = _reconstructed(R, modulus)
+        if lifted is None:
+            continue
+        X, L = lifted
+        vectors = []
+        for fc, row in zip(free, X.tolist()):
+            v = [0] * n
+            v[fc] = L
+            for c, x in zip(pivots, row):
+                v[c] = x
+            g = gcd(*v)
+            vectors.append([x // g for x in v])
+        m = len(basis)
+        if all(_relation_vanishes([[(mono, c) for mono, c in zip(basis, v[i * m : (i + 1) * m]) if c] for i in range(3)], gradient) for v in vectors):
+            return vectors
+
+
+def _reconstructed(R: np.ndarray, m: int) -> tuple[np.ndarray, int] | None:
+    """Integers X and L > 0 with X = L*R mod m entrywise and |X|, L at most
+    N = isqrt(m // 2), or None: Wang's rational reconstruction with a
+    common denominator.  An entry whose residue times L is not small gets
+    its own reconstruction a/b (half the extended Euclid on m and the
+    residue), and L grows to lcm(L, b).  For the exact kernel basis L is
+    one pivot determinant, so a few reconstructions serve every entry."""
+    N = isqrt(m // 2)
+    L = 1
+    while True:
+        X = R * L % m
+        X[X > m // 2] -= m
+        bad = np.flatnonzero(abs(X) > N)
+        if not bad.size:
+            return X, L
+        r0, r1, t0, t1 = m, int(R.flat[bad[0]]), 0, 1
+        while r1 > N:
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if not 0 < abs(t1) <= N or gcd(r1, t1) != 1:
+            return None
+        if L % t1 == 0:
+            # the entry's denominator divides L, yet L times it is not small
+            return None
+        L = lcm(L, abs(t1))
+        if L > N:
+            return None
+
+
+def _primes_from(p: int) -> Iterator[int]:
+    """The odd prime p and the primes above it, in order."""
+    while True:
+        yield p
+        p += 2
+        while not is_probable_prime(p):
+            p += 2
 
 
 def _as_int(c) -> int:

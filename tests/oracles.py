@@ -113,14 +113,20 @@ def lex_segment_bound(h: int, D: int) -> int:
 
 
 def persistence_stop(d: int, ranks) -> int:
-    """The first source degree k at which the Jacobian ranks of a degree-d
-    curve meet Gotzmann's condition, H(D+1) = H(D)^<D> for D = k+d-2 >=
-    max(d-1, 1) with H(D) = dim S_D - rank J_(D-d+1), the bound taken from
-    lex segments; the last degree of `ranks` if none does."""
+    """The last source degree whose Jacobian rank a sweep of a degree-d
+    curve reads.  With H(D) = dim S_D - rank J_(D-d+1) and D = k+d-2 >=
+    max(d-1, 1): the first k at which H(D+1) = H(D)^<D> (Gotzmann's
+    condition, the bound taken from lex segments), or k-1 if H(D) = 0
+    comes first, as then H(D+1) <= 0 needs no read; the last degree of
+    `ranks` if neither happens."""
     for k in range(1, len(ranks)):
         D = k + d - 2
-        if D >= 1 and dim_S(D + 1) - ranks[k] == lex_segment_bound(dim_S(D) - ranks[k - 1], D):
-            return k
+        if D >= 1:
+            h = dim_S(D) - ranks[k - 1]
+            if h == 0:
+                return k - 1
+            if dim_S(D + 1) - ranks[k] == lex_segment_bound(h, D):
+                return k
     return len(ranks) - 1
 
 

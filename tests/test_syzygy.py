@@ -12,7 +12,7 @@ from freecurve.corpus import load_case
 from freecurve.data import shipped_corpus_dir
 from freecurve.errors import InputError, InternalInconsistencyError
 from freecurve.fields import GF, QQ, FieldPlan
-from freecurve.linalg import ExactMatrix, _rref, rank
+from freecurve.linalg import ExactMatrix, _rref, kernel_basis, rank
 from freecurve.parser import parse_poly
 from freecurve.poly import HomogPoly, dim_S, dim_choose2, monomial_basis, partials
 from freecurve.syzygy import (
@@ -240,7 +240,7 @@ def test_reducedness_reads_one_window(monkeypatch):
     # source degree where Gotzmann persistence holds, far below 2d-1, the
     # last one the window [3d-5, 3d-2] reads
     swept = _record_swept_degrees(monkeypatch)
-    kernel_degrees = _record_kernel_fallbacks(monkeypatch)
+    kernel_degrees = _record_kernel_reads(monkeypatch)
     f = parse_poly("x^2*y^2*z")
     profile = rank_profile(f, table_max=0)
     assert reducedness_check(profile) is Reducedness.NON_REDUCED
@@ -291,12 +291,13 @@ def test_rank_sweep_shifts_only_the_rows_the_last_step_appended(p, monkeypatch):
     monkeypatch.setattr(syzygy, "_mod_p_echelon", recording)
     f = _dense_curve(random.Random(p), 6)
     ranks = syzygy._persistent(f.degree, 2 * f.degree, syzygy._swept_ranks(f, GF(p)))
-    # the sweep stops where Gotzmann persistence holds: at source degree
-    # 2d-3 for the sextic mod CERT_PRIME, where it is smooth, and one below
-    # mod 7, where H settles at 1; one step per source degree, the first
-    # from the gradient alone
+    # the sweep stops at source degree 2d-4 in both fields: mod CERT_PRIME
+    # the sextic is smooth, and H(3d-5) = 0, which rank J_(2d-4) fixes,
+    # leaves nothing to read; mod 7 Gotzmann persistence holds there, as H
+    # settles at 1; one step per source degree, the first from the
+    # gradient alone
     stop = persistence_stop(f.degree, ranks)
-    assert stop == {7: 2 * f.degree - 4, syzygy.CERT_PRIME: 2 * f.degree - 3}[p]
+    assert stop == 2 * f.degree - 4
     assert len(shapes) == stop + 1
     residual_rows = [rows for rows, _ in shapes[1:]]
     assert residual_rows == [2 * (ranks[k] - (ranks[k - 1] if k else 0)) for k in range(len(shapes) - 1)]
@@ -342,9 +343,10 @@ def test_rank_sweep_stops_where_persistence_holds(field, monkeypatch):
             assert [D for t, D in steps if t == 3] == swept, str(f)
         return swept[-1]
 
-    # a smooth curve's Milnor algebra is 0 from degree 3d-5 on
+    # a smooth curve's Milnor algebra is 0 from degree 3d-5 on, which
+    # rank J_(2d-4) fixes, and no rank past it is read
     for d in range(3, 7):
-        assert last_swept(_dense_curve(random.Random(d), d)) == 2 * d - 3, d
+        assert last_swept(_dense_curve(random.Random(d), d)) == 2 * d - 4, d
     f = parse_poly("x^2*y^2*z")
     assert last_swept(f) == 2 < 2 * f.degree - 1
     # a reduced curve meets the condition only at D >= tau, where H has
@@ -604,16 +606,31 @@ def bareiss_profiles():
     return [(name, f, tuple(rank_jacobian(f, k, QQ) for k in range(2 * f.degree + 1))) for name, f in curves]
 
 
-def _record_kernel_fallbacks(monkeypatch) -> list[int]:
+def _record_kernel_reads(monkeypatch) -> list[int]:
+    """The source degrees at which `_proved_ranks` asks for kernel vectors
+    over Q, in order: the calls of the lift."""
     degrees = []
-    inner = syzygy.syzygy_basis
+    inner = syzygy._lifted_kernel
 
-    def recording(f, k, field=QQ, **kwargs):
+    def recording(f, k, prime):
         degrees.append(k)
-        return inner(f, k, field, **kwargs)
+        return inner(f, k, prime)
 
-    monkeypatch.setattr(syzygy, "syzygy_basis", recording)
+    monkeypatch.setattr(syzygy, "_lifted_kernel", recording)
     return degrees
+
+
+def _record_moduli(monkeypatch) -> list[int]:
+    """The moduli of the lift's reconstructions, in order."""
+    moduli = []
+    inner = syzygy._reconstructed
+
+    def recording(R, m):
+        moduli.append(m)
+        return inner(R, m)
+
+    monkeypatch.setattr(syzygy, "_reconstructed", recording)
+    return moduli
 
 
 def _small_prime_cases(bareiss_profiles):
@@ -630,17 +647,17 @@ def test_certified_profile_equals_bareiss(bareiss_profiles):
 
 def test_certificate_at_small_primes_falls_back_and_stays_exact(bareiss_profiles, monkeypatch):
     # A small prime often loses rank, so the bounds meet less often and the
-    # exact kernel steps in; the ranks must not change.
+    # kernel over Q steps in; the ranks must not change.
     cases = _small_prime_cases(bareiss_profiles)
-    fallbacks = _record_kernel_fallbacks(monkeypatch)
+    reads = _record_kernel_reads(monkeypatch)
     for name, f, bareiss in cases:
         assert syzygy._persistent(f.degree, len(bareiss) - 1, syzygy._proved_ranks(f)) == bareiss, name
-    at_cert_prime = len(fallbacks)
+    at_cert_prime = len(reads)
     for prime in (3, 5, 7):
-        fallbacks.clear()
+        reads.clear()
         for name, f, bareiss in cases:
             assert syzygy._persistent(f.degree, len(bareiss) - 1, syzygy._proved_ranks(f, prime)) == bareiss, (name, prime)
-        assert len(fallbacks) > at_cert_prime, prime
+        assert len(reads) > at_cert_prime, prime
 
 
 def test_certificate_reads_kernels_where_the_dense_reference_does(bareiss_profiles, monkeypatch):
@@ -650,12 +667,79 @@ def test_certificate_reads_kernels_where_the_dense_reference_does(bareiss_profil
     cases = _small_prime_cases(bareiss_profiles)
     primes = (syzygy.CERT_PRIME, 3, 5, 7)
     expected = {prime: [dense_certificate_kernel_degrees(f, bareiss, prime) for _, f, bareiss in cases] for prime in primes}
-    fallbacks = _record_kernel_fallbacks(monkeypatch)
+    reads = _record_kernel_reads(monkeypatch)
     for prime in primes:
         for (name, f, bareiss), degrees in zip(cases, expected[prime]):
-            fallbacks.clear()
+            reads.clear()
             syzygy._persistent(f.degree, len(bareiss) - 1, syzygy._proved_ranks(f, prime))
-            assert fallbacks == degrees, (name, prime)
+            assert reads == degrees, (name, prime)
+
+
+@pytest.fixture(scope="module")
+def certificate_kernel_reads():
+    """(name, f, k) for every degree k at which the certified profile over
+    Q reads a kernel, on the shipped corpus and on 12 seeded random reduced
+    curves of degree 4..7, and the moduli of every reconstruction of those
+    lifts.  The curves are products of dense random forms: the dense
+    curves of `_dense_curve` are smooth, and the certificate reads no
+    kernel on them."""
+    curves = [(path.name, parse_poly(load_case(path).expression)) for path in sorted(shipped_corpus_dir().glob("*.curve"))]
+    curves += [(f"random {i}", profile.f) for i, profile in enumerate(random_reduced_curves(12, seed=11, max_degree=7))]
+    reads = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        degrees = _record_kernel_reads(monkeypatch)
+        moduli = _record_moduli(monkeypatch)
+        for name, f in curves:
+            degrees.clear()
+            profile = rank_profile(f, QQ)
+            reads += [(name, profile.f, k) for k in degrees]
+    return reads, moduli
+
+
+def _leading_one(vectors):
+    return [tuple(Fraction(c, next(x for x in v if x)) for c in v) for v in vectors]
+
+
+def test_lifted_kernel_is_the_bareiss_kernel(certificate_kernel_reads):
+    # The lift returns primitive integer vectors that, scaled to a leading
+    # 1, are the reduced echelon basis over Q, from the certificate's prime
+    # and from 3, 5 and 7, where many images are unlucky and dropped.
+    reads, _ = certificate_kernel_reads
+    assert {name for name, _, _ in reads} >= {"free12_a.curve", "braid6.curve", "random 11"}
+    for name, f, k in reads:
+        expected = kernel_basis(jacobian_matrix(f, k, QQ))
+        for prime in (syzygy.CERT_PRIME, 3, 5, 7):
+            lifted = syzygy._lifted_kernel(f, k, prime)
+            assert all(gcd(*v) == 1 for v in lifted), (name, k, prime)
+            assert _leading_one(lifted) == expected, (name, k, prime)
+
+
+def test_lift_drops_an_unlucky_prime_and_keeps_combining(monkeypatch):
+    # x^3+y^3+z^3+10xyz is singular mod 13 (10^3 + 27 = 13 * 79), where
+    # ker J_2 has 6 vectors instead of 3.  Lifted from 11, the image mod 13
+    # is dropped, and the combination goes on over 11, 17, 19 without
+    # starting again.
+    moduli = _record_moduli(monkeypatch)
+    f = parse_poly("x^3+y^3+z^3+10*x*y*z")
+    lifted = syzygy._lifted_kernel(f, 2, 11)
+    assert _leading_one(lifted) == kernel_basis(jacobian_matrix(f, 2, QQ))
+    assert moduli == [11, 11 * 17, 11 * 17 * 19]
+
+
+def test_certificate_prime_and_the_primes_above_it_are_lucky_on_every_kernel_read(certificate_kernel_reads):
+    # On the shipped and the random curves no lift from CERT_PRIME drops a
+    # prime or starts again: every modulus is the product of CERT_PRIME and
+    # the primes right above it, and some lift combines several.
+    reads, moduli = certificate_kernel_reads
+    assert any(name.endswith(".curve") for name, _, _ in reads)
+    products, m = set(), 1
+    for p in syzygy._primes_from(syzygy.CERT_PRIME):
+        m *= p
+        products.add(m)
+        if m >= max(moduli):
+            break
+    assert set(moduli) <= products
+    assert max(moduli) > syzygy.CERT_PRIME
 
 
 def test_certificate_clears_a_denominator_divisible_by_the_prime():
