@@ -183,7 +183,7 @@ def _generators(f: HomogPoly, r: int, degree: int, count: int, field: Field) -> 
     if not basis:
         raise ValueError(f"no relation in degree {r}; is r really mdr(f)?")
     rho1 = basis[0]
-    kernel = kernel_basis(jacobian_matrix(f, degree, field, grad=grad))
+    kernel = kernel_basis(jacobian_matrix(f, degree, field))
     picked = outside_span(multiples([rho1], degree, field), ExactMatrix.from_rows(field, kernel))
     if len(picked) != count:
         raise InternalInconsistencyError(

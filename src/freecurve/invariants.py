@@ -8,7 +8,10 @@ Euler-characteristic identity and the quotient dimensions delta(f)_k.
 The formulas in (d, r) live here once each: the maximal Tjurina number
 `tau_max`, the du Plessis-Wall interval and the defect.  Only the
 brute-force saturation oracle, an independent check of n(f)_k, computes
-ranks itself.
+ranks itself: over Q only, on the curve's primitive integer form, with
+its functionals held as primitive integer rows, so that every matrix it
+eliminates is integral.  It uses no prime field, no Euler formula and no
+rank profile.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InternalInconsistencyError, NotReducedError
-from .fields import QQ
-from .linalg import ExactMatrix, kernel_basis, rank
+from .linalg import integer_kernel_basis, rank
 from .poly import HomogPoly, choose2, dim_choose2, dim_S, monomial_basis, monomial_index
-from .syzygy import RankProfile, jacobian_matrix, mdr, milnor_plateau, rank_jacobian
+from .syzygy import RankProfile, _integral, jacobian_matrix, mdr, milnor_plateau, rank_jacobian
 
 
 def smooth_reference(d: int, k: int) -> int:
@@ -91,13 +93,15 @@ def n_dim(d: int, j: int, tau: int, ar: Callable[[int], int]) -> int:
 
 
 def _saturation_dim(f: HomogPoly, j: int, e: int, functionals: dict) -> int:
-    """dim {g in S_j : x^e g, y^e g, z^e g all lie in J_f}, over Q."""
+    """dim {g in S_j : x^e g, y^e g, z^e g all lie in J_f}, over Q, for f
+    an integer form."""
     target = j + e
     if target not in functionals:
-        # Functionals cutting out J at the target degree, one per row.  The
-        # target is at least max(j+1, T+1), so the source degree is >= 0.
+        # Functionals cutting out J at the target degree, one primitive
+        # integer row each.  The target is at least max(j+1, T+1), so the
+        # source degree is >= 0.
         jac = jacobian_matrix(f, target - f.degree + 1)
-        functionals[target] = ExactMatrix.from_rows(QQ, kernel_basis(jac.transpose()))
+        functionals[target] = integer_kernel_basis(jac.transpose())
     left_null = functionals[target]
     n_j = dim_S(j)
     if left_null.rows == 0:
@@ -117,8 +121,11 @@ def _saturation_dim(f: HomogPoly, j: int, e: int, functionals: dict) -> int:
 def n_dim_saturation_oracle(f: HomogPoly, j: int, functionals: dict | None = None) -> int:
     """Brute-force n(f)_j over Q: saturate the Jacobian ideal degree by degree.
 
-    The functionals on S_t that vanish on (J_f)_t, a left null space of
-    the Jacobian matrix, are computed once per target degree t.  Composed
+    f is first scaled to its primitive integer form: a multiple has the
+    same Jacobian ranks and left null spaces, and every matrix below is
+    then integral, eliminated on integer rows.  The functionals on S_t
+    that vanish on (J_f)_t, a left null space of the Jacobian matrix, are
+    computed once per target degree t, as primitive integer rows.  Composed
     with multiplication by x^e, y^e and z^e they cut (J_f : m^e)_j out of
     S_j at t = j+e.  Starting from e = max(1, T+1-j), e grows until two
     consecutive rounds have equal dimension; the rounds are nested, so
@@ -133,6 +140,7 @@ def n_dim_saturation_oracle(f: HomogPoly, j: int, functionals: dict | None = Non
         raise ValueError("degree must be non-negative")
     if functionals is None:
         functionals = {}
+    (f,) = _integral((f,))
     d = f.degree
     T = 3 * (d - 2)
     dim_j_f = rank_jacobian(f, j - d + 1)

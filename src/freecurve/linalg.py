@@ -2,16 +2,20 @@
 
 Three operations back every graded dimension computed by this package:
 `rank`, `kernel_basis` and `solve_exact`; `pivot_columns` picks
-independent columns.  Every matrix is one numpy array, whatever its field
+independent columns, and `integer_kernel_basis` gives a kernel over Q as
+primitive integer rows.  Every matrix is one numpy array, whatever its field
 (see `ExactMatrix`), and each operation has one code path; only the
 arithmetic of the elimination depends on the field.  All of it is exact:
 
-* over Q, fraction-free (Bareiss) elimination on row-scaled integer
-  matrices, which keeps intermediate entries at minor size.  Each row's
-  scaling is deferred until a pivot hits it, so a row that is zero in the
-  pivot column is not touched.  The reduced form is read from the echelon
-  rows by fraction-free back-substitution, and a `Fraction` is made only
-  at the non-pivot columns;
+* over Q, fraction-free (Bareiss) elimination on rows scaled to coprime
+  integers, which keeps intermediate entries at minor size.  An integral
+  matrix, one that holds Python ints (the Jacobian builder's, or the
+  primitive kernel rows of `integer_kernel_basis`), has each row divided
+  by its gcd only; a row of `Fraction`s has its denominators cleared first.
+  Each row's Bareiss scaling is deferred until a pivot hits it, so a row
+  that is zero in the pivot column is not touched.  The reduced form is
+  read from the echelon rows by fraction-free back-substitution, and a
+  `Fraction` is made only at the non-pivot columns;
 * over a prime field, Gauss-Jordan elimination mod p to the RREF,
   vectorised on the matrix's own array; ranks and pivot columns read its
   pivots too.  It scans only the columns that start with a nonzero entry:
@@ -42,7 +46,10 @@ class ExactMatrix:
     Over a prime p with p^2 < 2^63 the dtype is int64, so a product of two
     entries cannot overflow.  Otherwise it is object: Python ints over a
     larger prime, Fractions over Q.  Entries are field elements, in [0, p)
-    over a prime; constructors reduce what they are given mod p.  Matrices
+    over a prime; constructors reduce what they are given mod p.  An
+    integral matrix over Q holds Python ints instead of Fractions; only the
+    Jacobian builder (`syzygy.integer_jacobian`) and `integer_kernel_basis`
+    make one, and every operation reads it as it reads Fractions.  Matrices
     are never changed in place, so `transpose` can return a view.
     """
 
@@ -197,15 +204,21 @@ def _mod_p_matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 # rational elimination
 
 
-def _scaled_int_rows(rows: list[list[Fraction]]) -> list[list[int]]:
-    """Scale each row to coprime integers; rank-preserving."""
+def _scaled_int_rows(rows: list[list]) -> list[list[int]]:
+    """Scale each row to coprime integers; rank-preserving.  A row of
+    Python ints, as an integral matrix holds, is only divided by its gcd;
+    `gcd` refuses a `Fraction`, and a row holding one has its denominators
+    cleared first."""
     out = []
     for row in rows:
-        ratios = [v.as_integer_ratio() for v in row]
-        denlcm = lcm(*{d for _, d in ratios})
-        ints = [v * (denlcm // d) for v, d in ratios] if denlcm > 1 else [v for v, _ in ratios]
-        g = gcd(*ints)
-        out.append([v // g for v in ints] if g > 1 else ints)
+        try:
+            g = gcd(*row)
+        except TypeError:
+            ratios = [v.as_integer_ratio() for v in row]
+            denlcm = lcm(*{d for _, d in ratios})
+            row = [v * (denlcm // d) for v, d in ratios] if denlcm > 1 else [v for v, _ in ratios]
+            g = gcd(*row)
+        out.append([v // g for v in row] if g > 1 else row)
     return out
 
 
@@ -265,32 +278,29 @@ def _bareiss_echelon(a: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return a, pivots
 
 
-def _rref(M: ExactMatrix) -> tuple[list[list], list[int]]:
-    """Unique RREF of M (nonzero rows only) plus pivot columns.
+def _integer_rref(M: ExactMatrix) -> tuple[list[list[int]], int, list[int], list[int]]:
+    """(X, D, pivots, free) for M over Q: the RREF R of M is the identity
+    on the pivot columns and X / D on the others, `free`, with X integer.
 
-    Over Q it is read from Bareiss's echelon rows U by fraction-free
+    It is read from Bareiss's echelon rows U by fraction-free
     back-substitution.  Let A be the scaled integer rows that became pivot
     rows, in the order they did, and B their entries at the pivot columns.
     Then R = B^-1 A, and the last pivot value D is det B, so X = D*R =
     adj(B) A is an integer matrix.  Row i of U is the sum over k >= i of
     U[i, pc_k] times row k of R, so from the last row up X[i, f] =
     (D*U[i, f] - sum over k > i of U[i, pc_k] * X[k, f]) // U[i, pc_i],
-    exactly.  R is the identity on the pivot columns, so X and the
-    `Fraction`s are made only at the other columns.
+    exactly.  X is made only at the free columns.  With no pivot, D = 1.
     """
-    if M.rows == 0 or M.cols == 0:
-        return [], []
-    if M.field.char:
-        rr, pivots = _mod_p_echelon(M._data, M.field.char)
-        return rr[: len(pivots)].tolist(), pivots
-    u, pivots = _bareiss_echelon(_scaled_int_rows(M._data.tolist()))
-    r = len(pivots)
-    if r == 0:
-        return [], []
     n = M.cols
-    D = u[r - 1][pivots[-1]]
+    if M.rows == 0 or n == 0:
+        return [], 1, [], list(range(n))
+    u, pivots = _bareiss_echelon(_scaled_int_rows(M._data.tolist()))
     pivset = set(pivots)
     free = [f for f in range(n) if f not in pivset]
+    r = len(pivots)
+    if r == 0:
+        return [], 1, pivots, free
+    D = u[r - 1][pivots[-1]]
     x: list[list[int]] = [[]] * r
     for i in range(r - 1, -1, -1):
         ui = u[i]
@@ -304,10 +314,23 @@ def _rref(M: ExactMatrix) -> tuple[list[list], list[int]]:
         pval = ui[pivots[i]]
         x[i] = [v // pval for v in xi]
         u[i] = None  # not read again; freeing it keeps U and X from peaking together
+    return x, D, pivots, free
+
+
+def _rref(M: ExactMatrix) -> tuple[list[list], list[int]]:
+    """Unique RREF of M (nonzero rows only) plus pivot columns.  Over Q it
+    is read from `_integer_rref`, and a `Fraction` is made only at the
+    non-pivot columns."""
+    if M.rows == 0 or M.cols == 0:
+        return [], []
+    if M.field.char:
+        rr, pivots = _mod_p_echelon(M._data, M.field.char)
+        return rr[: len(pivots)].tolist(), pivots
+    x, D, pivots, free = _integer_rref(M)
     zero, one = M.field.zero, M.field.one
     rows = []
     for pc, xi in zip(pivots, x):
-        row = [zero] * n
+        row = [zero] * M.cols
         row[pc] = one
         for f, v in zip(free, xi):
             if v:
@@ -368,6 +391,33 @@ def kernel_basis(M: ExactMatrix) -> list[tuple]:
             v[pc] = field.neg(row[last - fcol])
         vecs.append(tuple(v))
     return vecs
+
+
+def integer_kernel_basis(M: ExactMatrix) -> ExactMatrix:
+    """The canonical kernel basis of M over Q (`kernel_basis`), each vector
+    scaled to coprime integers with a positive leading entry, as the rows
+    of an integral matrix over Q.
+
+    It is read, like `kernel_basis`, from the RREF of M with its columns
+    reversed, but from its integer form X = D*R (`_integer_rref`): the
+    vector of the free column f is D at f and minus X's entry in column f
+    at each pivot column, divided by its gcd, signed like D.  No `Fraction`
+    is made.
+    """
+    n = M.cols
+    x, D, rev_pivots, rev_free = _integer_rref(ExactMatrix(M.field, M.rows, n, M._data[:, ::-1]))
+    last = n - 1
+    sign = 1 if D > 0 else -1
+    vecs = []
+    # ascending f in M's order is descending in the reversed one
+    for t in range(len(rev_free) - 1, -1, -1):
+        v = [0] * n
+        v[last - rev_free[t]] = D
+        for xi, pc in zip(x, rev_pivots):
+            v[last - pc] = -xi[t]
+        g = sign * gcd(*v)
+        vecs.append([c // g for c in v])
+    return ExactMatrix(M.field, len(vecs), n, np.array(vecs, dtype=object).reshape(len(vecs), n))
 
 
 def solve_exact(M: ExactMatrix, b: Sequence):

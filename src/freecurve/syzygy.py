@@ -21,8 +21,12 @@ verifies every vector exactly (`_lifted_kernel`).  Both sweeps stop once
 the Hilbert function of S/J_f meets Gotzmann's persistence condition, or
 reaches 0, past which every rank follows from Macaulay's bound
 (`_persistent`).
-`jacobian_matrix` and `rank_jacobian` build and rank one J_k, for the
-kernels and as the independent reference.
+Every J_k is built in one place, `integer_jacobian`, as an integer array
+filled from the gradient of an integer form; mod p it is one numpy
+reduction, and over Q its entries stay Python ints, which the elimination
+reads without a `Fraction`.  `jacobian_matrix` and `rank_jacobian` build
+and rank one J_k of any curve, for the kernels and as the independent
+reference.  `multiples` lays out the matrices that are not Jacobians.
 """
 
 from __future__ import annotations
@@ -153,6 +157,8 @@ def multiples(gens: Sequence[Sequence[HomogPoly]], k: int, field: Field) -> Exac
     k give none); block i of a row holds the coefficients of nu*g_i on the
     degree-k monomials in canonical order.  This is the layout of every
     multiplication matrix here; all tuples have the length of the first.
+    The Jacobian matrices, the transposed multiples of the partials, are
+    built apart by `integer_jacobian`.
     """
     n = dim_S(k)
     index = monomial_index(k)
@@ -180,22 +186,67 @@ def outside_span(span: ExactMatrix, candidates: ExactMatrix) -> list[int]:
     return [i - span.rows for i in pivots if i >= span.rows]
 
 
-def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> ExactMatrix:
+def integer_jacobian(f: HomogPoly, k: int) -> np.ndarray:
+    """J_k of f, a form with integer coefficients, as an integer array in
+    the layout of `jacobian_matrix`: dim S_(k+d-1) rows, 3 dim S_k columns.
+
+    The one builder of Jacobian matrices.  For a term c*mu of the partial
+    f_b, the column b*dim S_k + index(nu) holds c at the row of nu*mu, for
+    every degree-k monomial nu, and distinct terms of f_b reach distinct
+    rows.  The degree-m index of x^i y^j z^l is s(s+1)/2 + l with s = j+l
+    (the monomials of x-exponent m-s come in one run, which starts there),
+    so the rows of every term are one numpy expression in the exponents.
+    The dtype is int64 where every coefficient fits it, object otherwise:
+    Python ints either way once read.  Reduce it into a field with
+    `_field_entries`.
+    """
+    n = dim_S(k)
+    terms = [(b, mu[1], mu[2], _as_int(c)) for b, part in enumerate(partials(f)) for mu, c in part.terms.items()]
+    block, mj, ml = (np.array([t[i] for t in terms], dtype=np.int64) for i in range(3))
+    coeffs = [t[3] for t in terms]
+    fits = all(-(2**63) < c < 2**63 for c in coeffs)
+    nj, nl = _column_cells(k, 1)
+    s = (mj + ml)[:, None] + (nj + nl)
+    rows = s * (s + 1) // 2 + ml[:, None] + nl
+    cols = block[:, None] * n + np.arange(n)
+    J = np.zeros((dim_S(k + f.degree - 1), 3 * n), dtype=np.int64 if fits else object)
+    J[rows, cols] = np.array(coeffs, dtype=J.dtype)[:, None]
+    return J
+
+
+def _field_entries(J: np.ndarray, field: Field) -> np.ndarray:
+    """The integer array J as entries of `field`, in its dtype: Python ints
+    over Q, and one numpy reduction mod p over a prime."""
+    p, dtype = field.char, _dtype(field)
+    if not p or dtype == object or J.dtype == object:
+        J = J.astype(object)
+    return (J % p).astype(dtype, copy=False) if p else J
+
+
+def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ) -> ExactMatrix:
     """Matrix of (a,b,c) |-> a*f_x + b*f_y + c*f_z from degree k to k+d-1.
 
-    The transpose (a view) of the `multiples` of (f_x,), (f_y,), (f_z,) at
-    degree k+d-1: columns come in three blocks (a, b, c), each in canonical
+    The transpose of the `multiples` of (f_x,), (f_y,), (f_z,) at degree
+    k+d-1: columns come in three blocks (a, b, c), each in canonical
     monomial order; rows are the degree-(k+d-1) monomials in canonical
-    order.  `grad`, the gradient of f over `field`, spares recomputing it.
+    order.  It is `integer_jacobian` of c*f, c the least common multiple of
+    f's denominators, divided by c: over Q its entries are Python ints when
+    f has integer coefficients, `Fraction`s otherwise.  Over a prime that
+    divides c, f has no image and ValueError is raised.
     """
     if k < 0:
         raise ValueError("source degree must be non-negative")
     d = f.degree
     if d < 1:
         raise ValueError("curve degree must be at least 1")
-    if grad is None:
-        grad = partials(f.map_field(field))
-    return multiples([(part,) for part in grad], k + d - 1, field).transpose()
+    c = lcm(*(v.denominator for v in f.terms.values()))
+    data = _field_entries(integer_jacobian(f.scale(Fraction(c)) if c > 1 else f, k), field)
+    if c > 1:
+        # J_k of f is J_k of c*f divided by c
+        data = data * field.from_fraction(Fraction(1, c))
+        if field.char:
+            data %= field.char
+    return ExactMatrix(field, *data.shape, data)
 
 
 def rank_jacobian(f: HomogPoly, k: int, field: Field = QQ) -> int:
@@ -212,8 +263,7 @@ def syzygy_basis(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | No
     Jacobian matrices have the same kernels."""
     if grad is None:
         grad = partials(f.map_field(field))
-    M = jacobian_matrix(f, k, field, grad=grad)
-    return [Syzygy.from_vector(f, k, vec, field, grad) for vec in kernel_basis(M)]
+    return [Syzygy.from_vector(f, k, vec, field, grad) for vec in kernel_basis(jacobian_matrix(f, k, field))]
 
 
 @dataclass(frozen=True)
@@ -551,8 +601,8 @@ def _proved_ranks(f: HomogPoly, prime: int = CERT_PRIME) -> Iterator[int]:
 
 def _lifted_kernel(f: HomogPoly, k: int, prime: int) -> list[list[int]]:
     """ker_Q J_k of f, an integer form, as primitive integer vectors, lifted
-    from its images mod `prime` and the primes above it.  The integer
-    gradient of f is mapped to each prime once.
+    from its images mod `prime` and the primes above it.  J_k is built once
+    as an integer matrix (`integer_jacobian`) and reduced mod each prime.
 
     The image mod p is the reduced echelon basis of ker_p J_k
     (`kernel_basis`): 1 at its free columns, 0 at the others.  Ranks only
@@ -579,13 +629,13 @@ def _lifted_kernel(f: HomogPoly, k: int, prime: int) -> list[list[int]]:
     recovers them and verifies; it usually does at a far smaller one.
     """
     n = 3 * dim_S(k)
-    grad = partials(f)
-    gradient = _integer_terms(grad)
+    gradient = _integer_terms(partials(f))
     basis = monomial_basis(k)
+    J = integer_jacobian(f, k)
     best = None
     for p in _primes_from(prime):
         P = GF(p)
-        image = kernel_basis(jacobian_matrix(f, k, P, grad=Gradient(*(g.map_field(P) for g in grad))))
+        image = kernel_basis(ExactMatrix(P, *J.shape, _field_entries(J, P)))
         free = tuple(v.index(1) for v in image)
         pattern = (len(free), free)
         if best is not None and pattern > best:

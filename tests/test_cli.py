@@ -106,8 +106,8 @@ def test_analyze_refuses_before_building_a_matrix(monkeypatch, capsys, expr, tab
     def refuse(*args):
         raise AssertionError("a matrix was built")
 
-    monkeypatch.setattr(syzygy, "jacobian_matrix", refuse)
-    monkeypatch.setattr(syzygy, "multiples", refuse)
+    for builder in ("jacobian_matrix", "integer_jacobian", "multiples"):
+        monkeypatch.setattr(syzygy, builder, refuse)
     args = ["analyze", "--poly", expr, "--json"]
     if table is not None:
         args += ["--max-degree-table", table]

@@ -2,7 +2,9 @@
 
 import dataclasses
 import random
+from math import gcd
 
+import numpy as np
 import pytest
 
 from freecurve import invariants
@@ -21,11 +23,11 @@ from freecurve.invariants import (
     tjurina,
     validate_bundle,
 )
-from freecurve.linalg import ExactMatrix
+from freecurve.linalg import ExactMatrix, rank
 from freecurve.parser import parse_poly
 from freecurve.poly import dim_S
 from freecurve.report import analyze
-from freecurve.syzygy import mdr, rank_profile
+from freecurve.syzygy import _integral, jacobian_matrix, mdr, rank_profile
 
 from oracles import smooth_series_oracle
 
@@ -132,6 +134,27 @@ def test_formula_equals_oracle_on_small_curves():
             assert n_dim_saturation_oracle(f, j, functionals=shared) == oracle, (expr, j)
         # every j <= T settles after probing the targets T+1 and T+2
         assert sorted(shared) == [T + 1, T + 2], expr
+
+
+def test_oracle_functionals_are_primitive_integer_rows_of_the_left_kernel():
+    # for each target degree t the oracle probes: dim S_t - rank_Q J_t rows
+    # of coprime Python ints, independent, each killing J_t of the
+    # primitive form F exactly; a rational curve is scaled to F first
+    for expr in ("x^3-y^2*z", "x*y*z*(x+y+z)", "(1/2*x^3+1/3*y^3-z^3)*(x+y)", "(x^2-y^2)*(y^2-z^2)*(x^2-z^2)"):
+        f = parse_poly(expr)
+        (F,) = _integral((f,))
+        d, T = f.degree, 3 * (f.degree - 2)
+        functionals: dict = {}
+        for j in range(T + 1):
+            n_dim_saturation_oracle(f, j, functionals)
+        assert functionals, expr
+        for t, left_null in functionals.items():
+            J = jacobian_matrix(F, t - d + 1, QQ)
+            rows = left_null.row_lists()
+            assert left_null.field is QQ and len(rows) == dim_S(t) - rank(J), (expr, t)
+            assert all(type(v) is int for row in rows for v in row) and all(gcd(*row) == 1 for row in rows), (expr, t)
+            assert not (np.array(rows, dtype=object).reshape(len(rows), dim_S(t)) @ J._data).any(), (expr, t)
+            assert rank(left_null) == len(rows), (expr, t)
 
 
 @pytest.mark.parametrize("f", [TRIANGLE, CUSP, FERMAT3, parse_poly("x*y*z*(x+y+z)")])

@@ -19,6 +19,7 @@ from freecurve.linalg import (
     _mod_p_matmul,
     _rref,
     _scaled_int_rows,
+    integer_kernel_basis,
     kernel_basis,
     pivot_columns,
     rank,
@@ -245,6 +246,16 @@ def assert_q_elimination_matches_fraction_rref(rows, b):
             v[pc] = -row[f]
         spanning.append(v)
     assert kernel_basis(M) == [tuple(v) for v in fraction_rref(spanning)[0]]
+    # an integral matrix, the same rows held as Python ints, reads the same
+    integral = ExactMatrix(QQ, M.rows, n, np.array(ints, dtype=object).reshape(M.rows, n))
+    assert pivot_columns(integral) == ref_pivots and _rref(integral) == (ref_rows, ref_pivots)
+    # the canonical kernel vectors as primitive integer rows, leading entry > 0
+    primitive = integer_kernel_basis(M)
+    assert primitive.field is QQ and (primitive.rows, primitive.cols) == (n - len(ref_pivots), n)
+    for vec, canonical in zip(primitive.row_lists(), kernel_basis(M)):
+        lead = vec[canonical.index(1)]
+        assert all(type(v) is int for v in vec) and gcd(*vec) == 1 and lead > 0
+        assert vec == [lead * v for v in canonical]
     aug_rows, aug_pivots = fraction_rref([list(r) + [v] for r, v in zip(rows, b)])
     if aug_pivots and aug_pivots[-1] == n:
         assert solve_exact(M, b) is None

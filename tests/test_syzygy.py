@@ -82,6 +82,59 @@ def test_jacobian_matrix_matches_independent_layout():
             assert jacobian_matrix(f, k, P).row_lists() == [[P.from_fraction(v) for v in row] for row in over_q]
 
 
+# a rational quartic; its denominators avoid the builder test's primes
+RATIONAL_QUARTIC = "(1/2*x^3+1/7*y^3-z^3)*(x-2*y+z)"
+BIG_COEFFICIENT_CUBIC = f"x^3+y^3+z^3+{2**70 + 1}*x*y*z"
+
+
+@pytest.fixture(scope="module")
+def jacobian_references():
+    """(name, f, k, J_k of f over Q from sympy as Fractions) for a cubic
+    whose gradient 3(x^2, y^2, z^2) vanishes mod 3, a quartic of the
+    corpus, free12_c at a few degrees, a curve with rational coefficients
+    and a cubic with a coefficient of 71 bits."""
+    corpus = {path.name: parse_poly(load_case(path).expression) for path in shipped_corpus_dir().glob("*.curve")}
+    cases = [
+        ("fermat3.curve", corpus["fermat3.curve"], range(5)),
+        ("quartic_e6.curve", corpus["quartic_e6.curve"], (0, 1, 4, 8)),
+        ("free12_c.curve", corpus["free12_c.curve"], (0, 1, 4)),
+        (RATIONAL_QUARTIC, parse_poly(RATIONAL_QUARTIC), (0, 1, 4, 8)),
+        # a coefficient past int64: the builder's object array
+        (BIG_COEFFICIENT_CUBIC, parse_poly(BIG_COEFFICIENT_CUBIC), (0, 1, 2)),
+    ]
+    return [
+        (name, f, k, [[Fraction(int(v.p), int(v.q)) for v in row] for row in jacobian_matrix_oracle(f, k).tolist()])
+        for name, f, degrees in cases
+        for k in degrees
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5), GF(syzygy.CERT_PRIME)], ids=str)
+def test_jacobian_builder_matches_multiples_and_the_sympy_layout(jacobian_references, field):
+    for name, f, k, over_q in jacobian_references:
+        d = f.degree
+        expected = over_q if field is QQ else [[field.from_fraction(v) for v in row] for row in over_q]
+        # the public matrix is J of f itself, whether f is integral or not
+        J = jacobian_matrix(f, k, field)
+        assert J.field is field and J.row_lists() == expected, (name, k)
+        assert J.row_lists() == multiples([(g,) for g in partials(f.map_field(field))], k + d - 1, field).transpose().row_lists()
+        # the builder on the primitive form F: Python ints over Q, one
+        # reduction mod p over a prime
+        (F,) = syzygy._integral((f,))
+        ints = syzygy.integer_jacobian(F, k)
+        over_F = multiples([(g,) for g in partials(F.map_field(field))], k + d - 1, field).transpose().row_lists()
+        assert syzygy._field_entries(ints, field).tolist() == over_F, (name, k)
+        if field is QQ:
+            assert all(type(v) is int for row in jacobian_matrix(F, k, QQ).row_lists() for v in row)
+
+
+def test_jacobian_matrix_refuses_a_prime_that_divides_a_denominator():
+    f = parse_poly("1/3*x^3+y^3+z^3")
+    assert jacobian_matrix(f, 1, GF(5)).rows == dim_S(3)
+    with pytest.raises(ValueError):
+        jacobian_matrix(f, 1, GF(3))
+
+
 def test_multiples_lay_out_each_monomial_multiple_as_one_row():
     rho1 = syzygy_basis(CUSP, 1)[0]
     for field in (QQ, GF(7)):
