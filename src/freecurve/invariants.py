@@ -21,8 +21,8 @@ from typing import Callable
 
 from .errors import InternalInconsistencyError, NotReducedError
 from .linalg import integer_kernel_basis, rank
-from .poly import HomogPoly, choose2, dim_choose2, dim_S, monomial_basis, monomial_index
-from .syzygy import RankProfile, _integral, jacobian_matrix, mdr, milnor_plateau, rank_jacobian
+from .poly import HomogPoly, choose2, dim_choose2, dim_S, monomial_position
+from .syzygy import RankProfile, _column_cells, _integral, jacobian_matrix, mdr, milnor_plateau, rank_jacobian
 
 
 def smooth_reference(d: int, k: int) -> int:
@@ -62,7 +62,8 @@ def thresholds(p: RankProfile) -> tuple[int | None, int]:
         if p.m(k) != smooth_reference(d, k):
             ct = k - 1
             break
-    st = 3 * d - 5
+    # m(f)_k = tau from 3d-5 on, and from 0 on for a line
+    st = max(3 * d - 5, 0)
     while st > 0 and p.m(st - 1) == tau:
         st -= 1
     return ct, st
@@ -106,16 +107,12 @@ def _saturation_dim(f: HomogPoly, j: int, e: int, functionals: dict) -> int:
     n_j = dim_S(j)
     if left_null.rows == 0:
         return n_j
-    tgt_index = monomial_index(target)
-    parts = []
-    for axis in range(3):
-        power = tuple(e if t == axis else 0 for t in range(3))
-        shifted = [
-            tgt_index[(m[0] + power[0], m[1] + power[1], m[2] + power[2])]
-            for m in monomial_basis(j)
-        ]
-        parts.append(left_null.columns(shifted))
-    return n_j - rank(parts[0].stack(parts[1]).stack(parts[2]))
+    # x^e keeps a monomial's position; y^e and z^e raise its y- or
+    # z-exponent by e
+    mj, ml = _column_cells(j, 1)
+    shifted = (range(n_j), monomial_position(mj + e, ml), monomial_position(mj, ml + e))
+    x_part, y_part, z_part = (left_null.columns(cols) for cols in shifted)
+    return n_j - rank(x_part.stack(y_part).stack(z_part))
 
 
 def n_dim_saturation_oracle(f: HomogPoly, j: int, functionals: dict | None = None) -> int:

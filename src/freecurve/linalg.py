@@ -9,9 +9,10 @@ arithmetic of the elimination depends on the field.  All of it is exact:
 
 * over Q, fraction-free (Bareiss) elimination on rows scaled to coprime
   integers, which keeps intermediate entries at minor size.  An integral
-  matrix, one that holds Python ints (the Jacobian builder's, or the
-  primitive kernel rows of `integer_kernel_basis`), has each row divided
-  by its gcd only; a row of `Fraction`s has its denominators cleared first.
+  matrix, one that holds Python ints (a multiplication matrix with
+  integral coefficients, such as J_k of an integer form, or the primitive
+  kernel rows of `integer_kernel_basis`), has each row divided by its gcd
+  only; a row of `Fraction`s has its denominators cleared first.
   Each row's Bareiss scaling is deferred until a pivot hits it, so a row
   that is zero in the pivot column is not touched.  The reduced form is
   read from the echelon rows by fraction-free back-substitution, and a
@@ -47,10 +48,12 @@ class ExactMatrix:
     entries cannot overflow.  Otherwise it is object: Python ints over a
     larger prime, Fractions over Q.  Entries are field elements, in [0, p)
     over a prime; constructors reduce what they are given mod p.  An
-    integral matrix over Q holds Python ints instead of Fractions; only the
-    Jacobian builder (`syzygy.integer_jacobian`) and `integer_kernel_basis`
-    make one, and every operation reads it as it reads Fractions.  Matrices
-    are never changed in place, so `transpose` can return a view.
+    integral matrix over Q holds Python ints instead of Fractions, never a
+    mix of the two; only the multiplication-matrix builder
+    (`syzygy.multiples`, from integral coefficients) and
+    `integer_kernel_basis` make one, and every operation reads it as it
+    reads Fractions.  Matrices are never changed in place, so `transpose`
+    can return a view.
     """
 
     __slots__ = ("field", "rows", "cols", "_data")
@@ -80,15 +83,8 @@ class ExactMatrix:
         return cls(field, m, n, data)
 
     @classmethod
-    def from_entries(cls, field: Field, m: int, n: int, rows: Sequence[int], cols: Sequence[int], values: Sequence) -> "ExactMatrix":
-        """The m x n matrix with values[i] at (rows[i], cols[i]), zero elsewhere."""
-        out = cls.zeros(field, m, n)
-        out._data[rows, cols] = _entries(field, values)
-        return out
-
-    @classmethod
     def identity(cls, field: Field, n: int) -> "ExactMatrix":
-        return cls.from_entries(field, n, n, list(range(n)), list(range(n)), [field.one] * n)
+        return cls.from_rows(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     def row_lists(self) -> list[list]:
         return self._data.tolist()

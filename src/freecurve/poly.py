@@ -4,6 +4,7 @@ A polynomial is stored sparsely as a map from exponent triples (i, j, k)
 to nonzero coefficients.  Monomials of a fixed degree are totally ordered
 by descending lexicographic comparison of (i, j, k); this single order
 fixes every matrix row/column layout downstream, so it must never change.
+`monomial_basis` lists it; `monomial_position` is a monomial's place in it.
 
 Two "n choose 2" helpers live here and must not be confused:
 `choose2(n)` evaluates the polynomial n(n-1)/2 at any integer (it is the
@@ -53,9 +54,12 @@ def monomial_basis(m: int) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def monomial_index(m: int) -> dict[Monomial, int]:
-    return {mono: idx for idx, mono in enumerate(monomial_basis(m))}
+def monomial_position(j, l):
+    """The position of x^i y^j z^l in `monomial_basis` of its degree, also
+    on numpy arrays: s(s+1)/2 + l with s = j+l, as the monomials with
+    y- and z-exponents summing to s come in one run, which starts there."""
+    s = j + l
+    return s * (s + 1) // 2 + l
 
 
 class HomogPoly:

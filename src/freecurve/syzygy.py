@@ -21,18 +21,17 @@ verifies every vector exactly (`_lifted_kernel`).  Both sweeps stop once
 the Hilbert function of S/J_f meets Gotzmann's persistence condition, or
 reaches 0, past which every rank follows from Macaulay's bound
 (`_persistent`).
-Every J_k is built in one place, `integer_jacobian`, as an integer array
-filled from the gradient of an integer form; mod p it is one numpy
-reduction, and over Q its entries stay Python ints, which the elimination
-reads without a `Fraction`.  `jacobian_matrix` and `rank_jacobian` build
-and rank one J_k of any curve, for the kernels and as the independent
-reference.  `multiples` lays out the matrices that are not Jacobians.
+Every multiplication matrix comes from one array builder; `multiples`
+reads it in a field, mod p by one numpy reduction, and over Q integral
+entries stay Python ints, which the elimination reads without a
+`Fraction`.  `jacobian_matrix`, the transposed multiples of the gradient,
+and `rank_jacobian` build and rank one J_k of any curve, for the kernels
+and as the independent reference.
 """
 
 from __future__ import annotations
 
 import enum
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,7 +44,7 @@ import numpy as np
 from .errors import InputError, InternalInconsistencyError
 from .fields import GF, Field, FieldPlan, QQ, is_probable_prime
 from .linalg import ExactMatrix, _dtype, _mod_p_echelon, _mod_p_matmul, kernel_basis, pivot_columns, rank
-from .poly import Gradient, HomogPoly, dim_S, monomial_basis, monomial_index, partials
+from .poly import Gradient, HomogPoly, dim_S, monomial_basis, monomial_position, partials
 
 # Cells of the largest Jacobian matrix of a rank profile, J_top.  2^25
 # int64 cells are 256 MiB; the bound admits every d <= 32 at the default
@@ -157,23 +156,66 @@ def multiples(gens: Sequence[Sequence[HomogPoly]], k: int, field: Field) -> Exac
     k give none); block i of a row holds the coefficients of nu*g_i on the
     degree-k monomials in canonical order.  This is the layout of every
     multiplication matrix here; all tuples have the length of the first.
-    The Jacobian matrices, the transposed multiples of the partials, are
-    built apart by `integer_jacobian`.
+    It is `_multiples_array` read in `field`: over Q its entries are
+    Python ints when every coefficient is integral, `Fraction`s otherwise.
+    """
+    data = _field_entries(_multiples_array(gens, k), field)
+    return ExactMatrix(field, *data.shape, data)
+
+
+def _multiples_array(gens: Sequence[Sequence[HomogPoly]], k: int) -> np.ndarray:
+    """The rows of `multiples`, the one builder of multiplication
+    matrices, as an array of the tuples' coefficients.
+
+    A term c*mu of block b of a degree-e tuple puts c in the tuple's row of
+    each degree-(k-e) monomial nu, at column b*dim S_k + `monomial_position`
+    of nu*mu; distinct terms of one block reach distinct cells, so the
+    tuples of each degree take one numpy broadcast of their terms against
+    the exponents of nu.  The dtype is int64 where every coefficient is an
+    integer that fits it, and object otherwise: Python ints when every
+    coefficient is integral, `Fraction`s, zeros too, when one is not.
     """
     n = dim_S(k)
-    index = monomial_index(k)
-    rows, cols = array("q"), array("q")
-    values: list = []
+    # per tuple degree: (first row, block column, y- and z-exponent of mu)
+    # of each term, and its coefficient
+    groups: dict[int, tuple[list, list]] = {}
     row = 0
     for g in gens:
-        for nu in monomial_basis(k - g[0].degree):
-            for base, part in zip(range(0, len(g) * n, n), g):
-                for mu, coeff in part.terms.items():
-                    rows.append(row)
-                    cols.append(base + index[(nu[0] + mu[0], nu[1] + mu[1], nu[2] + mu[2])])
-                    values.append(coeff)
-            row += 1
-    return ExactMatrix.from_entries(field, row, len(gens[0]) * n if gens else 0, rows, cols, values)
+        e = g[0].degree
+        if e > k:
+            continue
+        places, coeffs = groups.setdefault(e, ([], []))
+        for b, part in enumerate(g):
+            for (_, mj, ml), c in part.terms.items():
+                places.append((row, b * n, mj, ml))
+                coeffs.append(c)
+        row += dim_S(k - e)
+    values = [c for _, coeffs in groups.values() for c in coeffs]
+    integral = all(c.denominator == 1 for c in values)
+    fits = integral and all(-(2**63) < c.numerator < 2**63 for c in values)
+    out = np.zeros((row, len(gens[0]) * n if gens else 0), dtype=np.int64 if fits else object)
+    if not integral:
+        out.fill(Fraction(0))
+    for e, (places, coeffs) in groups.items():
+        if not places:
+            continue
+        first, base, mj, ml = np.array(places, dtype=np.int64).T
+        nj, nl = _column_cells(k - e, 1)
+        rows = first[:, None] + np.arange(len(nj))
+        cols = base[:, None] + monomial_position(mj[:, None] + nj, ml[:, None] + nl)
+        coeffs = [c.numerator for c in coeffs] if integral else [Fraction(c) for c in coeffs]
+        out[rows, cols] = np.array(coeffs, dtype=out.dtype)[:, None]
+    return out
+
+
+def _field_entries(J: np.ndarray, field: Field) -> np.ndarray:
+    """An array of `_multiples_array` as entries of `field`, in its dtype:
+    over Q its Python ints or `Fraction`s as they are, over a prime its
+    integers reduced by one numpy `%`."""
+    p, dtype = field.char, _dtype(field)
+    if not p or dtype == object or J.dtype == object:
+        J = J.astype(object, copy=False)
+    return (J % p).astype(dtype, copy=False) if p else J
 
 
 def outside_span(span: ExactMatrix, candidates: ExactMatrix) -> list[int]:
@@ -186,67 +228,21 @@ def outside_span(span: ExactMatrix, candidates: ExactMatrix) -> list[int]:
     return [i - span.rows for i in pivots if i >= span.rows]
 
 
-def integer_jacobian(f: HomogPoly, k: int) -> np.ndarray:
-    """J_k of f, a form with integer coefficients, as an integer array in
-    the layout of `jacobian_matrix`: dim S_(k+d-1) rows, 3 dim S_k columns.
-
-    The one builder of Jacobian matrices.  For a term c*mu of the partial
-    f_b, the column b*dim S_k + index(nu) holds c at the row of nu*mu, for
-    every degree-k monomial nu, and distinct terms of f_b reach distinct
-    rows.  The degree-m index of x^i y^j z^l is s(s+1)/2 + l with s = j+l
-    (the monomials of x-exponent m-s come in one run, which starts there),
-    so the rows of every term are one numpy expression in the exponents.
-    The dtype is int64 where every coefficient fits it, object otherwise:
-    Python ints either way once read.  Reduce it into a field with
-    `_field_entries`.
-    """
-    n = dim_S(k)
-    terms = [(b, mu[1], mu[2], _as_int(c)) for b, part in enumerate(partials(f)) for mu, c in part.terms.items()]
-    block, mj, ml = (np.array([t[i] for t in terms], dtype=np.int64) for i in range(3))
-    coeffs = [t[3] for t in terms]
-    fits = all(-(2**63) < c < 2**63 for c in coeffs)
-    nj, nl = _column_cells(k, 1)
-    s = (mj + ml)[:, None] + (nj + nl)
-    rows = s * (s + 1) // 2 + ml[:, None] + nl
-    cols = block[:, None] * n + np.arange(n)
-    J = np.zeros((dim_S(k + f.degree - 1), 3 * n), dtype=np.int64 if fits else object)
-    J[rows, cols] = np.array(coeffs, dtype=J.dtype)[:, None]
-    return J
-
-
-def _field_entries(J: np.ndarray, field: Field) -> np.ndarray:
-    """The integer array J as entries of `field`, in its dtype: Python ints
-    over Q, and one numpy reduction mod p over a prime."""
-    p, dtype = field.char, _dtype(field)
-    if not p or dtype == object or J.dtype == object:
-        J = J.astype(object)
-    return (J % p).astype(dtype, copy=False) if p else J
-
-
 def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ) -> ExactMatrix:
     """Matrix of (a,b,c) |-> a*f_x + b*f_y + c*f_z from degree k to k+d-1.
 
     The transpose of the `multiples` of (f_x,), (f_y,), (f_z,) at degree
-    k+d-1: columns come in three blocks (a, b, c), each in canonical
-    monomial order; rows are the degree-(k+d-1) monomials in canonical
-    order.  It is `integer_jacobian` of c*f, c the least common multiple of
-    f's denominators, divided by c: over Q its entries are Python ints when
-    f has integer coefficients, `Fraction`s otherwise.  Over a prime that
-    divides c, f has no image and ValueError is raised.
+    k+d-1, the gradient of f over `field`: columns come in three blocks
+    (a, b, c), each in canonical monomial order; rows are the
+    degree-(k+d-1) monomials in canonical order.  Over Q its entries are
+    Python ints when f has integer coefficients, `Fraction`s otherwise.
+    Over a prime that divides a denominator of f, f has no image and
+    `map_field` raises ValueError.
     """
     if k < 0:
         raise ValueError("source degree must be non-negative")
-    d = f.degree
-    if d < 1:
-        raise ValueError("curve degree must be at least 1")
-    c = lcm(*(v.denominator for v in f.terms.values()))
-    data = _field_entries(integer_jacobian(f.scale(Fraction(c)) if c > 1 else f, k), field)
-    if c > 1:
-        # J_k of f is J_k of c*f divided by c
-        data = data * field.from_fraction(Fraction(1, c))
-        if field.char:
-            data %= field.char
-    return ExactMatrix(field, *data.shape, data)
+    # a constant f has no gradient: `partial` raises ValueError
+    return multiples([(g,) for g in partials(f.map_field(field))], k + f.degree - 1, field).transpose()
 
 
 def rank_jacobian(f: HomogPoly, k: int, field: Field = QQ) -> int:
@@ -485,14 +481,14 @@ class _ModuleSweep:
         nn = len(non)
         w_piv, w_N = piv[len(piv) - self.w :], N[len(piv) - self.w :]
         # the joining rows at full width: y*W_D, z*W_D, then G, which
-        # `multiples` lays out one block after the other
+        # `_multiples_array` lays out one block after the other
         rows = np.zeros((2 * self.w, t * m1), dtype=N.dtype)
         for s, shift in enumerate(_shift_maps(self.D, t)):
             block = rows[s * self.w : (s + 1) * self.w]
             block[np.arange(self.w), shift[w_piv]] = 1
             block[:, shift[non]] = w_N
         if gens:
-            G = multiples(gens, self.D + 1, self.field)._data
+            G = _multiples_array(gens, self.D + 1)
             rows = np.vstack([rows, G[:, (np.arange(m1)[:, None] + m1 * np.arange(t)).ravel()]])
         # the x rows read N on the first nn columns of C and 0 on the rest;
         # only the pivots some row touches, and the rows that touch one,
@@ -549,13 +545,13 @@ class _ModuleSweep:
 @lru_cache(maxsize=None)
 def _shift_maps(D: int, t: int) -> np.ndarray:
     """Row s, column c: the degree-(D+1) column of y (s = 0) or z (s = 1)
-    times the degree-D column c of S^t (see `_ModuleSweep`).  The degree-D
-    monomials of x-exponent i come in one run of D+1-i, and y*mu lies
-    D+1-i monomials past x*mu, z*mu one more.  Read-only and cached per
-    degree, like `monomial_basis`: the profile bound keeps D below 100."""
-    run = np.arange(1, D + 2)
-    y = np.arange(t * dim_S(D)) + t * np.repeat(np.repeat(run, run), t)
-    cols = np.vstack([y, y + t])
+    times the degree-D column c of S^t (see `_ModuleSweep`): block c mod t
+    stays, and y raises b, z raises c' of the cell (b, c') =
+    `_column_cells`.  Read-only and cached per degree, like
+    `monomial_basis`: the profile bound keeps D below 100."""
+    b, c = _column_cells(D, t)
+    block = np.arange(t * dim_S(D)) % t
+    cols = np.vstack([t * monomial_position(b + 1, c) + block, t * monomial_position(b, c + 1) + block])
     cols.flags.writeable = False
     return cols
 
@@ -564,10 +560,11 @@ def _shift_maps(D: int, t: int) -> np.ndarray:
 def _column_cells(D: int, t: int) -> np.ndarray:
     """Row 0, column c: the y-exponent b of the monomial at the degree-D
     column c of S^t; row 1: its z-exponent (see `_ModuleSweep`).  The
-    degree-D monomials with b + c = s form one run, in which c counts up
-    from 0.  Read-only and cached per degree, like `_shift_maps`."""
+    inverse of `monomial_position`: the monomials with b + c = s form one
+    run from the position of y^s, in which c counts up from 0.  Read-only
+    and cached per degree, like `_shift_maps`."""
     s = np.repeat(np.arange(D + 1), np.arange(1, D + 2))
-    c = np.arange(dim_S(D)) - s * (s + 1) // 2
+    c = np.arange(dim_S(D)) - monomial_position(s, 0)
     cells = np.repeat(np.vstack([s - c, c]), t, axis=1)
     cells.flags.writeable = False
     return cells
@@ -602,7 +599,8 @@ def _proved_ranks(f: HomogPoly, prime: int = CERT_PRIME) -> Iterator[int]:
 def _lifted_kernel(f: HomogPoly, k: int, prime: int) -> list[list[int]]:
     """ker_Q J_k of f, an integer form, as primitive integer vectors, lifted
     from its images mod `prime` and the primes above it.  J_k is built once
-    as an integer matrix (`integer_jacobian`) and reduced mod each prime.
+    as an integer array (`_multiples_array` of the gradient, transposed)
+    and reduced mod each prime.
 
     The image mod p is the reduced echelon basis of ker_p J_k
     (`kernel_basis`): 1 at its free columns, 0 at the others.  Ranks only
@@ -629,9 +627,10 @@ def _lifted_kernel(f: HomogPoly, k: int, prime: int) -> list[list[int]]:
     recovers them and verifies; it usually does at a far smaller one.
     """
     n = 3 * dim_S(k)
-    gradient = _integer_terms(partials(f))
+    grad = partials(f)
+    gradient = _integer_terms(grad)
     basis = monomial_basis(k)
-    J = integer_jacobian(f, k)
+    J = _multiples_array([(g,) for g in grad], k + f.degree - 1).T
     best = None
     for p in _primes_from(prime):
         P = GF(p)

@@ -106,7 +106,8 @@ def test_analyze_refuses_before_building_a_matrix(monkeypatch, capsys, expr, tab
     def refuse(*args):
         raise AssertionError("a matrix was built")
 
-    for builder in ("jacobian_matrix", "integer_jacobian", "multiples"):
+    # every multiplication matrix is laid out by the array core
+    for builder in ("jacobian_matrix", "multiples", "_multiples_array"):
         monkeypatch.setattr(syzygy, builder, refuse)
     args = ["analyze", "--poly", expr, "--json"]
     if table is not None:

@@ -82,6 +82,10 @@ def test_tjurina_rejects_nonreduced():
         ("x*y*z", 2, 1),
         ("x^3-y^2*z", 2, 3),
         ("x^3+y^3+z^3", None, 4),
+        # d <= 2: the scan starts at max(3d-5, 0)
+        ("x", None, 0),
+        ("x*y", 0, 0),
+        ("x^2+y^2+z^2", None, 1),
     ],
 )
 def test_thresholds_examples(expr, ct, st):

@@ -87,7 +87,7 @@ def test_stack_appends_rows():
 def test_constructors_and_views_hold_field_elements():
     for field in THREE_FIELDS:
         minus_one = field.from_int(-1)
-        sparse = ExactMatrix.from_entries(field, 2, 3, [0, 1], [2, 0], [field.one, minus_one])
+        sparse = ExactMatrix.from_rows(field, [[0, 0, field.one], [minus_one, 0, 0]])
         assert sparse.row_lists() == [[0, 0, 1], [minus_one, 0, 0]]
         zeros = ExactMatrix.zeros(field, 2, 2)
         assert zeros.row_lists() == [[0, 0], [0, 0]]

@@ -14,7 +14,7 @@ from freecurve.errors import InputError, InternalInconsistencyError
 from freecurve.fields import GF, QQ, FieldPlan
 from freecurve.linalg import ExactMatrix, _rref, kernel_basis, rank
 from freecurve.parser import parse_poly
-from freecurve.poly import HomogPoly, dim_S, dim_choose2, monomial_basis, partials
+from freecurve.poly import HomogPoly, dim_S, dim_choose2, monomial_basis, monomial_position, partials
 from freecurve.syzygy import (
     Reducedness,
     Syzygy,
@@ -109,20 +109,20 @@ def jacobian_references():
     ]
 
 
-@pytest.mark.parametrize("field", [QQ, GF(3), GF(5), GF(syzygy.CERT_PRIME)], ids=str)
+@pytest.mark.parametrize("field", [QQ, GF(3), GF(5), GF(syzygy.CERT_PRIME), GF(2**61 - 1)], ids=str)
 def test_jacobian_builder_matches_multiples_and_the_sympy_layout(jacobian_references, field):
+    # GF(2^61 - 1) holds its entries in an object array
     for name, f, k, over_q in jacobian_references:
-        d = f.degree
         expected = over_q if field is QQ else [[field.from_fraction(v) for v in row] for row in over_q]
         # the public matrix is J of f itself, whether f is integral or not
         J = jacobian_matrix(f, k, field)
         assert J.field is field and J.row_lists() == expected, (name, k)
-        assert J.row_lists() == multiples([(g,) for g in partials(f.map_field(field))], k + d - 1, field).transpose().row_lists()
-        # the builder on the primitive form F: Python ints over Q, one
-        # reduction mod p over a prime
+        # the builder's integer array of the primitive form F = c*f, which
+        # the lifts reduce mod each prime: Python ints over Q
         (F,) = syzygy._integral((f,))
-        ints = syzygy.integer_jacobian(F, k)
-        over_F = multiples([(g,) for g in partials(F.map_field(field))], k + d - 1, field).transpose().row_lists()
+        c = next(F.terms[m] / v for m, v in f.terms.items())
+        ints = syzygy._multiples_array([(g,) for g in partials(F)], k + f.degree - 1).T
+        over_F = [[field.from_fraction(c * v) for v in row] for row in over_q]
         assert syzygy._field_entries(ints, field).tolist() == over_F, (name, k)
         if field is QQ:
             assert all(type(v) is int for row in jacobian_matrix(F, k, QQ).row_lists() for v in row)
@@ -137,16 +137,59 @@ def test_jacobian_matrix_refuses_a_prime_that_divides_a_denominator():
 
 def test_multiples_lay_out_each_monomial_multiple_as_one_row():
     rho1 = syzygy_basis(CUSP, 1)[0]
+    halves = tuple(part.scale(Fraction(1, 2)) for part in rho1)
+    # a coefficient past int64: the builder's object array
+    big = tuple(part.scale(Fraction(2**70 + 1)) for part in rho1)
     for field in (QQ, GF(7)):
-        rho = [part.map_field(field) for part in rho1]
-        M = multiples([rho, rho], 3, field)
-        expected = [
-            [v for part in rho for v in part.mul_monomial(nu).coeff_vector()]
-            for nu in syzygy.monomial_basis(2)
-        ]
-        assert M.row_lists() == expected + expected
+        for g in (rho1, halves, big):
+            rho = [part.map_field(field) for part in g]
+            M = multiples([rho, rho], 3, field)
+            expected = [
+                [v for part in rho for v in part.mul_monomial(nu).coeff_vector()]
+                for nu in syzygy.monomial_basis(2)
+            ]
+            assert M.row_lists() == expected + expected
+            if field is QQ:
+                # all Python ints when every coefficient is integral, all
+                # Fractions otherwise
+                integral = all(c.denominator == 1 for part in rho for c in part.terms.values())
+                assert {type(v) for row in M.row_lists() for v in row} == {int if integral else Fraction}
         # a tuple above the degree contributes no row
         assert (multiples([rho], 0, field).rows, multiples([rho], 0, field).cols) == (0, 3)
+    # the three storage paths of the builder
+    assert [syzygy._multiples_array([g], 2).dtype for g in (rho1, halves, big)] == [np.int64, object, object]
+    assert type(syzygy._multiples_array([halves], 2)[0, 0]) is Fraction
+
+
+def test_monomial_position_is_the_basis_order_at_every_profile_degree():
+    # the largest monomial degree some admitted profile reaches: J_top has
+    # rows of degree top+d-1
+    largest = 0
+    for d in range(1, syzygy.MAX_CURVE_DEGREE + 1):
+        K = 2 * d - 1
+        syzygy.profile_degrees(d, K)
+        while True:
+            try:
+                syzygy.profile_degrees(d, K + 1)
+            except InputError:
+                break
+            K += 1
+        largest = max(largest, K + d - 1)
+    # the bound that `_shift_maps` and `_column_cells` cache under
+    assert largest < 100
+    for m in range(largest + 1):
+        exps = np.array(monomial_basis(m)).reshape(-1, 3)
+        assert (monomial_position(exps[:, 1], exps[:, 2]) == np.arange(dim_S(m))).all(), m
+    # the sweep's shifts: y and z raise the y- or z-exponent of a column's
+    # monomial, and the block stays
+    for D in range(largest):
+        exps = np.array(monomial_basis(D)).reshape(-1, 3)
+        for t in (1, 3):
+            j, l = np.repeat(exps[:, 1], t), np.repeat(exps[:, 2], t)
+            block = np.arange(t * dim_S(D)) % t
+            y, z = syzygy._shift_maps(D, t)
+            assert (y == t * monomial_position(j + 1, l) + block).all(), (D, t)
+            assert (z == t * monomial_position(j, l + 1) + block).all(), (D, t)
 
 
 def test_outside_span_picks_candidates_in_order():
