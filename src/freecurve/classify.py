@@ -12,23 +12,25 @@ the graded dimensions of the module they span at every degree of the
 profile.  A failed structural check is reported as `verified: false`,
 not raised; `freecurve corpus` is what fails a curve for it.  The
 generators after the minimal relation rho1 are the canonical kernel
-vectors that lie outside the multiples S * rho1; the pairing and those
-multiples are laid out by `syzygy.multiples`, like every other
-multiplication matrix.  Every number the criteria read comes from the
-curve's invariant bundle; only the structural checks build syzygies, once
-per verdict over the bundle's field plan.
+vectors that lie outside the multiples S * rho1.  Over Q the kernels are
+the ones the certificate lifted (`RankProfile.lifts`), lifted on demand
+where its bounds met; over a prime they are eliminated mod p.  Every
+number the criteria read comes from the curve's invariant bundle; only
+the structural checks build syzygies, once per verdict over the bundle's
+field plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import InternalInconsistencyError
 from .fields import Field, QQ
 from .linalg import ExactMatrix, kernel_basis, solve_exact
 from .poly import HomogPoly, dim_choose2, partials
 from .invariants import InvariantBundle, delta_dim, tau_max
-from .syzygy import RankProfile, Syzygy, jacobian_matrix, multiples, outside_span, syzygy_basis
+from .syzygy import CERT_PRIME, Lifts, RankProfile, Syzygy, _lifted_kernel, jacobian_matrix, multiples, outside_span, syzygy_basis
 
 FREE = "Free"
 NEARLY_FREE = "NearlyFree"
@@ -174,31 +176,40 @@ def nearly_free_resolution_dim(d: int, r: int, k: int) -> int:
     )
 
 
-def _generators(f: HomogPoly, r: int, degree: int, count: int, field: Field) -> tuple[Syzygy, ...]:
+def _generators(f: HomogPoly, r: int, degree: int, count: int, field: Field, lifts: Lifts | None) -> tuple[Syzygy, ...]:
     """The canonical minimal-degree relation rho1, then the `count`
     vectors of the canonical kernel basis of AR(f)_degree that lie outside
-    S_(degree-r) * rho1, each re-verified; any other count aborts."""
-    grad = partials(f.map_field(field))
-    basis = syzygy_basis(f, r, field, grad=grad)
+    S_(degree-r) * rho1; any other count aborts.  Over a prime the kernels
+    are eliminated and the triples re-verified; over Q they are `lifts`,
+    lifted where it has none (`syzygy._lifted_kernel` verifies them)."""
+    if field.char:
+        grad = partials(f.map_field(field))
+        basis = syzygy_basis(f, r, field, grad=grad)
+        kernel = kernel_basis(jacobian_matrix(f, degree, field))
+        syzygy = partial(Syzygy.from_vector, f, degree, field=field, grad=grad)
+    else:
+        lifted = {k: lifts[k] if lifts and k in lifts else _lifted_kernel(f, k, CERT_PRIME) for k in {r, degree}}
+        basis, kernel = [Syzygy.from_lift(r, v) for v in lifted[r][:1]], lifted[degree]
+        syzygy = partial(Syzygy.from_lift, degree)
     if not basis:
         raise ValueError(f"no relation in degree {r}; is r really mdr(f)?")
     rho1 = basis[0]
-    kernel = kernel_basis(jacobian_matrix(f, degree, field))
     picked = outside_span(multiples([rho1], degree, field), ExactMatrix.from_rows(field, kernel))
     if len(picked) != count:
         raise InternalInconsistencyError(
             f"complement of the minimal relation in degree {degree} has "
             f"dimension {len(picked)}, expected {count}"
         )
-    return (rho1, *(Syzygy.from_vector(f, degree, kernel[i], field, grad) for i in picked))
+    return (rho1, *(syzygy(kernel[i]) for i in picked))
 
 
-def nearly_free_generators(f: HomogPoly, r: int, field: Field = QQ) -> tuple[Syzygy, Syzygy, Syzygy]:
+def nearly_free_generators(f: HomogPoly, r: int, field: Field = QQ, lifts: Lifts | None = None) -> tuple[Syzygy, Syzygy, Syzygy]:
     """The three generating syzygies of a nearly free curve: rho1 of
     degree r, then rho2, rho3 of degree d-r, the canonical kernel vectors
-    outside S_(d-2r) * rho1.  That they generate is certified separately,
-    from the rank profile (`resolution_matches`)."""
-    return _generators(f, r, f.degree - r, 2, field)
+    outside S_(d-2r) * rho1.  Over Q, `lifts` may hold kernels already
+    lifted (`RankProfile.lifts`).  That they generate is certified
+    separately, from the rank profile (`resolution_matches`)."""
+    return _generators(f, r, f.degree - r, 2, field, lifts)
 
 
 def resolution_matches(p: RankProfile, r: int) -> bool:
@@ -208,17 +219,18 @@ def resolution_matches(p: RankProfile, r: int) -> bool:
     return all(p.ar(k) == nearly_free_resolution_dim(p.d, r, k) for k in range(len(p.ranks)))
 
 
-def free_pair(f: HomogPoly, r: int, field: Field = QQ) -> tuple[Syzygy, Syzygy]:
-    """The canonical generating pair (degrees r and d-1-r) of a free curve."""
-    return _generators(f, r, f.degree - 1 - r, 1, field)
+def free_pair(f: HomogPoly, r: int, field: Field = QQ, lifts: Lifts | None = None) -> tuple[Syzygy, Syzygy]:
+    """The canonical generating pair (degrees r and d-1-r) of a free curve;
+    `lifts` as in `nearly_free_generators`."""
+    return _generators(f, r, f.degree - 1 - r, 1, field, lifts)
 
 
-def _structure_ok(f: HomogPoly, r: int, verdict: str, field: Field) -> bool:
+def _structure_ok(p: RankProfile, r: int, verdict: str, field: Field) -> bool:
     """Structural check of a Free or NearlyFree verdict over one field."""
     try:
         if verdict == FREE:
-            return saito_verify(f, *free_pair(f, r, field))
-        nearly_free_generators(f, r, field)
+            return saito_verify(p.f, *free_pair(p.f, r, field, p.lifts))
+        nearly_free_generators(p.f, r, field, p.lifts)
         return True
     except InternalInconsistencyError:
         return False
@@ -255,7 +267,7 @@ def classify(b: InvariantBundle) -> Classification:
     if verdict in (FREE, NEARLY_FREE):
         exponents = (r, d - 1 - r) if verdict == FREE else (r, d - r)
         verified = (verdict == FREE or resolution_matches(p, r)) and p.plan.agree(
-            lambda F: _structure_ok(p.f, r, verdict, F)
+            lambda F: _structure_ok(p, r, verdict, F)
         )
     criteria = {name: v == verdict for name, v in verdicts.items()}
     return Classification(verdict, exponents, criteria, r == 1, verified)

@@ -4,29 +4,23 @@ For a degree-d curve f, the degree-k piece of the Jacobian map sends a
 triple (a, b, c) of degree-k polynomials to a*f_x + b*f_y + c*f_z.  Its
 kernel AR(f)_k collects the degree-k relations (syzygies) among the
 partials; the cokernel dimensions m(f)_k are the graded dimensions of the
-quotient of the polynomial ring by the Jacobian ideal.  Everything here
-reduces to exact ranks and kernels of those multiplication matrices.
-The pipeline agrees on them once per curve, as a `RankProfile`, the
-only source of the graded dimensions ar(f)_k and m(f)_k; the per-degree
-kernels over one field serve the structural checks.  Over a prime the
-profile builds no Jacobian matrix: rank J_k = dim (J_f)_(k+d-1).  One
-sweep up the degrees of a graded submodule of S^t given by generators
-(`_ModuleSweep`), which carries only the non-pivot block of its echelon
-basis, and for J_f only the rows a later degree can read, reads every
-rank from the Jacobian ideal J_f (`_swept_ranks`) and, over Q, the
-dimensions of the certificate's module of syzygies (`_proved_ranks`).
-Where the certificate's two bounds do not meet, it lifts ker_Q J_k from
-its images mod successive primes by CRT and rational reconstruction and
-verifies every vector exactly (`_lifted_kernel`).  Both sweeps stop once
-the Hilbert function of S/J_f meets Gotzmann's persistence condition, or
-reaches 0, past which every rank follows from Macaulay's bound
-(`_persistent`).
-Every multiplication matrix comes from one array builder; `multiples`
-reads it in a field, mod p by one numpy reduction, and over Q integral
-entries stay Python ints, which the elimination reads without a
-`Fraction`.  `jacobian_matrix`, the transposed multiples of the gradient,
-and `rank_jacobian` build and rank one J_k of any curve, for the kernels
-and as the independent reference.
+quotient of the polynomial ring by the Jacobian ideal.  The pipeline
+agrees on the ranks once per curve, as a `RankProfile`, the only source
+of ar(f)_k and m(f)_k.  Over a prime the profile builds no Jacobian
+matrix: rank J_k = dim (J_f)_(k+d-1), read by one sweep up the degrees
+of J_f (`_ModuleSweep`, `_swept_ranks`), which carries only the
+non-pivot block of its echelon basis and the rows a later degree can
+read.  Over Q each rank is proved from one prime (`_proved_ranks`): the
+same sweep gives the dimensions of the certificate's module of syzygies,
+and where its bounds do not meet, ker_Q J_k is lifted from its images
+mod successive primes by CRT and rational reconstruction and verified
+exactly (`_lifted_kernel`).  The profile keeps those lifts, and they are
+the kernels over Q of the structural checks (`syzygy_basis`).  Both
+sweeps stop once the Hilbert function of S/J_f meets Gotzmann's
+persistence condition, or reaches 0 (`_persistent`).  Every
+multiplication matrix comes from one builder (`multiples`);
+`jacobian_matrix` and `rank_jacobian` build and rank one J_k of any
+curve, for the kernels mod p and as the independent reference.
 """
 
 from __future__ import annotations
@@ -82,6 +76,10 @@ RETIRE_MIN_ROWS = 2**6
 # The prime of the certified rational profile: the first prime above 2^31.
 CERT_PRIME = 2_147_483_659
 
+# Bases of ker_Q J_k by degree k, as `_lifted_kernel` returns them.
+Lifts = dict[int, list[list[int]]]
+
+
 class Syzygy(NamedTuple):
     """A relation a*f_x + b*f_y + c*f_z = 0 with a, b, c of one degree."""
 
@@ -106,23 +104,26 @@ class Syzygy(NamedTuple):
             )
         return syz
 
+    @classmethod
+    def from_lift(cls, k: int, vec: Sequence[int]) -> "Syzygy":
+        """The degree-k triple over Q of a vector of `_lifted_kernel`, which
+        verified it, scaled to a leading 1, as in `linalg.kernel_basis`."""
+        n, lead = dim_S(k), next(c for c in vec if c)
+        return cls(*(HomogPoly.from_vector(QQ, k, [Fraction(c, lead) for c in vec[i * n : (i + 1) * n]]) for i in range(3)))
+
     def holds_for(self, f: HomogPoly, grad: Gradient | None = None) -> bool:
         """Whether a*f_x + b*f_y + c*f_z = 0, summed in Python integers.
 
         `grad` may be any nonzero multiple of the gradient of f over the
-        triple's field (default `partials`).  Over Q the triple, and a
-        gradient with a denominator, are each scaled by one nonzero factor
-        to integer coefficients (`_integral`), which keeps the identity.
-        The gradient of an integer form such as `RankProfile.f` has none,
-        so only the gradient of a rational f is scaled.  Over a prime the
-        integer sums are reduced mod p once.
+        triple's field (default `partials`).  Over Q the triple and the
+        gradient are each scaled by one nonzero factor to coprime integer
+        coefficients (`_integral`).  Over a prime the integer sums are
+        reduced mod p once.
         """
         field = self.a.field
         triple, gradient = self, grad if grad is not None else partials(f.map_field(field))
         if field.char == 0:
-            triple = _integral(triple)
-            if any(c.denominator != 1 for g in gradient for c in g.terms.values()):
-                gradient = _integral(gradient)
+            triple, gradient = _integral(triple), _integral(gradient)
         return _relation_vanishes([u.terms.items() for u in triple], _integer_terms(gradient), field.char)
 
 
@@ -253,10 +254,16 @@ def rank_jacobian(f: HomogPoly, k: int, field: Field = QQ) -> int:
 
 
 def syzygy_basis(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> list[Syzygy]:
-    """Canonical echelon basis of AR(f)_k; every triple is re-verified.
-    `grad` is the gradient of f over `field` or a nonzero multiple of it
-    (default `partials`): a multiple has the same relations, so its
-    Jacobian matrices have the same kernels."""
+    """Canonical echelon basis of AR(f)_k, each triple verified exactly:
+    over Q the lift of ker J_k (`_lifted_kernel`, `Syzygy.from_lift`), over
+    a prime the kernel of J_k mod p, re-verified against `grad`, the
+    gradient of f over `field` or a nonzero multiple of it (default
+    `partials`): a multiple has the same relations, so its Jacobian
+    matrices have the same kernels."""
+    if not field.char:
+        if k < 0:
+            raise ValueError("source degree must be non-negative")
+        return [Syzygy.from_lift(k, v) for v in _lifted_kernel(f, k, CERT_PRIME)]
     if grad is None:
         grad = partials(f.map_field(field))
     return [Syzygy.from_vector(f, k, vec, field, grad) for vec in kernel_basis(jacobian_matrix(f, k, field))]
@@ -270,13 +277,15 @@ class RankProfile:
     coefficients, which reduce mod every prime.  `plan` is the field plan
     the ranks were agreed over; the structural checks of a verdict run on
     `f` over the same plan.  `table_max` is the top degree of the reported
-    tables.
+    tables.  `lifts` holds the kernels the certificate lifted over Q,
+    which the structural checks over Q read; over a prime it is empty.
     """
 
     f: HomogPoly
     plan: FieldPlan
     table_max: int
     ranks: tuple[int, ...]
+    lifts: Lifts
 
     @property
     def d(self) -> int:
@@ -328,18 +337,19 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
     vectors over Q found at each degree k where the bounds did not meet,
     which join at k+1.  There the rank is n - s for the s vectors of a
     basis of ker_Q J_k, lifted from prime images and verified exactly
-    (`_lifted_kernel`).  A second sweep, over V, reads every dim_p V_k.
-    The persistence stop is tested on these proved ranks, never on the
-    ranks mod p, which may be lower, so both sweeps and the kernels stop
-    together.
+    (`_lifted_kernel`), which the profile keeps as `lifts`.  A second
+    sweep, over V, reads every dim_p V_k.  The persistence stop is tested
+    on these proved ranks, never on the ranks mod p, which may be lower,
+    so both sweeps and the kernels stop together.
     """
     K, top = profile_degrees(f.degree, table_max)
     if f.is_zero():
         raise InputError("the zero polynomial defines no curve")
     (f,) = _integral((f,))
     plan = field if isinstance(field, FieldPlan) else FieldPlan.over(field)
-    ranks = plan.agree(lambda F: _persistent(f.degree, top, _proved_ranks(f) if F.char == 0 else _swept_ranks(f, F)))
-    return RankProfile(f, plan, K, ranks)
+    lifts: Lifts = {}
+    ranks = plan.agree(lambda F: _persistent(f.degree, top, _proved_ranks(f, lifts=lifts) if F.char == 0 else _swept_ranks(f, F)))
+    return RankProfile(f, plan, K, ranks, lifts)
 
 
 def profile_degrees(d: int, table_max: int | None = None) -> tuple[int, int]:
@@ -570,13 +580,10 @@ def _column_cells(D: int, t: int) -> np.ndarray:
     return cells
 
 
-def _proved_ranks(f: HomogPoly, prime: int = CERT_PRIME) -> Iterator[int]:
-    """rank_Q J_0, J_1, ... of f, an integer form (see `rank_profile`): the
-    rank mod `prime` where the sweep of V meets it, else n - s for the s
-    vectors of a basis of ker_Q J_k lifted from `prime` up
-    (`_lifted_kernel`).  The vectors join V at k+1, reduced mod `prime`.
-    `_persistent` stops reading on these proved ranks, so both sweeps and
-    the kernels stop together."""
+def _proved_ranks(f: HomogPoly, prime: int = CERT_PRIME, *, lifts: Lifts | None = None) -> Iterator[int]:
+    """rank_Q J_0, J_1, ... of f, an integer form, proved from `prime` as
+    `rank_profile` says; each basis of ker_Q J_k lifted is stored in
+    `lifts` under k and joins V at k+1, reduced mod `prime`."""
     P = GF(prime)
     fx, fy, fz = (g.map_field(P) for g in partials(f))
     zero = HomogPoly.zero(P, f.degree - 1)
@@ -588,6 +595,8 @@ def _proved_ranks(f: HomogPoly, prime: int = CERT_PRIME) -> Iterator[int]:
         n = 3 * dim_S(k)
         if V.step(joining.pop(k, [])) != n - r:
             vectors = _lifted_kernel(f, k, prime)
+            if lifts is not None:
+                lifts[k] = vectors
             r = n - len(vectors)
             m = n // 3
             joining.setdefault(k + 1, []).extend(
@@ -597,10 +606,10 @@ def _proved_ranks(f: HomogPoly, prime: int = CERT_PRIME) -> Iterator[int]:
 
 
 def _lifted_kernel(f: HomogPoly, k: int, prime: int) -> list[list[int]]:
-    """ker_Q J_k of f, an integer form, as primitive integer vectors, lifted
-    from its images mod `prime` and the primes above it.  J_k is built once
-    as an integer array (`_multiples_array` of the gradient, transposed)
-    and reduced mod each prime.
+    """ker_Q J_k of f as primitive integer vectors, lifted from its images
+    mod `prime` and the primes above it.  J_k of f's primitive integer form
+    is built once as an integer array (`_multiples_array` of the gradient,
+    transposed) and reduced mod each prime.
 
     The image mod p is the reduced echelon basis of ker_p J_k
     (`kernel_basis`): 1 at its free columns, 0 at the others.  Ranks only
@@ -627,6 +636,7 @@ def _lifted_kernel(f: HomogPoly, k: int, prime: int) -> list[list[int]]:
     recovers them and verifies; it usually does at a far smaller one.
     """
     n = 3 * dim_S(k)
+    (f,) = _integral((f,))
     grad = partials(f)
     gradient = _integer_terms(grad)
     basis = monomial_basis(k)
@@ -714,7 +724,7 @@ def _integral(parts: tuple[HomogPoly, ...]) -> tuple[HomogPoly, ...]:
     """Rational `parts` scaled by one factor to coprime integer coefficients."""
     coeffs = [c for part in parts for c in part.terms.values()]
     scale = Fraction(lcm(*(c.denominator for c in coeffs)), gcd(*(c.numerator for c in coeffs)))
-    return tuple(part.scale(scale) for part in parts)
+    return parts if scale == 1 else tuple(part.scale(scale) for part in parts)
 
 
 def mdr(p: RankProfile) -> int:

@@ -14,7 +14,7 @@ import sympy
 
 from freecurve import syzygy
 from freecurve.fields import GF, QQ
-from freecurve.linalg import rank
+from freecurve.linalg import kernel_basis, rank
 from freecurve.poly import HomogPoly, dim_S, partials
 
 X, Y, Z = sympy.symbols("x y z")
@@ -140,8 +140,7 @@ def dense_certificate_kernel_degrees(f, ranks, prime: int) -> list[int]:
     condition (`persistence_stop`)."""
     P = GF(prime)
     (f,) = syzygy._integral((f,))
-    grad = partials(f)
-    fx, fy, fz = (g.map_field(P) for g in grad)
+    fx, fy, fz = (g.map_field(P) for g in partials(f))
     zero = HomogPoly.zero(P, f.degree - 1)
     gens = [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]
     degrees = []
@@ -152,8 +151,12 @@ def dense_certificate_kernel_degrees(f, ranks, prime: int) -> list[int]:
             V = syzygy.multiples(gens, k, P)
             if rank(V) != n - r:
                 degrees.append(k)
-                basis = syzygy.syzygy_basis(f, k, QQ, grad=grad)
-                new = [tuple(part.map_field(P) for part in syzygy._integral(s)) for s in basis]
+                # the canonical basis over Q by Bareiss, independent of the
+                # lift that `syzygy_basis` reads over Q
+                m = dim_S(k)
+                basis = kernel_basis(syzygy.jacobian_matrix(f, k, QQ))
+                triples = [[HomogPoly.from_vector(QQ, k, v[i * m : (i + 1) * m]) for i in range(3)] for v in basis]
+                new = [tuple(part.map_field(P) for part in syzygy._integral(t)) for t in triples]
                 gens = gens + [new[i] for i in syzygy.outside_span(V, syzygy.multiples(new, k, P))]
     return degrees
 

@@ -2,9 +2,11 @@
 
 import dataclasses
 import random
+import sys
 
 import pytest
 
+from freecurve import syzygy
 from freecurve.classify import (
     FREE,
     NEARLY_FREE,
@@ -23,11 +25,14 @@ from freecurve.classify import (
     saito_verify,
     tau_test,
 )
+from freecurve.corpus import load_case
+from freecurve.data import shipped_corpus_dir
 from freecurve.errors import InternalInconsistencyError, NotReducedError
 from freecurve.fields import QQ, FieldPlan
 from freecurve.invariants import compute_bundle, n_dim, tau_max, tjurina
 from freecurve.parser import parse_poly
 from freecurve.poly import HomogPoly, choose2, dim_S, partials, poly_str
+from freecurve.report import analyze
 from freecurve.syzygy import Syzygy, rank_profile, syzygy_basis
 
 TRIANGLE = parse_poly("x*y*z")
@@ -287,3 +292,43 @@ def test_classify_with_prime_plan_matches_rational():
         assert c_qq.verdict == c_pp.verdict
         assert c_qq.exponents == c_pp.exponents
         assert c_qq.verified == c_pp.verified
+
+
+def test_qq_analysis_reads_the_certificate_lifts_and_builds_no_bareiss_kernel(monkeypatch):
+    # Over Q the structural checks read the kernels the certificate lifted
+    # (`RankProfile.lifts`) and lift on demand where its bounds met: no
+    # kernel is eliminated over Q.  braid6 (Free) and the four general
+    # lines (NearlyFree, r = d/2) need only the certificate's lifts; the
+    # quartic y*z^3-x^4 (NearlyFree, r = 1) has AR(f)_3 spanned by the
+    # Koszul relations and the multiples of rho1, so the check lifts there.
+    def rational_refused(inner):
+        def wrapper(M):
+            assert M.field.char, f"a kernel of a {M.rows}x{M.cols} matrix eliminated over Q"
+            return inner(M)
+
+        return wrapper
+
+    def counted(f, k, prime):
+        lifted.append(k)
+        return lift(f, k, prime)
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("freecurve.")]
+    for module in modules:
+        for name in ("kernel_basis", "integer_kernel_basis"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, rational_refused(getattr(module, name)))
+    lift, lifted = syzygy._lifted_kernel, []
+    for module in modules:
+        if getattr(module, "_lifted_kernel", None) is lift:
+            monkeypatch.setattr(module, "_lifted_kernel", counted)
+    braid6 = load_case(shipped_corpus_dir() / "braid6.curve").expression
+    for expr, verdict, added in ((braid6, FREE, []), ("x*y*z*(x+y+z)", NEARLY_FREE, []), ("y*z^3-x^4", NEARLY_FREE, [3])):
+        f = parse_poly(expr)
+        lifted.clear()
+        certificate = sorted(rank_profile(f, QQ).lifts)
+        assert lifted == certificate, expr
+        lifted.clear()
+        report = analyze(f, QQ)
+        assert report["classification"]["verdict"] == verdict, expr
+        assert report["classification"]["verified"] is True, expr
+        assert lifted == certificate + added, expr

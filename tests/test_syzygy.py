@@ -251,6 +251,18 @@ def test_holds_for_reduces_the_integer_sums_mod_p():
         Syzygy.from_vector(f, 1, [Fraction(v) for v in (0, 3, 0, 4, 0, 0, 0, 0, 0)], QQ)
 
 
+def test_rational_syzygy_basis_is_the_bareiss_kernel_entry_by_entry():
+    # Over Q `syzygy_basis` reads the lift; scaled to a leading 1 it must be
+    # the canonical basis that Bareiss eliminates, at every degree k <= d.
+    for path in sorted(shipped_corpus_dir().glob("*.curve")):
+        f = parse_poly(load_case(path).expression)
+        if f.degree > 6:
+            continue
+        for k in range(f.degree + 1):
+            basis = [tuple(c for part in syz for c in part.coeff_vector()) for syz in syzygy_basis(f, k, QQ)]
+            assert basis == kernel_basis(jacobian_matrix(f, k, QQ)), (path.name, k)
+
+
 def test_cusp_minimal_syzygy_is_normalized():
     (syz,) = syzygy_basis(CUSP, 1)
     # canonical representative of (0, y, -2z) with leading coefficient 1
