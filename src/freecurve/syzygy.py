@@ -17,7 +17,8 @@ mod successive primes by CRT and rational reconstruction and verified
 exactly (`_lifted_kernel`).  The profile keeps those lifts, and they are
 the kernels over Q of the structural checks (`syzygy_basis`).  Both
 sweeps stop once the Hilbert function of S/J_f meets Gotzmann's
-persistence condition, or reaches 0 (`_persistent`).  Every
+persistence condition, reaches 0, or is flat where J_f fills a fixed line
+h = 0 (`_persistent`).  Every
 multiplication matrix comes from one builder (`multiples`);
 `jacobian_matrix` and `rank_jacobian` build and rank one J_k of any
 curve, for the kernels mod p and as the independent reference.
@@ -44,9 +45,10 @@ from .poly import Gradient, HomogPoly, dim_S, monomial_basis, monomial_position,
 # int64 cells are 256 MiB; the bound admits every d <= 32 at the default
 # table degree 2d.  Over Q the certificate's kernels, lifted mod primes,
 # may build J_k for any k <= top.  Over a prime the profile builds no J_k.
-# The sweeps may stop below J_top, where Gotzmann persistence fixes the
-# remaining ranks (`_persistent`), but the bound is still taken at J_top,
-# so the same inputs are refused whether or not a sweep would stop early.
+# The sweeps may stop below J_top, where Gotzmann persistence or the
+# plateau fixes the remaining ranks (`_persistent`), but the bound is still
+# taken at J_top, so the same inputs are refused whether or not a sweep
+# would stop early.
 # The sweep's largest arrays (see `_ModuleSweep`) are its x rows, the live
 # ones only for J_f (at most dim (J_f)_D, on free12_a 20% of it at the top
 # degree) by (D+2) + m(f)_D columns, and the rows that join at D+1, 2|W_D| + |G|
@@ -320,8 +322,10 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
     before any matrix is built.  Over a prime the ranks come from one
     sweep up the degrees of J_f (see `_swept_ranks`).  Every field reads
     ranks only until Gotzmann's persistence condition holds on them, and
-    fills in the rest from Macaulay's bound (see `_persistent`); by the
-    theorem the tuple is exactly the one a sweep to top would give.
+    fills in the rest from Macaulay's bound, or until the Hilbert function
+    is flat at a degree where J_f and a fixed line fill it, and keeps it
+    flat (see `_persistent`); either way the tuple is exactly the one a
+    sweep to top would give.
 
     Over Q each rank is proved from one prime p = CERT_PRIME instead of
     eliminated over Q (see `_proved_ranks`):
@@ -338,9 +342,10 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
     which join at k+1.  There the rank is n - s for the s vectors of a
     basis of ker_Q J_k, lifted from prime images and verified exactly
     (`_lifted_kernel`), which the profile keeps as `lifts`.  A second
-    sweep, over V, reads every dim_p V_k.  The persistence stop is tested
-    on these proved ranks, never on the ranks mod p, which may be lower,
-    so both sweeps and the kernels stop together.
+    sweep, over V, reads every dim_p V_k.  Both stops are tested on these
+    proved ranks, never on the ranks mod p, which may be lower, and the
+    plateau's fill mod p proves it over Q, so both sweeps and the kernels
+    stop together.
     """
     K, top = profile_degrees(f.degree, table_max)
     if f.is_zero():
@@ -348,7 +353,7 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
     (f,) = _integral((f,))
     plan = field if isinstance(field, FieldPlan) else FieldPlan.over(field)
     lifts: Lifts = {}
-    ranks = plan.agree(lambda F: _persistent(f.degree, top, _proved_ranks(f, lifts=lifts) if F.char == 0 else _swept_ranks(f, F)))
+    ranks = plan.agree(lambda F: _persistent(f, F, top, _proved_ranks(f, lifts=lifts) if F.char == 0 else _swept_ranks(f, F)))
     return RankProfile(f, plan, K, ranks, lifts)
 
 
@@ -381,38 +386,130 @@ def _swept_ranks(f: HomogPoly, field: Field) -> Iterator[int]:
         yield J.step([])
 
 
-def _persistent(d: int, top: int, ranks: Iterator[int]) -> tuple[int, ...]:
-    """The ranks of J_0..J_top of a degree-d curve, read from `ranks` only
-    until Gotzmann's persistence theorem fixes the rest.
+def _persistent(f: HomogPoly, field: Field, top: int, ranks: Iterator[int]) -> tuple[int, ...]:
+    """The ranks of J_0..J_top of the curve f over `field`, read from
+    `ranks` only until the rest of the Hilbert function is fixed.
 
     With H(D) = dim (S/J_f)_D = dim S_D - rank J_(D-d+1), Macaulay's
     theorem bounds H(D+1) <= H(D)^<D> (`_macaulay_bound`).  J_f is
-    generated in degree d-1, so once H(D+1) = H(D)^<D> at some D >= d-1,
-    H(E+1) = H(E)^<E> for every E >= D (G. Gotzmann, Math. Z. 158, 1978;
-    Bruns-Herzog, Cohen-Macaulay Rings, 4.3.3), and no later rank is read.
+    generated in degree d-1, so no later rank is read once, at some
+    D >= d-1, either
+    * H(D+1) = H(D)^<D>: then H(E+1) = H(E)^<E> for every E >= D
+      (Gotzmann's persistence theorem: G. Gotzmann, Math. Z. 158, 1978;
+      Bruns-Herzog, Cohen-Macaulay Rings, 4.3.3); or
+    * H(D+1) = H(D) > 0 and (J_f + hS)_D = S_D for the line h =
+      x + a*y + b*z of PLATEAU_LINE: then H(E) = H(D) for every E >= D
+      (the lemma below, the case j = 1 of the m-regularity criterion of
+      D. Bayer and M. Stillman, Invent. Math. 87, 1987, Thm 1.10).
     Once H(D) = 0 the bound is 0, so H(D+1) = 0 is not read either: a
     smooth curve, whose H vanishes from 3d-5 on, stops at source degree
-    2d-4.
+    2d-4.  The plateau ends the sweep of a reduced curve once H has
+    settled at tau, where Gotzmann's condition waits for D >= tau.
+
+    Lemma.  Let I in F[x,y,z] be homogeneous and generated in degrees
+    <= m, over any field F.  Let h be a nonzero linear form, and write H
+    for the Hilbert function of S/I.  If (I+hS)_m = S_m and H(m+1) = H(m),
+    then H(E) = H(m) for every E >= m.
+
+    Proof.  Take coordinates u, v, h.  Multiplication by h maps (S/I)_m
+    onto (S/I)_(m+1), so equal dimensions give (I:h)_m = I_m.  Assume
+    (I:h)_E = I_E for some E >= m.  Let hg in I with g in S_(E+1).  Write
+    hg = ua + vb + hc with a, b, c in I_(E+1).  Modulo h, u and v form a
+    regular sequence, so a = vt + ha' and b = -ut + hb' for some t in S_E;
+    hence g = c + ua' + vb'.  Write t = i + ht' with i in I_E.  By the
+    hypothesis at E, a' + vt' and b' - ut' lie in I_E, so g in I.  Hence
+    (I:h)_E = I_E for every E >= m: multiplication by h is injective on
+    (S/I)_E, and onto (S/I)_(E+1) as (I+hS)_E = S_E, so H(E+1) = H(E).
+
+    (J_f + hS)_D = S_D says that the restrictions of the partials to
+    h = 0, three binary forms of degree e = d-1 (`_restricted_gradient`),
+    span every binary form of degree D through their degree-D multiples
+    (`_fills`).  That is one rank of a 3(D-e+1) x (D+1) matrix, tested
+    only at flat steps that Gotzmann's condition does not stop (H(D) > D)
+    and where 3(D-e+1) >= D+1.  Over a prime the test runs over `field`.
+    The restriction is computed once, at the first test.  Over Q it
+    runs mod CERT_PRIME, on f's primitive integer form: the matrix is
+    then integral, and full rank mod a prime means full rank over Q.  If
+    h = 0 meets the singular locus of the curve, the forms share a root
+    and never fill, and only the other conditions stop the sweep.
     A rank read above Macaulay's bound raises InternalInconsistencyError.
     """
+    d, P = f.degree, field if field.char else GF(CERT_PRIME)
     out: list[int] = []
-    settled = False
+    forms = None
+    # once the rest of H is fixed: H(D+1) from H(D) and D
+    rule = None
     for k in range(top + 1):
         # rank J_k fixes H(D+1); once k >= 1, D >= d-1 and H(D) is known
         # (Macaulay's representation needs D >= 1, which fails for a
         # line at k = 1 only)
         D = k + d - 2
-        bound = _macaulay_bound(dim_S(D) - out[-1], D) if k and D >= 1 else None
-        if settled or bound == 0:
-            out.append(dim_S(D + 1) - bound)
+        # H(D) and, once rank J_k is read, H(D+1)
+        cur = dim_S(D) - out[-1] if k and D >= 1 else None
+        if rule is None and cur == 0:
+            rule = _macaulay_bound
+        if rule is not None:
+            out.append(dim_S(D + 1) - rule(cur, D))
             continue
         out.append(next(ranks))
-        if bound is not None:
-            h = dim_S(D + 1) - out[-1]
-            if h > bound:
-                raise InternalInconsistencyError(f"H({D + 1}) = {h} exceeds Macaulay's bound {bound}")
-            settled = h == bound
+        if cur is None:
+            continue
+        bound, nxt = _macaulay_bound(cur, D), dim_S(D + 1) - out[-1]
+        if nxt > bound:
+            raise InternalInconsistencyError(f"H({D + 1}) = {nxt} exceeds Macaulay's bound {bound}")
+        if nxt == bound:
+            rule = _macaulay_bound
+        elif nxt == cur and 3 * (D - d + 2) >= D + 1:
+            if forms is None:
+                forms = _restricted_gradient(f, P)
+            if _fills(forms, D, P):
+                rule = _flat
     return tuple(out)
+
+
+def _flat(H: int, D: int) -> int:
+    """H(D+1) on the plateau: H(D)."""
+    return H
+
+
+# The line h = x + a*y + b*z of the plateau stop (`_persistent`), as
+# (a, b).  Any nonzero h gives the same ranks; large a and b keep the
+# small-integer singular points of most inputs off the line, where the
+# stop could never fire.
+PLATEAU_LINE = (1009, 2027)
+
+
+def _restricted_gradient(f: HomogPoly, P: Field) -> np.ndarray:
+    """The partials of f on the line h = 0 of PLATEAU_LINE, over the prime
+    field P: with x = -(a*y + b*z), three binary forms of degree e = d-1,
+    row i holding the coefficients of f_i at y^(e-j) z^j in column j.  f is
+    scaled to its primitive integer form first, as `rank_profile` does, and
+    each term is differentiated in Python integers."""
+    (f,) = _integral((f,))
+    p, (a, b) = P.char, PLATEAU_LINE
+    # x^i = (-1)^i sum_t C(i, t) a^t b^(i-t) y^t z^(i-t), mod p
+    powers = [[(-1) ** i * comb(i, t) * a**t * b ** (i - t) % p for t in range(i + 1)] for i in range(f.degree)]
+    rows = [[0] * f.degree for _ in range(3)]
+    for (i, j, l), c in f.terms.items():
+        # the term's partials: (i, j, l) times c x^i y^j z^l with one
+        # exponent lowered by one
+        for row, n, i1, l1 in zip(rows, (i, j, l), (i - 1, i, i), (l, l, l - 1)):
+            if n:
+                for t, w in enumerate(powers[i1]):
+                    row[l1 + i1 - t] += n * c.numerator * w
+    return np.array([[c % p for c in row] for row in rows], dtype=_dtype(P))
+
+
+def _fills(forms: np.ndarray, D: int, P: Field) -> bool:
+    """Whether the degree-D multiples of the binary forms `forms` (rows of
+    coefficients, as `_restricted_gradient` lays them out) span all D+1
+    binary forms of degree D over P: the rank of their 3(D-e+1) x (D+1)
+    multiplication matrix, with y^(D-e-s) z^s times a form shifted by s."""
+    e = forms.shape[1] - 1
+    M = np.zeros((D - e + 1, 3, D + 1), dtype=forms.dtype)
+    for s in range(D - e + 1):
+        M[s, :, s : s + e + 1] = forms
+    return rank(ExactMatrix(P, 3 * (D - e + 1), D + 1, M.reshape(-1, D + 1))) == D + 1
 
 
 def _macaulay_bound(h: int, D: int) -> int:

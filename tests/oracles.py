@@ -112,20 +112,42 @@ def lex_segment_bound(h: int, D: int) -> int:
     return len(_exponents(D + 1)) - len(above)
 
 
-def persistence_stop(d: int, ranks) -> int:
-    """The last source degree whose Jacobian rank a sweep of a degree-d
-    curve reads.  With H(D) = dim S_D - rank J_(D-d+1) and D = k+d-2 >=
-    max(d-1, 1): the first k at which H(D+1) = H(D)^<D> (Gotzmann's
-    condition, the bound taken from lex segments), or k-1 if H(D) = 0
-    comes first, as then H(D+1) <= 0 needs no read; the last degree of
-    `ranks` if neither happens."""
+def fills_on_line(f, D: int, p: int) -> bool:
+    """Whether (J_f + hS)_D = S_D mod p for the line h = x + a*y + b*z of
+    `syzygy.PLATEAU_LINE`: the partials of f's primitive integer form,
+    restricted to h = 0 by sympy substitution, times every binary monomial
+    of degree D-d+1, span all D+1 binary monomials of degree D, ranked
+    densely mod p (`dense_mod_p_echelon`)."""
+    a, b = syzygy.PLATEAU_LINE
+    F = sympy.Poly(to_sympy(f), *_GENS).clear_denoms()[1].primitive()[1].as_expr()
+    e = f.degree - 1
+    rows = []
+    for var in _GENS:
+        g = sympy.expand(sympy.diff(F, var).subs(X, -(a * Y + b * Z)))
+        for u in range(D - e + 1):
+            coeffs = sympy.Poly(sympy.expand(g * Y**u * Z ** (D - e - u)), Y, Z).as_dict()
+            rows.append([int(coeffs.get((D - j, j), 0)) % p for j in range(D + 1)])
+    return len(dense_mod_p_echelon(np.array(rows, dtype=object), p)[1]) == D + 1
+
+
+def persistence_stop(f, ranks, p: int = syzygy.CERT_PRIME) -> int:
+    """The last source degree whose Jacobian rank a sweep of the curve f
+    reads, given its ranks over Q or over GF(p), where the plateau's fill
+    is tested mod p (over Q, mod `syzygy.CERT_PRIME`, as the profile does).
+    With H(D) = dim S_D - rank J_(D-d+1) and D = k+d-2 >= max(d-1, 1): the
+    first k at which H(D+1) = H(D)^<D> (Gotzmann's condition, the bound
+    taken from lex segments) or H(D+1) = H(D) > 0 and `fills_on_line` at D
+    (the plateau), or k-1 if H(D) = 0 comes first, as then H(D+1) <= 0
+    needs no read; the last degree of `ranks` if none happens."""
+    d = f.degree
     for k in range(1, len(ranks)):
         D = k + d - 2
         if D >= 1:
             h = dim_S(D) - ranks[k - 1]
             if h == 0:
                 return k - 1
-            if dim_S(D + 1) - ranks[k] == lex_segment_bound(h, D):
+            h1 = dim_S(D + 1) - ranks[k]
+            if h1 == lex_segment_bound(h, D) or (h1 == h and fills_on_line(f, D, p)):
                 return k
     return len(ranks) - 1
 
@@ -137,14 +159,14 @@ def dense_certificate_kernel_degrees(f, ranks, prime: int) -> list[int]:
     built and ranked mod p from scratch, and only the kernel vectors
     outside their span join the generators.  `ranks` are f's ranks over Q;
     like the profile, the reference stops where they meet Gotzmann's
-    condition (`persistence_stop`)."""
+    condition or the plateau's (`persistence_stop`)."""
     P = GF(prime)
     (f,) = syzygy._integral((f,))
     fx, fy, fz = (g.map_field(P) for g in partials(f))
     zero = HomogPoly.zero(P, f.degree - 1)
     gens = [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]
     degrees = []
-    for k in range(persistence_stop(f.degree, ranks) + 1):
+    for k in range(persistence_stop(f, ranks) + 1):
         n = 3 * dim_S(k)
         r = syzygy.rank_jacobian(f, k, P)
         if r < n:

@@ -32,6 +32,8 @@ from curvegen import random_reduced_curves
 from oracles import (
     ar_dim_oracle,
     dense_certificate_kernel_degrees,
+    dense_mod_p_echelon,
+    fills_on_line,
     jacobian_matrix_oracle,
     lex_segment_bound,
     milnor_dim_oracle,
@@ -352,7 +354,7 @@ def test_reducedness_reads_one_window(monkeypatch):
     f = parse_poly("x^2*y^2*z")
     profile = rank_profile(f, table_max=0)
     assert reducedness_check(profile) is Reducedness.NON_REDUCED
-    assert persistence_stop(f.degree, profile.ranks) == 2
+    assert persistence_stop(f, profile.ranks) == 2
     assert swept == [0, 1, 2]
     assert max(swept + kernel_degrees) == 2
 
@@ -363,7 +365,7 @@ def _dense_curve(rng, d):
 
 def _assert_sweep_matches_per_degree(f, top, field):
     expected = tuple(rank_jacobian(f, k, field) for k in range(top + 1))
-    assert syzygy._persistent(f.degree, top, syzygy._swept_ranks(f, field)) == expected, (str(f), field.name)
+    assert syzygy._persistent(f, field, top, syzygy._swept_ranks(f, field)) == expected, (str(f), field.name)
 
 
 # 3, 5 and 7 lose rank on many curves; 2147483659 and 2999999929 are the
@@ -381,6 +383,12 @@ def test_rank_sweep_matches_per_degree_ranks(p):
     for expr in ("x^5", "x^2*y^2*z", "x^5*y", DEGENERATE_MOD_3_5_7, "x^3+y^3+z^3", "x^5+y^4*z", "x^7+y^7+z^7"):
         f = parse_poly(expr)
         _assert_sweep_matches_per_degree(f, 3 * f.degree, field)
+    # the plateau stop fills the ranks above it, to the profile's top 2d:
+    # seven lines (source degree 5 at the large primes), free12_a (degree
+    # 10 there), and the arrangement with h = 0 as a component, where it
+    # must not fire
+    for f in (parse_poly(SEVEN_LINES), parse_poly(SEVEN_LINES_AND_H), _load_curve("free12_a")):
+        _assert_sweep_matches_per_degree(f, 2 * f.degree, field)
 
 
 @pytest.mark.parametrize("p", [7, syzygy.CERT_PRIME])
@@ -398,13 +406,13 @@ def test_rank_sweep_shifts_only_the_rows_the_last_step_appended(p, monkeypatch):
 
     monkeypatch.setattr(syzygy, "_mod_p_echelon", recording)
     f = _dense_curve(random.Random(p), 6)
-    ranks = syzygy._persistent(f.degree, 2 * f.degree, syzygy._swept_ranks(f, GF(p)))
+    ranks = syzygy._persistent(f, GF(p), 2 * f.degree, syzygy._swept_ranks(f, GF(p)))
     # the sweep stops at source degree 2d-4 in both fields: mod CERT_PRIME
     # the sextic is smooth, and H(3d-5) = 0, which rank J_(2d-4) fixes,
     # leaves nothing to read; mod 7 Gotzmann persistence holds there, as H
     # settles at 1; one step per source degree, the first from the
     # gradient alone
-    stop = persistence_stop(f.degree, ranks)
+    stop = persistence_stop(f, ranks, p)
     assert stop == 2 * f.degree - 4
     assert len(shapes) == stop + 1
     residual_rows = [rows for rows, _ in shapes[1:]]
@@ -434,6 +442,10 @@ def _record_sweep_steps(monkeypatch) -> list[tuple[int, int]]:
 
 # a generic arrangement of 7 lines: 21 nodes, so tau = 21
 SEVEN_LINES = "x*y*z*(x+y+z)*(x+2*y+3*z)*(x-3*y+5*z)*(2*x+7*y-z)"
+# the same lines and the line h = 0 of the plateau stop: f = h*g, so on
+# h = 0 the partials are g times (1, a, b), share g's 7 roots there and
+# never fill any degree; 28 nodes, so tau = 28
+SEVEN_LINES_AND_H = SEVEN_LINES + "*(x+{}*y+{}*z)".format(*syzygy.PLATEAU_LINE)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(syzygy.CERT_PRIME)], ids=repr)
@@ -457,12 +469,23 @@ def test_rank_sweep_stops_where_persistence_holds(field, monkeypatch):
         assert last_swept(_dense_curve(random.Random(d), d)) == 2 * d - 4, d
     f = parse_poly("x^2*y^2*z")
     assert last_swept(f) == 2 < 2 * f.degree - 1
-    # a reduced curve meets the condition only at D >= tau, where H has
-    # settled; here tau = 21 > 3d-2, the last D it is tested at, so the
-    # sweep runs to top = 2d
+    # a reduced curve meets Gotzmann's condition only at D >= tau; here
+    # tau = 21 > 3d-2.  The plateau stops it first, at source degree 5:
+    # H(10) = H(11) = 21, and on h = 0 the partials (degree 6) fill degree
+    # 10 through their 3*5 multiples.  The oracle stops there too.
     f = parse_poly(SEVEN_LINES)
-    assert rank_profile(f, field).m(3 * f.degree - 1) == 21
+    profile = rank_profile(f, field)
+    assert profile.m(3 * f.degree - 1) == 21
+    assert last_swept(f) == persistence_stop(f, profile.ranks) == 5
+    D = 5 + f.degree - 2
+    assert profile.m(D) == profile.m(D + 1) == 21 > D
+    assert fills_on_line(f, D, syzygy.CERT_PRIME)
+    # with h = 0 a component the plateau never fires, and Gotzmann's
+    # condition waits for D >= tau = 28 > 3d-2: swept to top = 2d
+    f = parse_poly(SEVEN_LINES_AND_H)
+    assert rank_profile(f, field).m(3 * f.degree - 1) == 28
     assert last_swept(f) == 2 * f.degree
+    assert not fills_on_line(f, 3 * f.degree, syzygy.CERT_PRIME)
 
 
 def test_persistence_refuses_a_rank_above_macaulays_bound():
@@ -470,7 +493,44 @@ def test_persistence_refuses_a_rank_above_macaulays_bound():
     # as 1^<2> = 1, so a source that reports it is broken
     ranks = iter([dim_S(2) - 1, dim_S(3) - 2])
     with pytest.raises(InternalInconsistencyError, match="Macaulay"):
-        syzygy._persistent(3, 6, ranks)
+        syzygy._persistent(FERMAT3, QQ, 6, ranks)
+
+
+def _sparse_form(rng, p, e):
+    """A form of degree e with 1 to 4 terms, coefficients in [1, p)."""
+    basis = monomial_basis(e)
+    terms = rng.sample(basis, rng.randint(1, min(4, len(basis))))
+    return HomogPoly(QQ, e, {mono: rng.randrange(1, p) for mono in terms})
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_plateau_lemma_holds_on_random_ideals(p):
+    # the lemma of `syzygy._persistent`, over GF(p): for I generated in
+    # degrees <= m and a linear form h != 0, (I + hS)_m = S_m and H(m+1) =
+    # H(m) give H(E) = H(m) for every E >= m, checked to m+4.  Ranks are
+    # the `_multiples_array` layout reduced mod p and ranked densely, as
+    # `GF` takes odd primes only.
+    rng = random.Random(p)
+
+    def rank_mod_p(gens, E):
+        return len(dense_mod_p_echelon(syzygy._multiples_array(gens, E) % p, p)[1])
+
+    settled = flat_and_moving = 0
+    for _ in range(600):
+        m = rng.randint(1, 4)
+        gens = [(_sparse_form(rng, p, rng.randint(1, m)),) for _ in range(rng.randint(2, 4))]
+        H = [dim_S(E) - rank_mod_p(gens, E) for E in range(m + 5)]
+        if H[m + 1] != H[m] or not H[m]:
+            continue
+        if rank_mod_p(gens + [(_sparse_form(rng, p, 1),)], m) == dim_S(m):
+            settled += 1
+            assert H[m:] == [H[m]] * 5, (m, gens)
+        else:
+            flat_and_moving += H[m:] != [H[m]] * 5
+    # about 150 nontrivial cases each; and without the fill, a flat step
+    # does not settle H
+    assert settled >= 100
+    assert flat_and_moving >= 1
 
 
 def _module_generators(p):
@@ -578,7 +638,7 @@ def test_rank_sweep_keeps_few_rows_live():
     field = GF(syzygy.CERT_PRIME)
     for f in (_load_curve("free12_a"), _dense_curve(random.Random(12), 12)):
         sweep = _jacobian_sweep(f, field, 2 * f.degree)
-        assert len(sweep.piv) + len(sweep.gone) == syzygy._persistent(f.degree, 2 * f.degree, syzygy._swept_ranks(f, field))[-1]
+        assert len(sweep.piv) + len(sweep.gone) == syzygy._persistent(f, field, 2 * f.degree, syzygy._swept_ranks(f, field))[-1]
         assert len(sweep.piv) <= (len(sweep.piv) + len(sweep.gone)) / 4, str(f)
 
 
@@ -759,12 +819,12 @@ def test_certificate_at_small_primes_falls_back_and_stays_exact(bareiss_profiles
     cases = _small_prime_cases(bareiss_profiles)
     reads = _record_kernel_reads(monkeypatch)
     for name, f, bareiss in cases:
-        assert syzygy._persistent(f.degree, len(bareiss) - 1, syzygy._proved_ranks(f)) == bareiss, name
+        assert syzygy._persistent(f, QQ, len(bareiss) - 1, syzygy._proved_ranks(f)) == bareiss, name
     at_cert_prime = len(reads)
     for prime in (3, 5, 7):
         reads.clear()
         for name, f, bareiss in cases:
-            assert syzygy._persistent(f.degree, len(bareiss) - 1, syzygy._proved_ranks(f, prime)) == bareiss, (name, prime)
+            assert syzygy._persistent(f, QQ, len(bareiss) - 1, syzygy._proved_ranks(f, prime)) == bareiss, (name, prime)
         assert len(reads) > at_cert_prime, prime
 
 
@@ -779,7 +839,7 @@ def test_certificate_reads_kernels_where_the_dense_reference_does(bareiss_profil
     for prime in primes:
         for (name, f, bareiss), degrees in zip(cases, expected[prime]):
             reads.clear()
-            syzygy._persistent(f.degree, len(bareiss) - 1, syzygy._proved_ranks(f, prime))
+            syzygy._persistent(f, QQ, len(bareiss) - 1, syzygy._proved_ranks(f, prime))
             assert reads == degrees, (name, prime)
 
 
