@@ -167,8 +167,8 @@ Field = RationalField | PrimeField
 class FieldPlan:
     """Field-selection strategy for one analysis run.
 
-    `agree(compute)` evaluates `compute(field)` and returns a value that is
-    trusted for classification decisions:
+    `agree(compute, proved)` evaluates `compute(field)` and returns a value
+    that is trusted for classification decisions:
 
     * mode "qq"   -- evaluate once over Q;
     * mode "auto" -- evaluate over two independent random primes; if the
@@ -178,6 +178,10 @@ class FieldPlan:
       disagreement aborts instead;
     * mode "prime" -- evaluate once over a single prime field, without a
       cross-check (a bare `PrimeField` handed to the library).
+
+    In "auto" and "pp", a value over the first prime that `proved` accepts
+    is the value over Q, and is returned without evaluating the second
+    prime: the rank profile of a smooth curve (see `syzygy.rank_profile`).
 
     The callable must return a plainly comparable value (int, bool, tuple).
     It computes from the curve's primitive integer form, so every prime can
@@ -217,10 +221,16 @@ class FieldPlan:
             return cls.primes(seed, fallback=False)
         raise ValueError(f"unknown field mode {mode!r}")
 
-    def agree(self, compute: Callable[[Field], T]) -> T:
+    def agree(self, compute: Callable[[Field], T], proved: Callable[[T], bool] | None = None) -> T:
+        """`compute` agreed over the plan's fields.  `proved`, if given,
+        accepts only values over a prime that are the value over Q as well;
+        a first-prime value it accepts is returned as it is."""
         if len(self.fields) == 1:
             return compute(self.fields[0])
-        first, second = (compute(F) for F in self.fields)
+        first = compute(self.fields[0])
+        if proved is not None and proved(first):
+            return first
+        second = compute(self.fields[1])
         if first == second:
             return first
         if self.mode == "pp":

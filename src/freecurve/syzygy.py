@@ -81,6 +81,10 @@ CERT_PRIME = 2_147_483_659
 # Bases of ker_Q J_k by degree k, as `_lifted_kernel` returns them.
 Lifts = dict[int, list[list[int]]]
 
+# The gradient of a primitive integer form, as `_integer_gradient` returns
+# it: the partials over Q and their (monomial, int) pairs.
+IntegerGradient = tuple[Gradient, list[list[tuple[tuple[int, int, int], int]]]]
+
 
 class Syzygy(NamedTuple):
     """A relation a*f_x + b*f_y + c*f_z = 0 with a, b, c of one degree."""
@@ -342,10 +346,28 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
     which join at k+1.  There the rank is n - s for the s vectors of a
     basis of ker_Q J_k, lifted from prime images and verified exactly
     (`_lifted_kernel`), which the profile keeps as `lifts`.  A second
-    sweep, over V, reads every dim_p V_k.  Both stops are tested on these
+    sweep, over V, reads every dim_p V_k from the degree its first
+    generators join at; below it V_k = 0.  Both stops are tested on these
     proved ranks, never on the ranks mod p, which may be lower, and the
     plateau's fill mod p proves it over Q, so both sweeps and the kernels
     stop together.
+
+    A plan of two primes takes the first prime's ranks without a second
+    sweep when their last H(top+d-1) is 0.  The H = 0 stop fills zeros
+    from the first H(D) = 0 on, and the other stops fill H > 0, so H then
+    reached 0 mod p at some degree D, and the curve is smooth:
+
+    * H(D) = 0 mod p makes J_f m-primary mod p;
+    * rank_Q(J_k) >= rank_p(J_k), so H(D) = 0 over Q too, and J_f is
+      m-primary over Q as well;
+    * over either field three forms of degree d-1 generating an m-primary
+      ideal of F[x,y,z] form a regular sequence, and the Hilbert series of
+      S/J_f is the complete-intersection one, (1-t^(d-1))^3/(1-t)^3
+      (Bruns-Herzog, Cohen-Macaulay Rings), which fixes every rank; a
+      line's J_f is S over both fields.
+
+    So the ranks mod p are the ranks over Q, and a second prime could only
+    disagree by losing rank.
     """
     K, top = profile_degrees(f.degree, table_max)
     if f.is_zero():
@@ -353,7 +375,11 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
     (f,) = _integral((f,))
     plan = field if isinstance(field, FieldPlan) else FieldPlan.over(field)
     lifts: Lifts = {}
-    ranks = plan.agree(lambda F: _persistent(f, F, top, _proved_ranks(f, lifts=lifts) if F.char == 0 else _swept_ranks(f, F)))
+    ranks = plan.agree(
+        lambda F: _persistent(f, F, top, _proved_ranks(f, lifts=lifts) if F.char == 0 else _swept_ranks(f, F)),
+        # H(top+d-1) = 0: the curve is smooth, and one prime proves its ranks
+        lambda ranks: ranks[top] == dim_S(top + f.degree - 1),
+    )
     return RankProfile(f, plan, K, ranks, lifts)
 
 
@@ -565,10 +591,14 @@ class _ModuleSweep:
     M_(D+1) lies in that of M_D and the shifts of supp W_D, and the new
     x-free columns (b + c = D+1) lie below no old pivot, so every column a
     later joining row can touch lies on or above a frontier cell: an x row
-    whose pivot cell lies above none is never read again.  The sweep looks
-    for such rows once it holds RETIRE_MIN_ROWS x rows.  The certificate's
-    sweep keeps every row, as its kernel vectors join at any degree.  A joining row nonzero at a retired pivot raises
-    InternalInconsistencyError.
+    whose pivot cell lies above none is never read again.  Which x rows
+    stay is known only once the frontier is, so it takes the cells of
+    every x row before clearing; with the new rows' cells alone, a row
+    whose pivot lies above only an x row's cells can be retired while that
+    x row is kept.  The sweep looks for such rows once it holds
+    RETIRE_MIN_ROWS x rows.  The certificate's sweep keeps every row, as
+    its kernel vectors join at any degree.  A joining row nonzero at a
+    retired pivot raises InternalInconsistencyError.
     """
 
     def __init__(self, field: Field, t: int, D: int, *, retire: bool = False):
@@ -680,18 +710,25 @@ def _column_cells(D: int, t: int) -> np.ndarray:
 def _proved_ranks(f: HomogPoly, prime: int = CERT_PRIME, *, lifts: Lifts | None = None) -> Iterator[int]:
     """rank_Q J_0, J_1, ... of f, an integer form, proved from `prime` as
     `rank_profile` says; each basis of ker_Q J_k lifted is stored in
-    `lifts` under k and joins V at k+1, reduced mod `prime`."""
+    `lifts` under k and joins V at k+1, reduced mod `prime`.  V is 0 below
+    the degree its first generators join at, and its sweep starts there.
+    The gradient of f's primitive form is computed once, for the Koszul
+    relations and every lift."""
     P = GF(prime)
-    fx, fy, fz = (g.map_field(P) for g in partials(f))
+    gradient = _integer_gradient(f)
+    fx, fy, fz = (g.map_field(P) for g in gradient[0])
     zero = HomogPoly.zero(P, f.degree - 1)
     # V's generators by the degree they join at: the Koszul relations at
     # d-1, the kernel vectors over Q found at k at k+1
     joining = {f.degree - 1: [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]}
-    V = _ModuleSweep(P, 3, -1)
+    V = None
     for k, r in enumerate(_swept_ranks(f, P)):
         n = 3 * dim_S(k)
-        if V.step(joining.pop(k, [])) != n - r:
-            vectors = _lifted_kernel(f, k, prime)
+        gens = joining.pop(k, [])
+        if V is None and gens:
+            V = _ModuleSweep(P, 3, k - 1)
+        if (V.step(gens) if V is not None else 0) != n - r:
+            vectors = _lifted_kernel(f, k, prime, gradient)
             if lifts is not None:
                 lifts[k] = vectors
             r = n - len(vectors)
@@ -702,11 +739,12 @@ def _proved_ranks(f: HomogPoly, prime: int = CERT_PRIME, *, lifts: Lifts | None 
         yield r
 
 
-def _lifted_kernel(f: HomogPoly, k: int, prime: int) -> list[list[int]]:
+def _lifted_kernel(f: HomogPoly, k: int, prime: int, gradient: IntegerGradient | None = None) -> list[list[int]]:
     """ker_Q J_k of f as primitive integer vectors, lifted from its images
     mod `prime` and the primes above it.  J_k of f's primitive integer form
     is built once as an integer array (`_multiples_array` of the gradient,
-    transposed) and reduced mod each prime.
+    transposed) and reduced mod each prime.  `gradient` is that form's
+    `_integer_gradient`, if the caller has it.
 
     The image mod p is the reduced echelon basis of ker_p J_k
     (`kernel_basis`): 1 at its free columns, 0 at the others.  Ranks only
@@ -733,9 +771,7 @@ def _lifted_kernel(f: HomogPoly, k: int, prime: int) -> list[list[int]]:
     recovers them and verifies; it usually does at a far smaller one.
     """
     n = 3 * dim_S(k)
-    (f,) = _integral((f,))
-    grad = partials(f)
-    gradient = _integer_terms(grad)
+    grad, terms = gradient if gradient is not None else _integer_gradient(f)
     basis = monomial_basis(k)
     J = _multiples_array([(g,) for g in grad], k + f.degree - 1).T
     best = None
@@ -767,7 +803,7 @@ def _lifted_kernel(f: HomogPoly, k: int, prime: int) -> list[list[int]]:
             g = gcd(*v)
             vectors.append([x // g for x in v])
         m = len(basis)
-        if all(_relation_vanishes([[(mono, c) for mono, c in zip(basis, v[i * m : (i + 1) * m]) if c] for i in range(3)], gradient) for v in vectors):
+        if all(_relation_vanishes([[(mono, c) for mono, c in zip(basis, v[i * m : (i + 1) * m]) if c] for i in range(3)], terms) for v in vectors):
             return vectors
 
 
@@ -815,6 +851,14 @@ def _as_int(c) -> int:
     if c.denominator != 1:
         raise ValueError(f"coefficient {c} is not an integer")
     return c.numerator
+
+
+def _integer_gradient(f: HomogPoly) -> IntegerGradient:
+    """The gradient of f's primitive integer form, as polynomials over Q
+    and as (monomial, int) pairs (`_integer_terms`)."""
+    (f,) = _integral((f,))
+    grad = partials(f)
+    return grad, _integer_terms(grad)
 
 
 def _integral(parts: tuple[HomogPoly, ...]) -> tuple[HomogPoly, ...]:

@@ -308,9 +308,9 @@ def test_qq_analysis_reads_the_certificate_lifts_and_builds_no_bareiss_kernel(mo
 
         return wrapper
 
-    def counted(f, k, prime):
+    def counted(f, k, prime, gradient=None):
         lifted.append(k)
-        return lift(f, k, prime)
+        return lift(f, k, prime, gradient)
 
     modules = [m for name, m in sys.modules.items() if name.startswith("freecurve.")]
     for module in modules:

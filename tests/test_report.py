@@ -1,5 +1,7 @@
 """Per-curve reports: the field block, fallbacks, agreement counts and tables."""
 
+import json
+
 import pytest
 
 from freecurve import invariants
@@ -15,6 +17,8 @@ from freecurve.syzygy import rank_profile
 UNLUCKY_AT_SEED_0 = "x^3+y^3+z^3+1/2190953423*x*y*z"
 # The second prime drawn from seed 0 divides a denominator of this cubic.
 SECOND_UNLUCKY_AT_SEED_0 = "x^3+y^3+z^3+1/2582278367*x*y*z"
+# ... and of this triangle, whose primitive form reduces mod it to x^2*y.
+SINGULAR_SECOND_UNLUCKY_AT_SEED_0 = "x*y*z+1/2582278367*x^2*y"
 
 
 def _without_field(report):
@@ -37,16 +41,31 @@ def test_unlucky_prime_without_fallback_aborts(capsys):
     assert "internal inconsistency" in capsys.readouterr().err
 
 
-def test_unlucky_second_prime_falls_back_once(capsys):
+def test_one_prime_proves_a_smooth_curve_whose_second_prime_is_unlucky(capsys):
     # the primitive form reduces mod the second prime to x*y*z, whose ranks
-    # differ from the smooth cubic's
+    # differ from the smooth cubic's; the first prime's profile reaches
+    # H = 0, which proves it, so the second prime is never swept
     f = parse_poly(SECOND_UNLUCKY_AT_SEED_0)
     plan = FieldPlan.from_mode("auto", 0)
     assert plan.fields[1].p == 2582278367
     auto = analyze(f, plan)
     assert _without_field(auto) == _without_field(analyze(f, FieldPlan.from_mode("qq")))
-    assert auto["field"]["fallbacks"] == plan.fallbacks == 1
-    assert main(["analyze", "--poly", SECOND_UNLUCKY_AT_SEED_0, "--json", "--field", "pp"]) == 3
+    assert auto["field"]["fallbacks"] == plan.fallbacks == 0
+    assert main(["analyze", "--poly", SECOND_UNLUCKY_AT_SEED_0, "--json", "--field", "pp"]) == 0
+    assert json.loads(capsys.readouterr().out)["field"]["fallbacks"] == 0
+
+
+def test_unlucky_second_prime_falls_back_on_a_singular_curve(capsys):
+    # a triangle over Q, x^2*y mod the second prime: its profile proves
+    # nothing over the first prime, so both agreements, the profile and
+    # the Free verdict's structural check, fall back once each
+    f = parse_poly(SINGULAR_SECOND_UNLUCKY_AT_SEED_0)
+    plan = FieldPlan.from_mode("auto", 0)
+    auto = analyze(f, plan)
+    assert _without_field(auto) == _without_field(analyze(f, FieldPlan.from_mode("qq")))
+    assert auto["classification"]["verdict"] == "Free"
+    assert auto["field"]["fallbacks"] == plan.fallbacks == 2
+    assert main(["analyze", "--poly", SINGULAR_SECOND_UNLUCKY_AT_SEED_0, "--json", "--field", "pp"]) == 3
     assert "internal inconsistency" in capsys.readouterr().err
 
 
@@ -72,9 +91,9 @@ def test_one_agreement_per_profile_and_verdict(monkeypatch):
     calls = []
     inner = FieldPlan.agree
 
-    def counting(self, compute):
+    def counting(self, compute, proved=None):
         calls.append(self)
-        return inner(self, compute)
+        return inner(self, compute, proved)
 
     monkeypatch.setattr(FieldPlan, "agree", counting)
     for expr, agreements in (("x*y*z", 2), ("x^3-y^2*z", 2), ("x^3+x^2*z-y^2*z", 1), ("x^2*y", 1)):

@@ -450,17 +450,21 @@ SEVEN_LINES_AND_H = SEVEN_LINES + "*(x+{}*y+{}*z)".format(*syzygy.PLATEAU_LINE)
 
 @pytest.mark.parametrize("field", [QQ, GF(syzygy.CERT_PRIME)], ids=repr)
 def test_rank_sweep_stops_where_persistence_holds(field, monkeypatch):
-    # each sweep steps once per source degree 0..stop: the J_f sweep from
-    # degree d-1 (t = 1), and over Q the certificate's V too (t = 3)
+    # each sweep steps once per source degree to the stop: the J_f sweep
+    # (t = 1) from source degree 0 (degree d-1 of J_f), and over Q the
+    # certificate's V (t = 3) from the degree its first generators join
+    # at: the Koszul relations at d-1, or a lifted kernel of degree k at
+    # k+1
     steps = _record_sweep_steps(monkeypatch)
 
     def last_swept(f):
         steps.clear()
-        rank_profile(f, field)
+        profile = rank_profile(f, field)
         swept = [D - f.degree + 1 for t, D in steps if t == 1]
         assert swept == list(range(len(swept))), str(f)
         if field is QQ:
-            assert [D for t, D in steps if t == 3] == swept, str(f)
+            first = min([f.degree - 1] + [k + 1 for k in profile.lifts])
+            assert [D for t, D in steps if t == 3] == swept[first:], str(f)
         return swept[-1]
 
     # a smooth curve's Milnor algebra is 0 from degree 3d-5 on, which
@@ -681,6 +685,35 @@ def test_retiring_sweep_matches_a_keeping_sweep_on_random_ideals(monkeypatch):
     assert retired > 400, retired
 
 
+def test_retiring_sweep_keeps_every_retired_pivot_off_the_kept_rows(monkeypatch):
+    # The retirement argument: a joining row is a combination of shifts of
+    # kept rows, so it can meet a retired pivot only if that pivot's cell
+    # lies on or above a cell where a kept row is nonzero.  The frontier
+    # holds the cells of the new rows and those of the x rows before they
+    # are cleared, and after every step no retired pivot may lie on or
+    # above a cell of a kept row, live pivots included.  In this submodule
+    # of S^3 over GF(3), whose blocks share their cells, the step to degree
+    # 4 would retire a row whose pivot lies above cells where x rows are
+    # nonzero, and above none where the new rows are.
+    monkeypatch.setattr(syzygy, "RETIRE_MIN_ROWS", 0)
+    field = GF(3)
+
+    def form(expr, e):
+        return parse_poly(expr).map_field(field) if expr else HomogPoly.zero(field, e)
+
+    gens = [(form("2*x^2", 2), form("", 2), form("x*y", 2)), (form("z", 1), form("2*y", 1), form("2*z", 1)), (form("", 1), form("y+2*z", 1), form("z", 1))]
+    retiring = syzygy._ModuleSweep(field, 3, 1, retire=True)
+    keeping = syzygy._ModuleSweep(field, 3, 1)
+    for step in range(6):
+        joining = gens if step == 0 else []
+        assert retiring.step(joining) == keeping.step(joining), step
+        cells = syzygy._column_cells(retiring.D, 3)
+        kb, kc = cells[:, np.concatenate([retiring.piv, retiring.non[retiring.N.any(axis=0)]])]
+        gb, gc = cells[:, retiring.gone]
+        assert not ((kb[:, None] <= gb) & (kc[:, None] <= gc)).any(), retiring.D
+    assert len(retiring.gone) > 0
+
+
 def test_profile_holds_the_per_degree_ranks():
     for f, field in ((CUSP, QQ), (TRIANGLE, GF(2_147_483_659))):
         profile = rank_profile(f, field)
@@ -705,6 +738,46 @@ def test_profile_keeps_the_primitive_integer_form(field):
     assert all(c.denominator == 1 for c in coeffs) and gcd(*(c.numerator for c in coeffs)) == 1
     for c in (Fraction(7, 3), Fraction(-2)):
         assert rank_profile(f.scale(c), field).ranks == profile.ranks, c
+
+
+@pytest.mark.parametrize("mode", ["auto", "pp"])
+def test_a_smooth_profile_is_swept_over_one_prime(mode, monkeypatch):
+    # H reaches 0 on a smooth curve, which proves the first prime's ranks;
+    # a singular curve's H never does, and the second prime cross-checks it
+    # (each sweep reads rank J_0 first)
+    swept = _record_swept_degrees(monkeypatch)
+    for expr, sweeps in (("x^3+y^3+z^3", 1), ("x^5+y^5+z^5+x^2*y^3", 1), ("x*y*z", 2), ("x^3-y^2*z", 2)):
+        swept.clear()
+        plan = FieldPlan.from_mode(mode, 0)
+        rank_profile(parse_poly(expr), plan)
+        assert swept.count(0) == sweeps, expr
+        assert plan.fallbacks == 0, expr
+
+
+def _smooth_curve(rng, d):
+    """A smooth curve of degree d over Q, with its Bareiss ranks at source
+    degrees 0..2d: the Fermat curve plus about a third of the other
+    monomials, with small random coefficients, drawn until H(3d-5) = 0."""
+    while True:
+        terms = {mono: Fraction(rng.randint(-3, 3) or 1) for mono in monomial_basis(d) if rng.random() < 0.3}
+        for mono in ((d, 0, 0), (0, d, 0), (0, 0, d)):
+            terms[mono] = Fraction(1)
+        f = HomogPoly(QQ, d, terms)
+        ranks = tuple(rank_jacobian(f, k, QQ) for k in range(2 * d + 1))
+        if ranks[2 * d - 4] == dim_S(3 * d - 5):
+            return f, ranks
+
+
+def test_one_prime_profile_of_a_smooth_curve_is_the_rational_one(monkeypatch):
+    # the profile that one prime proves equals Bareiss over Q at every
+    # degree to the top, for plans of 20 seeds (20 pairs of primes)
+    swept = _record_swept_degrees(monkeypatch)
+    rng = random.Random(25)
+    for seed in range(20):
+        f, expected = _smooth_curve(rng, 4 + seed % 3)
+        swept.clear()
+        assert rank_profile(f, FieldPlan.primes(seed)).ranks == expected, str(f)
+        assert swept.count(0) == 1, str(f)
 
 
 def test_profile_refuses_what_defines_no_curve():
@@ -780,9 +853,9 @@ def _record_kernel_reads(monkeypatch) -> list[int]:
     degrees = []
     inner = syzygy._lifted_kernel
 
-    def recording(f, k, prime):
+    def recording(f, k, prime, gradient=None):
         degrees.append(k)
-        return inner(f, k, prime)
+        return inner(f, k, prime, gradient)
 
     monkeypatch.setattr(syzygy, "_lifted_kernel", recording)
     return degrees
@@ -871,7 +944,9 @@ def _leading_one(vectors):
 def test_lifted_kernel_is_the_bareiss_kernel(certificate_kernel_reads):
     # The lift returns primitive integer vectors that, scaled to a leading
     # 1, are the reduced echelon basis over Q, from the certificate's prime
-    # and from 3, 5 and 7, where many images are unlucky and dropped.
+    # and from 3, 5 and 7, where many images are unlucky and dropped.  The
+    # gradient that the certificate computes once and hands to each lift
+    # gives the same vectors.
     reads, _ = certificate_kernel_reads
     assert {name for name, _, _ in reads} >= {"free12_a.curve", "braid6.curve", "random 11"}
     for name, f, k in reads:
@@ -880,6 +955,8 @@ def test_lifted_kernel_is_the_bareiss_kernel(certificate_kernel_reads):
             lifted = syzygy._lifted_kernel(f, k, prime)
             assert all(gcd(*v) == 1 for v in lifted), (name, k, prime)
             assert _leading_one(lifted) == expected, (name, k, prime)
+        given = syzygy._lifted_kernel(f, k, syzygy.CERT_PRIME, syzygy._integer_gradient(f))
+        assert given == syzygy._lifted_kernel(f, k, syzygy.CERT_PRIME), (name, k)
 
 
 def test_lift_drops_an_unlucky_prime_and_keeps_combining(monkeypatch):
