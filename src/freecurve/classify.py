@@ -11,13 +11,13 @@ free verdicts by exhibiting the three generating syzygies and matching
 the graded dimensions of the module they span at every degree of the
 profile.  A failed structural check is reported as `verified: false`,
 not raised; `freecurve corpus` is what fails a curve for it.  The
-generators after the minimal relation rho1 are the canonical kernel
-vectors that lie outside the multiples S * rho1.  Over Q the kernels are
-the ones the certificate lifted (`RankProfile.lifts`), lifted on demand
-where its bounds met; over a prime they are eliminated mod p.  Every
-number the criteria read comes from the curve's invariant bundle; only
-the structural checks build syzygies, once per verdict over the bundle's
-field plan.
+generators after the minimal relation rho1 are the kernel vectors that
+lie outside the multiples S * rho1: over Q the primitive integer ones the
+certificate lifted (`RankProfile.lifts`), lifted on demand where its
+bounds met, over a prime the canonical ones mod p.  The checks read the
+profile's one gradient (`RankProfile.grad`).  Every number the criteria
+read comes from the curve's invariant bundle; only the structural checks
+build syzygies, once per verdict over the bundle's field plan.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from functools import partial
 from .errors import InternalInconsistencyError
 from .fields import Field, QQ
 from .linalg import ExactMatrix, kernel_basis, solve_exact
-from .poly import HomogPoly, dim_choose2, partials
+from .poly import Gradient, HomogPoly, dim_S, dim_choose2
 from .invariants import InvariantBundle, delta_dim, tau_max
-from .syzygy import CERT_PRIME, Lifts, RankProfile, Syzygy, _lifted_kernel, jacobian_matrix, multiples, outside_span, syzygy_basis
+from .syzygy import CERT_PRIME, RankProfile, Syzygy, _lifted_kernel, jacobian_matrix, multiples, outside_span, syzygy_basis
 
 FREE = "Free"
 NEARLY_FREE = "NearlyFree"
@@ -121,8 +121,9 @@ def cross_product(rho, rho2) -> tuple[HomogPoly, HomogPoly, HomogPoly]:
     return (b * c2 - b2 * c, c * a2 - c2 * a, a * b2 - a2 * b)
 
 
-def pairing(rho, rho2, f: HomogPoly) -> HomogPoly:
-    """The unique h with rho x rho2 = h * (f_x, f_y, f_z).
+def pairing(rho, rho2, grad: Gradient) -> HomogPoly:
+    """The unique h with rho x rho2 = h * grad, for `grad` the gradient of
+    the curve over the triples' field or a nonzero multiple of it.
 
     h exists for any two genuine relations of a reduced curve; an
     inconsistent solve therefore signals corrupted inputs and aborts.
@@ -130,18 +131,18 @@ def pairing(rho, rho2, f: HomogPoly) -> HomogPoly:
     against a minimal relation rho1, h vanishes on the multiples of rho1.
     """
     field = rho[0].field
-    grad = partials(f.map_field(field))
     cross = cross_product(rho, rho2)
-    q = cross[0].degree - (f.degree - 1)
+    q = cross[0].degree - grad[0].degree
     if q < 0:
         if all(comp.is_zero() for comp in cross):
             return HomogPoly.zero(field, 0)
         raise InternalInconsistencyError(
             "exterior product nonzero in a degree below the gradient degree"
         )
-    # h * grad, read off in the layout of the multiples of grad
+    # h * grad and the cross product, read off in the layout of `multiples`
     system = multiples([grad], cross[0].degree, field).transpose()
-    solution = solve_exact(system, [v for comp in cross for v in comp.coeff_vector()])
+    (rhs,) = multiples([cross], cross[0].degree, field).row_lists()
+    solution = solve_exact(system, rhs)
     if solution is None:
         raise InternalInconsistencyError(
             "exterior product of two relations is not a multiple of the "
@@ -154,16 +155,16 @@ def pairing(rho, rho2, f: HomogPoly) -> HomogPoly:
     return h
 
 
-def saito_verify(f: HomogPoly, rho1, rho2) -> bool:
-    """Determinant test for a candidate free pair.
+def saito_verify(grad: Gradient, rho1, rho2) -> bool:
+    """Determinant test for a candidate free pair (`grad` as in `pairing`).
 
     Requires deg(rho1) + deg(rho2) = d - 1, which forces the pairing into
     degree 0; the pair generates freely exactly when that constant is
     nonzero.
     """
-    if rho1[0].degree + rho2[0].degree != f.degree - 1:
+    if rho1[0].degree + rho2[0].degree != grad[0].degree:
         raise ValueError("syzygy degrees must add up to d - 1")
-    return not pairing(rho1, rho2, f).is_zero()
+    return not pairing(rho1, rho2, grad).is_zero()
 
 
 def nearly_free_resolution_dim(d: int, r: int, k: int) -> int:
@@ -176,25 +177,27 @@ def nearly_free_resolution_dim(d: int, r: int, k: int) -> int:
     )
 
 
-def _generators(f: HomogPoly, r: int, degree: int, count: int, field: Field, lifts: Lifts | None) -> tuple[Syzygy, ...]:
-    """The canonical minimal-degree relation rho1, then the `count`
-    vectors of the canonical kernel basis of AR(f)_degree that lie outside
-    S_(degree-r) * rho1; any other count aborts.  Over a prime the kernels
-    are eliminated and the triples re-verified; over Q they are `lifts`,
-    lifted where it has none (`syzygy._lifted_kernel` verifies them)."""
+def _generators(p: RankProfile, r: int, degree: int, count: int, field: Field) -> tuple[Syzygy, ...]:
+    """The minimal-degree relation rho1, then the `count` vectors of the
+    kernel basis of AR(f)_degree that lie outside S_(degree-r) * rho1; any
+    other count aborts.  Over a prime the kernels are eliminated and the
+    triples re-verified; over Q they are p.lifts, lifted where it has none
+    (`syzygy._lifted_kernel` verifies them), as primitive integer triples."""
     if field.char:
-        grad = partials(f.map_field(field))
-        basis = syzygy_basis(f, r, field, grad=grad)
-        kernel = kernel_basis(jacobian_matrix(f, degree, field))
-        syzygy = partial(Syzygy.from_vector, f, degree, field=field, grad=grad)
+        grad = p.gradient(field)
+        basis = syzygy_basis(p.f, r, field, grad=grad)
+        kernel = kernel_basis(jacobian_matrix(p.f, degree, field, grad=grad))
+        candidates = ExactMatrix.from_rows(field, kernel)
+        syzygy = partial(Syzygy.from_vector, p.f, degree, field=field, grad=grad)
     else:
-        lifted = {k: lifts[k] if lifts and k in lifts else _lifted_kernel(f, k, CERT_PRIME) for k in {r, degree}}
+        lifted = {k: p.lifts[k] if k in p.lifts else _lifted_kernel(p.grad, k, CERT_PRIME) for k in {r, degree}}
         basis, kernel = [Syzygy.from_lift(r, v) for v in lifted[r][:1]], lifted[degree]
+        candidates = ExactMatrix.integral(kernel, 3 * dim_S(degree))
         syzygy = partial(Syzygy.from_lift, degree)
     if not basis:
         raise ValueError(f"no relation in degree {r}; is r really mdr(f)?")
     rho1 = basis[0]
-    picked = outside_span(multiples([rho1], degree, field), ExactMatrix.from_rows(field, kernel))
+    picked = outside_span(multiples([rho1], degree, field), candidates)
     if len(picked) != count:
         raise InternalInconsistencyError(
             f"complement of the minimal relation in degree {degree} has "
@@ -203,13 +206,13 @@ def _generators(f: HomogPoly, r: int, degree: int, count: int, field: Field, lif
     return (rho1, *(syzygy(kernel[i]) for i in picked))
 
 
-def nearly_free_generators(f: HomogPoly, r: int, field: Field = QQ, lifts: Lifts | None = None) -> tuple[Syzygy, Syzygy, Syzygy]:
-    """The three generating syzygies of a nearly free curve: rho1 of
-    degree r, then rho2, rho3 of degree d-r, the canonical kernel vectors
-    outside S_(d-2r) * rho1.  Over Q, `lifts` may hold kernels already
-    lifted (`RankProfile.lifts`).  That they generate is certified
-    separately, from the rank profile (`resolution_matches`)."""
-    return _generators(f, r, f.degree - r, 2, field, lifts)
+def nearly_free_generators(p: RankProfile, r: int, field: Field = QQ) -> tuple[Syzygy, Syzygy, Syzygy]:
+    """The three generating syzygies of the nearly free curve of profile p:
+    rho1 of degree r, then rho2, rho3 of degree d-r, the kernel vectors
+    outside S_(d-2r) * rho1, canonical over a prime, and over Q primitive
+    integer multiples of the canonical ones.  That they generate is
+    certified separately, from the rank profile (`resolution_matches`)."""
+    return _generators(p, r, p.d - r, 2, field)
 
 
 def resolution_matches(p: RankProfile, r: int) -> bool:
@@ -219,18 +222,18 @@ def resolution_matches(p: RankProfile, r: int) -> bool:
     return all(p.ar(k) == nearly_free_resolution_dim(p.d, r, k) for k in range(len(p.ranks)))
 
 
-def free_pair(f: HomogPoly, r: int, field: Field = QQ, lifts: Lifts | None = None) -> tuple[Syzygy, Syzygy]:
-    """The canonical generating pair (degrees r and d-1-r) of a free curve;
-    `lifts` as in `nearly_free_generators`."""
-    return _generators(f, r, f.degree - 1 - r, 1, field, lifts)
+def free_pair(p: RankProfile, r: int, field: Field = QQ) -> tuple[Syzygy, Syzygy]:
+    """The generating pair (degrees r and d-1-r) of the free curve of
+    profile p, scaled as in `nearly_free_generators`."""
+    return _generators(p, r, p.d - 1 - r, 1, field)
 
 
 def _structure_ok(p: RankProfile, r: int, verdict: str, field: Field) -> bool:
     """Structural check of a Free or NearlyFree verdict over one field."""
     try:
         if verdict == FREE:
-            return saito_verify(p.f, *free_pair(p.f, r, field, p.lifts))
-        nearly_free_generators(p.f, r, field, p.lifts)
+            return saito_verify(p.gradient(field), *free_pair(p, r, field))
+        nearly_free_generators(p, r, field)
         return True
     except InternalInconsistencyError:
         return False

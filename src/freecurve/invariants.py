@@ -22,7 +22,7 @@ from typing import Callable
 from .errors import InternalInconsistencyError, NotReducedError
 from .linalg import integer_kernel_basis, rank
 from .poly import HomogPoly, choose2, dim_choose2, dim_S, monomial_position
-from .syzygy import RankProfile, _column_cells, _integral, jacobian_matrix, mdr, milnor_plateau, rank_jacobian
+from .syzygy import RankProfile, _column_cells, jacobian_matrix, mdr, milnor_plateau, primitive_form, rank_jacobian
 
 
 def smooth_reference(d: int, k: int) -> int:
@@ -118,16 +118,17 @@ def _saturation_dim(f: HomogPoly, j: int, e: int, functionals: dict) -> int:
 def n_dim_saturation_oracle(f: HomogPoly, j: int, functionals: dict | None = None) -> int:
     """Brute-force n(f)_j over Q: saturate the Jacobian ideal degree by degree.
 
-    f is first scaled to its primitive integer form: a multiple has the
-    same Jacobian ranks and left null spaces, and every matrix below is
-    then integral, eliminated on integer rows.  The functionals on S_t
-    that vanish on (J_f)_t, a left null space of the Jacobian matrix, are
-    computed once per target degree t, as primitive integer rows.  Composed
-    with multiplication by x^e, y^e and z^e they cut (J_f : m^e)_j out of
-    S_j at t = j+e.  Starting from e = max(1, T+1-j), e grows until two
-    consecutive rounds have equal dimension; the rounds are nested, so
-    equal dimension means equal subspace.  The defect is that dimension
-    minus dim (J_f)_j.  The Euler-characteristic formula is not used.
+    f is first scaled to its primitive integer form (the zero form raises
+    InputError): a multiple has the same Jacobian ranks and left null
+    spaces, and every matrix below is then integral, eliminated on integer
+    rows.  The functionals on S_t that vanish on (J_f)_t, a left null
+    space of the Jacobian matrix, are computed once per target degree t,
+    as primitive integer rows.  Composed with multiplication by x^e, y^e
+    and z^e they cut (J_f : m^e)_j out of S_j at t = j+e.  Starting from
+    e = max(1, T+1-j), e grows until two consecutive rounds have equal
+    dimension; the rounds are nested, so equal dimension means equal
+    subspace.  The defect is that dimension minus dim (J_f)_j.  The
+    Euler-characteristic formula is not used.
 
     `functionals` maps a target degree to its functionals.  One dict,
     owned by the caller and shared by every j of one curve, computes each
@@ -137,7 +138,7 @@ def n_dim_saturation_oracle(f: HomogPoly, j: int, functionals: dict | None = Non
         raise ValueError("degree must be non-negative")
     if functionals is None:
         functionals = {}
-    (f,) = _integral((f,))
+    f = primitive_form(f)
     d = f.degree
     T = 3 * (d - 2)
     dim_j_f = rank_jacobian(f, j - d + 1)

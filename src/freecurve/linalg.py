@@ -1,9 +1,9 @@
 """Dense exact linear algebra over Q and prime fields.
 
-Three operations back every graded dimension computed by this package:
-`rank`, `kernel_basis` and `solve_exact`; `pivot_columns` picks
-independent columns, and `integer_kernel_basis` gives a kernel over Q as
-primitive integer rows.  Every matrix is one numpy array, whatever its field
+The rank sweeps in `syzygy` eliminate with `_mod_p_echelon` and
+`_mod_p_matmul`; the rest uses `rank`, `pivot_columns`, `kernel_basis`,
+`integer_kernel_basis` (a kernel over Q as primitive integer rows) and
+`solve_exact`.  Every matrix is one numpy array, whatever its field
 (see `ExactMatrix`), and each operation has one code path; only the
 arithmetic of the elimination depends on the field.  All of it is exact:
 
@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import Field, PrimeField
+from .fields import QQ, Field, PrimeField
 
 
 class ExactMatrix:
@@ -50,10 +50,10 @@ class ExactMatrix:
     over a prime; constructors reduce what they are given mod p.  An
     integral matrix over Q holds Python ints instead of Fractions, never a
     mix of the two; only the multiplication-matrix builder
-    (`syzygy.multiples`, from integral coefficients) and
-    `integer_kernel_basis` make one, and every operation reads it as it
-    reads Fractions.  Matrices are never changed in place, so `transpose`
-    can return a view.
+    (`syzygy.multiples`, from integral coefficients) and `integral` (the
+    rows of `integer_kernel_basis` and of the lifts) make one, and every
+    operation reads it as it reads Fractions.  Matrices are never changed
+    in place, so `transpose` can return a view.
     """
 
     __slots__ = ("field", "rows", "cols", "_data")
@@ -72,6 +72,11 @@ class ExactMatrix:
             if len(r) != n:
                 raise ValueError("ragged rows")
         return cls(field, m, n, _entries(field, rows).reshape(m, n))
+
+    @classmethod
+    def integral(cls, rows: Sequence[Sequence[int]], n: int) -> "ExactMatrix":
+        """The integral matrix over Q with `rows`, each n Python ints."""
+        return cls(QQ, len(rows), n, np.array(rows, dtype=object).reshape(len(rows), n))
 
     @classmethod
     def zeros(cls, field: Field, m: int, n: int) -> "ExactMatrix":
@@ -413,19 +418,21 @@ def integer_kernel_basis(M: ExactMatrix) -> ExactMatrix:
             v[last - pc] = -xi[t]
         g = sign * gcd(*v)
         vecs.append([c // g for c in v])
-    return ExactMatrix(M.field, len(vecs), n, np.array(vecs, dtype=object).reshape(len(vecs), n))
+    return ExactMatrix.integral(vecs, n)
 
 
 def solve_exact(M: ExactMatrix, b: Sequence):
     """Some x with Mx = b, or None when the system is inconsistent.
 
     When solutions form an affine family the canonical echelon particular
-    solution is returned (free coordinates set to zero).
+    solution is returned (free coordinates set to zero).  Over Q, b is
+    kept as given, ints or Fractions, as the elimination reads both.
     """
     if len(b) != M.rows:
         raise ValueError("right-hand side length must equal row count")
     field = M.field
-    aug = np.hstack([M._data, _entries(field, b).reshape(M.rows, 1)])
+    rhs = _entries(field, b) if field.char else np.array(b, dtype=object)
+    aug = np.hstack([M._data, rhs.reshape(M.rows, 1)])
     rr, pivots = _rref(ExactMatrix(field, M.rows, M.cols + 1, aug))
     if pivots and pivots[-1] == M.cols:
         return None

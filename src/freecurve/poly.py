@@ -66,6 +66,9 @@ class HomogPoly:
     """A homogeneous polynomial of a declared degree.
 
     The zero polynomial is representable at any degree (empty term map).
+    Over Q a coefficient is a `Fraction` or, in an integral polynomial such
+    as the primitive integer form of a curve and its gradient, a Python
+    int; sums, differences, products and partials of ints stay ints.
     Instances are immutable and compare by value (they are not hashable);
     all operations return new polynomials.
     """
@@ -158,7 +161,8 @@ class HomogPoly:
         return HomogPoly(self.field, self.degree + sum(mono), out)
 
     def partial(self, axis: int) -> "HomogPoly":
-        """Formal partial derivative along x, y or z (axis 0, 1, 2)."""
+        """Formal partial derivative along x, y or z (axis 0, 1, 2); over Q
+        an integer coefficient stays a Python int."""
         if self.degree < 1:
             raise ValueError("derivative of a degree-0 polynomial")
         f = self.field
@@ -169,7 +173,7 @@ class HomogPoly:
                 continue
             lowered = list(m)
             lowered[axis] = e - 1
-            coeff = f.mul(c, f.from_int(e))
+            coeff = f.mul(c, e)
             if not f.is_zero(coeff):
                 out[tuple(lowered)] = coeff
         return HomogPoly(f, self.degree - 1, out)

@@ -81,10 +81,6 @@ CERT_PRIME = 2_147_483_659
 # Bases of ker_Q J_k by degree k, as `_lifted_kernel` returns them.
 Lifts = dict[int, list[list[int]]]
 
-# The gradient of a primitive integer form, as `_integer_gradient` returns
-# it: the partials over Q and their (monomial, int) pairs.
-IntegerGradient = tuple[Gradient, list[list[tuple[tuple[int, int, int], int]]]]
-
 
 class Syzygy(NamedTuple):
     """A relation a*f_x + b*f_y + c*f_z = 0 with a, b, c of one degree."""
@@ -111,44 +107,34 @@ class Syzygy(NamedTuple):
         return syz
 
     @classmethod
-    def from_lift(cls, k: int, vec: Sequence[int]) -> "Syzygy":
-        """The degree-k triple over Q of a vector of `_lifted_kernel`, which
-        verified it, scaled to a leading 1, as in `linalg.kernel_basis`."""
-        n, lead = dim_S(k), next(c for c in vec if c)
-        return cls(*(HomogPoly.from_vector(QQ, k, [Fraction(c, lead) for c in vec[i * n : (i + 1) * n]]) for i in range(3)))
+    def from_lift(cls, k: int, vec: Sequence) -> "Syzygy":
+        """The degree-k triple over Q with coefficient blocks a, b, c in
+        `vec`, a multiple of a vector `_lifted_kernel` verified."""
+        n = dim_S(k)
+        return cls(*(HomogPoly.from_vector(QQ, k, vec[i * n : (i + 1) * n]) for i in range(3)))
 
     def holds_for(self, f: HomogPoly, grad: Gradient | None = None) -> bool:
-        """Whether a*f_x + b*f_y + c*f_z = 0, summed in Python integers.
+        """Whether a*f_x + b*f_y + c*f_z = 0, summed exactly: over Q as
+        given, over a prime in Python integers reduced mod p once.
 
         `grad` may be any nonzero multiple of the gradient of f over the
-        triple's field (default `partials`).  Over Q the triple and the
-        gradient are each scaled by one nonzero factor to coprime integer
-        coefficients (`_integral`).  Over a prime the integer sums are
-        reduced mod p once.
+        triple's field (default `partials`).  The zero triple holds.
         """
         field = self.a.field
-        triple, gradient = self, grad if grad is not None else partials(f.map_field(field))
-        if field.char == 0:
-            triple, gradient = _integral(triple), _integral(gradient)
-        return _relation_vanishes([u.terms.items() for u in triple], _integer_terms(gradient), field.char)
-
-
-def _integer_terms(parts: Sequence[HomogPoly]) -> list[list[tuple[tuple[int, int, int], int]]]:
-    """The (monomial, int) pairs of polynomials with integer coefficients."""
-    return [[(mono, _as_int(c)) for mono, c in part.terms.items()] for part in parts]
+        if grad is None:
+            grad = partials(f.map_field(field))
+        return _relation_vanishes([u.terms.items() for u in self], [g.terms.items() for g in grad], field.char)
 
 
 def _relation_vanishes(triple, gradient, p: int = 0) -> bool:
-    """Whether u_1*g_1 + u_2*g_2 + u_3*g_3 = 0, summed in Python integers
-    and reduced mod p once if p > 0.  Each u_i is an iterable of (monomial,
-    integer coefficient) pairs, int or `Fraction`; each g_i a list of
-    (monomial, int) pairs (`_integer_terms`).  The one exact check of a
-    syzygy: `Syzygy.holds_for` and the lifted kernel vectors
-    (`_lifted_kernel`) are verified here."""
+    """Whether u_1*g_1 + u_2*g_2 + u_3*g_3 = 0, summed exactly and reduced
+    mod p once if p > 0.  Each u_i and g_i is an iterable of (monomial,
+    coefficient) pairs, int or `Fraction`; over a prime, ints.  The one
+    exact check of a syzygy: `Syzygy.holds_for` and the lifted kernel
+    vectors (`_lifted_kernel`) are verified here."""
     total: dict[tuple[int, int, int], int] = {}
     for u, g_terms in zip(triple, gradient):
         for (i, j, k), c in u:
-            c = _as_int(c)
             for (gi, gj, gk), gc in g_terms:
                 mono = (i + gi, j + gj, k + gk)
                 total[mono] = total.get(mono, 0) + c * gc
@@ -235,11 +221,12 @@ def outside_span(span: ExactMatrix, candidates: ExactMatrix) -> list[int]:
     return [i - span.rows for i in pivots if i >= span.rows]
 
 
-def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ) -> ExactMatrix:
+def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> ExactMatrix:
     """Matrix of (a,b,c) |-> a*f_x + b*f_y + c*f_z from degree k to k+d-1.
 
     The transpose of the `multiples` of (f_x,), (f_y,), (f_z,) at degree
-    k+d-1, the gradient of f over `field`: columns come in three blocks
+    k+d-1, the gradient of f over `field` (or `grad`, a nonzero multiple
+    of it): columns come in three blocks
     (a, b, c), each in canonical monomial order; rows are the
     degree-(k+d-1) monomials in canonical order.  Over Q its entries are
     Python ints when f has integer coefficients, `Fraction`s otherwise.
@@ -248,8 +235,10 @@ def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ) -> ExactMatrix:
     """
     if k < 0:
         raise ValueError("source degree must be non-negative")
-    # a constant f has no gradient: `partial` raises ValueError
-    return multiples([(g,) for g in partials(f.map_field(field))], k + f.degree - 1, field).transpose()
+    if grad is None:
+        # a constant f has no gradient: `partial` raises ValueError
+        grad = partials(f.map_field(field))
+    return multiples([(g,) for g in grad], k + f.degree - 1, field).transpose()
 
 
 def rank_jacobian(f: HomogPoly, k: int, field: Field = QQ) -> int:
@@ -261,33 +250,35 @@ def rank_jacobian(f: HomogPoly, k: int, field: Field = QQ) -> int:
 
 def syzygy_basis(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> list[Syzygy]:
     """Canonical echelon basis of AR(f)_k, each triple verified exactly:
-    over Q the lift of ker J_k (`_lifted_kernel`, `Syzygy.from_lift`), over
-    a prime the kernel of J_k mod p, re-verified against `grad`, the
-    gradient of f over `field` or a nonzero multiple of it (default
-    `partials`): a multiple has the same relations, so its Jacobian
-    matrices have the same kernels."""
+    over Q the lift of ker J_k (`_lifted_kernel`) scaled to leading 1s,
+    over a prime the kernel of J_k mod p, re-verified against `grad`, the
+    gradient of f over `field` or a nonzero multiple of it, integral over
+    Q (default `partials` of f, over Q of its primitive form)."""
+    if k < 0:
+        raise ValueError("source degree must be non-negative")
     if not field.char:
-        if k < 0:
-            raise ValueError("source degree must be non-negative")
-        return [Syzygy.from_lift(k, v) for v in _lifted_kernel(f, k, CERT_PRIME)]
+        lifted = _lifted_kernel(grad if grad is not None else partials(primitive_form(f)), k, CERT_PRIME)
+        return [Syzygy.from_lift(k, [Fraction(c, next(x for x in v if x)) for c in v]) for v in lifted]
     if grad is None:
         grad = partials(f.map_field(field))
-    return [Syzygy.from_vector(f, k, vec, field, grad) for vec in kernel_basis(jacobian_matrix(f, k, field))]
+    return [Syzygy.from_vector(f, k, vec, field, grad) for vec in kernel_basis(jacobian_matrix(f, k, field, grad=grad))]
 
 
 @dataclass(frozen=True)
 class RankProfile:
     """The Jacobian ranks of one curve at source degrees 0..top, agreed once.
 
-    `f` is the curve's primitive integer form: coprime integer
-    coefficients, which reduce mod every prime.  `plan` is the field plan
-    the ranks were agreed over; the structural checks of a verdict run on
-    `f` over the same plan.  `table_max` is the top degree of the reported
-    tables.  `lifts` holds the kernels the certificate lifted over Q,
+    `f` is the curve's primitive integer form: coprime Python-int
+    coefficients, which reduce mod every prime.  `grad` is its gradient,
+    made once, which every later step reads (`gradient` reduces it mod p).
+    `plan` is the field plan the ranks were agreed over; the structural
+    checks of a verdict run on `f` over the same plan.  `table_max` is the
+    top degree of the reported tables.  `lifts` holds the kernels the certificate lifted over Q,
     which the structural checks over Q read; over a prime it is empty.
     """
 
     f: HomogPoly
+    grad: Gradient
     plan: FieldPlan
     table_max: int
     ranks: tuple[int, ...]
@@ -296,6 +287,10 @@ class RankProfile:
     @property
     def d(self) -> int:
         return self.f.degree
+
+    def gradient(self, field: Field) -> Gradient:
+        """`grad` over `field`: as it is over Q, reduced mod p over a prime."""
+        return Gradient(*(g.map_field(field) for g in self.grad))
 
     def rank(self, k: int) -> int:
         if k >= len(self.ranks):
@@ -314,10 +309,10 @@ class RankProfile:
 def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | None = None) -> RankProfile:
     """Agree once on the Jacobian ranks of f at source degrees 0..top.
 
-    f is first scaled to coprime integer coefficients, its primitive
-    integer form, which the profile keeps as `RankProfile.f`: a multiple
-    of f has the same ranks and syzygies, and the form reduces mod every
-    prime, where ranks only drop.  top = max(2d-1, K), where K =
+    f is first scaled to its primitive integer form, which the profile
+    keeps as `RankProfile.f`, with its gradient as `RankProfile.grad`: a
+    multiple of f has the same ranks and syzygies, and the form reduces
+    mod every prime, where ranks only drop.  top = max(2d-1, K), where K =
     `table_max` (default 2d) is the top of the reported tables and 2d-1
     the last degree the reducedness window reads.  A bare field is
     computed over once; a plan agrees on the whole tuple at once.  A zero
@@ -370,17 +365,27 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
     disagree by losing rank.
     """
     K, top = profile_degrees(f.degree, table_max)
-    if f.is_zero():
-        raise InputError("the zero polynomial defines no curve")
-    (f,) = _integral((f,))
+    f = primitive_form(f)
+    grad = partials(f)
     plan = field if isinstance(field, FieldPlan) else FieldPlan.over(field)
     lifts: Lifts = {}
     ranks = plan.agree(
-        lambda F: _persistent(f, F, top, _proved_ranks(f, lifts=lifts) if F.char == 0 else _swept_ranks(f, F)),
+        lambda F: _persistent(grad, F, top, _proved_ranks(grad, lifts=lifts) if F.char == 0 else _swept_ranks(grad, F)),
         # H(top+d-1) = 0: the curve is smooth, and one prime proves its ranks
         lambda ranks: ranks[top] == dim_S(top + f.degree - 1),
     )
-    return RankProfile(f, plan, K, ranks, lifts)
+    return RankProfile(f, grad, plan, K, ranks, lifts)
+
+
+def primitive_form(f: HomogPoly) -> HomogPoly:
+    """f, a form over Q, scaled by one positive factor to coprime integer
+    coefficients held as Python ints; the zero form raises InputError."""
+    if f.is_zero():
+        raise InputError("the zero polynomial defines no curve")
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    ints = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
+    g = gcd(*ints.values())
+    return HomogPoly(QQ, f.degree, {m: c // g for m, c in ints.items()})
 
 
 def profile_degrees(d: int, table_max: int | None = None) -> tuple[int, int]:
@@ -401,20 +406,20 @@ def profile_degrees(d: int, table_max: int | None = None) -> tuple[int, int]:
     return K, top
 
 
-def _swept_ranks(f: HomogPoly, field: Field) -> Iterator[int]:
+def _swept_ranks(grad: Gradient, field: Field) -> Iterator[int]:
     """rank J_0, J_1, ... over a prime field, one step each of a sweep up
     the degrees D = d-1, d, ... of the Jacobian ideal J_f (`_ModuleSweep`):
-    rank J_k is dim (J_f)_(k+d-1), and the gradient generates J_f in
+    rank J_k is dim (J_f)_(k+d-1), and `grad` mod p generates J_f in
     degree d-1.  The pipeline ranks Jacobians mod p only here."""
-    J = _ModuleSweep(field, 1, f.degree - 2, retire=True)
-    yield J.step([(part,) for part in partials(f.map_field(field))])
+    J = _ModuleSweep(field, 1, grad[0].degree - 1, retire=True)
+    yield J.step([(part.map_field(field),) for part in grad])
     while True:
         yield J.step([])
 
 
-def _persistent(f: HomogPoly, field: Field, top: int, ranks: Iterator[int]) -> tuple[int, ...]:
-    """The ranks of J_0..J_top of the curve f over `field`, read from
-    `ranks` only until the rest of the Hilbert function is fixed.
+def _persistent(grad: Gradient, field: Field, top: int, ranks: Iterator[int]) -> tuple[int, ...]:
+    """The ranks of J_0..J_top over `field` of the curve with gradient
+    `grad`, read from `ranks` only until the rest of H is fixed.
 
     With H(D) = dim (S/J_f)_D = dim S_D - rank J_(D-d+1), Macaulay's
     theorem bounds H(D+1) <= H(D)^<D> (`_macaulay_bound`).  J_f is
@@ -454,13 +459,13 @@ def _persistent(f: HomogPoly, field: Field, top: int, ranks: Iterator[int]) -> t
     only at flat steps that Gotzmann's condition does not stop (H(D) > D)
     and where 3(D-e+1) >= D+1.  Over a prime the test runs over `field`.
     The restriction is computed once, at the first test.  Over Q it
-    runs mod CERT_PRIME, on f's primitive integer form: the matrix is
-    then integral, and full rank mod a prime means full rank over Q.  If
+    runs mod CERT_PRIME, on the integer gradient: the matrix is then
+    integral, and full rank mod a prime means full rank over Q.  If
     h = 0 meets the singular locus of the curve, the forms share a root
     and never fill, and only the other conditions stop the sweep.
     A rank read above Macaulay's bound raises InternalInconsistencyError.
     """
-    d, P = f.degree, field if field.char else GF(CERT_PRIME)
+    d, P = grad[0].degree + 1, field if field.char else GF(CERT_PRIME)
     out: list[int] = []
     forms = None
     # once the rest of H is fixed: H(D+1) from H(D) and D
@@ -487,7 +492,7 @@ def _persistent(f: HomogPoly, field: Field, top: int, ranks: Iterator[int]) -> t
             rule = _macaulay_bound
         elif nxt == cur and 3 * (D - d + 2) >= D + 1:
             if forms is None:
-                forms = _restricted_gradient(f, P)
+                forms = _restricted_gradient(grad, P)
             if _fills(forms, D, P):
                 rule = _flat
     return tuple(out)
@@ -505,24 +510,19 @@ def _flat(H: int, D: int) -> int:
 PLATEAU_LINE = (1009, 2027)
 
 
-def _restricted_gradient(f: HomogPoly, P: Field) -> np.ndarray:
-    """The partials of f on the line h = 0 of PLATEAU_LINE, over the prime
-    field P: with x = -(a*y + b*z), three binary forms of degree e = d-1,
-    row i holding the coefficients of f_i at y^(e-j) z^j in column j.  f is
-    scaled to its primitive integer form first, as `rank_profile` does, and
-    each term is differentiated in Python integers."""
-    (f,) = _integral((f,))
-    p, (a, b) = P.char, PLATEAU_LINE
+def _restricted_gradient(grad: Gradient, P: Field) -> np.ndarray:
+    """The integer gradient `grad` on the line h = 0 of PLATEAU_LINE, over
+    the prime field P: with x = -(a*y + b*z), three binary forms of degree
+    e = d-1, row i holding the coefficients of f_i at y^(e-j) z^j in
+    column j, summed in Python integers and reduced mod p once."""
+    p, (a, b), e = P.char, PLATEAU_LINE, grad[0].degree
     # x^i = (-1)^i sum_t C(i, t) a^t b^(i-t) y^t z^(i-t), mod p
-    powers = [[(-1) ** i * comb(i, t) * a**t * b ** (i - t) % p for t in range(i + 1)] for i in range(f.degree)]
-    rows = [[0] * f.degree for _ in range(3)]
-    for (i, j, l), c in f.terms.items():
-        # the term's partials: (i, j, l) times c x^i y^j z^l with one
-        # exponent lowered by one
-        for row, n, i1, l1 in zip(rows, (i, j, l), (i - 1, i, i), (l, l, l - 1)):
-            if n:
-                for t, w in enumerate(powers[i1]):
-                    row[l1 + i1 - t] += n * c.numerator * w
+    powers = [[(-1) ** i * comb(i, t) * a**t * b ** (i - t) % p for t in range(i + 1)] for i in range(e + 1)]
+    rows = [[0] * (e + 1) for _ in range(3)]
+    for row, part in zip(rows, grad):
+        for (i, _, l), c in part.terms.items():
+            for t, w in enumerate(powers[i]):
+                row[l + i - t] += c * w
     return np.array([[c % p for c in row] for row in rows], dtype=_dtype(P))
 
 
@@ -707,28 +707,27 @@ def _column_cells(D: int, t: int) -> np.ndarray:
     return cells
 
 
-def _proved_ranks(f: HomogPoly, prime: int = CERT_PRIME, *, lifts: Lifts | None = None) -> Iterator[int]:
-    """rank_Q J_0, J_1, ... of f, an integer form, proved from `prime` as
-    `rank_profile` says; each basis of ker_Q J_k lifted is stored in
-    `lifts` under k and joins V at k+1, reduced mod `prime`.  V is 0 below
-    the degree its first generators join at, and its sweep starts there.
-    The gradient of f's primitive form is computed once, for the Koszul
-    relations and every lift."""
+def _proved_ranks(grad: Gradient, prime: int = CERT_PRIME, *, lifts: Lifts | None = None) -> Iterator[int]:
+    """rank_Q J_0, J_1, ... of the curve with integer gradient `grad`,
+    proved from `prime` as `rank_profile` says; each basis of ker_Q J_k
+    lifted is stored in `lifts` under k and joins V at k+1, reduced mod
+    `prime`.  V is 0 below the degree its first generators join at, and
+    its sweep starts there."""
     P = GF(prime)
-    gradient = _integer_gradient(f)
-    fx, fy, fz = (g.map_field(P) for g in gradient[0])
-    zero = HomogPoly.zero(P, f.degree - 1)
+    fx, fy, fz = (g.map_field(P) for g in grad)
+    e = fx.degree
+    zero = HomogPoly.zero(P, e)
     # V's generators by the degree they join at: the Koszul relations at
     # d-1, the kernel vectors over Q found at k at k+1
-    joining = {f.degree - 1: [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]}
+    joining = {e: [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]}
     V = None
-    for k, r in enumerate(_swept_ranks(f, P)):
+    for k, r in enumerate(_swept_ranks(grad, P)):
         n = 3 * dim_S(k)
         gens = joining.pop(k, [])
         if V is None and gens:
             V = _ModuleSweep(P, 3, k - 1)
         if (V.step(gens) if V is not None else 0) != n - r:
-            vectors = _lifted_kernel(f, k, prime, gradient)
+            vectors = _lifted_kernel(grad, k, prime)
             if lifts is not None:
                 lifts[k] = vectors
             r = n - len(vectors)
@@ -739,12 +738,11 @@ def _proved_ranks(f: HomogPoly, prime: int = CERT_PRIME, *, lifts: Lifts | None 
         yield r
 
 
-def _lifted_kernel(f: HomogPoly, k: int, prime: int, gradient: IntegerGradient | None = None) -> list[list[int]]:
-    """ker_Q J_k of f as primitive integer vectors, lifted from its images
-    mod `prime` and the primes above it.  J_k of f's primitive integer form
-    is built once as an integer array (`_multiples_array` of the gradient,
-    transposed) and reduced mod each prime.  `gradient` is that form's
-    `_integer_gradient`, if the caller has it.
+def _lifted_kernel(grad: Gradient, k: int, prime: int) -> list[list[int]]:
+    """ker_Q J_k of the curve with integer gradient `grad` as primitive
+    integer vectors, lifted from its images mod `prime` and the primes
+    above it.  J_k is built once as an integer array (`_multiples_array`
+    of the gradient, transposed) and reduced mod each prime.
 
     The image mod p is the reduced echelon basis of ker_p J_k
     (`kernel_basis`): 1 at its free columns, 0 at the others.  Ranks only
@@ -771,9 +769,8 @@ def _lifted_kernel(f: HomogPoly, k: int, prime: int, gradient: IntegerGradient |
     recovers them and verifies; it usually does at a far smaller one.
     """
     n = 3 * dim_S(k)
-    grad, terms = gradient if gradient is not None else _integer_gradient(f)
-    basis = monomial_basis(k)
-    J = _multiples_array([(g,) for g in grad], k + f.degree - 1).T
+    basis, terms = monomial_basis(k), [g.terms.items() for g in grad]
+    J = _multiples_array([(g,) for g in grad], k + grad[0].degree).T
     best = None
     for p in _primes_from(prime):
         P = GF(p)
@@ -843,29 +840,6 @@ def _primes_from(p: int) -> Iterator[int]:
         p += 2
         while not is_probable_prime(p):
             p += 2
-
-
-def _as_int(c) -> int:
-    """An integer coefficient, int or Fraction, as an int; a Fraction with
-    a denominator raises where int() would truncate it."""
-    if c.denominator != 1:
-        raise ValueError(f"coefficient {c} is not an integer")
-    return c.numerator
-
-
-def _integer_gradient(f: HomogPoly) -> IntegerGradient:
-    """The gradient of f's primitive integer form, as polynomials over Q
-    and as (monomial, int) pairs (`_integer_terms`)."""
-    (f,) = _integral((f,))
-    grad = partials(f)
-    return grad, _integer_terms(grad)
-
-
-def _integral(parts: tuple[HomogPoly, ...]) -> tuple[HomogPoly, ...]:
-    """Rational `parts` scaled by one factor to coprime integer coefficients."""
-    coeffs = [c for part in parts for c in part.terms.values()]
-    scale = Fraction(lcm(*(c.denominator for c in coeffs)), gcd(*(c.numerator for c in coeffs)))
-    return parts if scale == 1 else tuple(part.scale(scale) for part in parts)
 
 
 def mdr(p: RankProfile) -> int:

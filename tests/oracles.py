@@ -14,7 +14,7 @@ import sympy
 
 from freecurve import syzygy
 from freecurve.fields import GF, QQ
-from freecurve.linalg import kernel_basis, rank
+from freecurve.linalg import integer_kernel_basis, rank
 from freecurve.poly import HomogPoly, dim_S, partials
 
 X, Y, Z = sympy.symbols("x y z")
@@ -161,7 +161,7 @@ def dense_certificate_kernel_degrees(f, ranks, prime: int) -> list[int]:
     like the profile, the reference stops where they meet Gotzmann's
     condition or the plateau's (`persistence_stop`)."""
     P = GF(prime)
-    (f,) = syzygy._integral((f,))
+    f = syzygy.primitive_form(f)
     fx, fy, fz = (g.map_field(P) for g in partials(f))
     zero = HomogPoly.zero(P, f.degree - 1)
     gens = [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]
@@ -173,12 +173,12 @@ def dense_certificate_kernel_degrees(f, ranks, prime: int) -> list[int]:
             V = syzygy.multiples(gens, k, P)
             if rank(V) != n - r:
                 degrees.append(k)
-                # the canonical basis over Q by Bareiss, independent of the
-                # lift that `syzygy_basis` reads over Q
+                # the canonical basis over Q by Bareiss, as primitive integer
+                # rows, independent of the lift that `syzygy_basis` reads
+                # over Q
                 m = dim_S(k)
-                basis = kernel_basis(syzygy.jacobian_matrix(f, k, QQ))
-                triples = [[HomogPoly.from_vector(QQ, k, v[i * m : (i + 1) * m]) for i in range(3)] for v in basis]
-                new = [tuple(part.map_field(P) for part in syzygy._integral(t)) for t in triples]
+                basis = integer_kernel_basis(syzygy.jacobian_matrix(f, k, QQ)).row_lists()
+                new = [tuple(HomogPoly.from_vector(P, k, [c % prime for c in v[i * m : (i + 1) * m]]) for i in range(3)) for v in basis]
                 gens = gens + [new[i] for i in syzygy.outside_span(V, syzygy.multiples(new, k, P))]
     return degrees
 

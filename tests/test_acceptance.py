@@ -74,7 +74,7 @@ def test_criterion_03_nearly_free_characterization():
     c = classify(compute_bundle(profile))
     assert c.verdict == NEARLY_FREE and c.exponents == (1, 2)
     assert c.criteria == {"tau_test": True, "ctst_test": True, "delta_test": True}
-    rho1, rho2, rho3 = nearly_free_generators(cusp, 1)
+    rho1, rho2, rho3 = nearly_free_generators(profile, 1)
     for k in range(0, 6):  # k <= 5 = d + 2
         assert profile.ar(k) == nearly_free_resolution_dim(3, 1, k)
     _report(3, "cusp: tau = tau_max - 1, NearlyFree(1,2), generator check through k=5")
@@ -213,10 +213,11 @@ def test_criterion_08_saito_verification(corpus_results):
     # explicitly over Q on the small free corpus curves
     for expr in ("x*y*z", "x*y*z*(x-y)*(x-z)*(y-z)"):
         f = parse_poly(expr)
-        r = mdr(rank_profile(f))
-        rho1, rho2 = free_pair(f, r)
+        profile = rank_profile(f)
+        r = mdr(profile)
+        rho1, rho2 = free_pair(profile, r)
         assert rho1.degree + rho2.degree == f.degree - 1
-        h = pairing(rho1, rho2, f)
+        h = pairing(rho1, rho2, profile.grad)
         assert h.degree == 0 and not h.is_zero()
     # the pinned triangle identity: (x,-y,0) x (x,0,-z) = (yz, xz, xy) = grad
     from freecurve.poly import HomogPoly
@@ -227,7 +228,7 @@ def test_criterion_08_saito_verification(corpus_results):
     cx = cross_product(rho1, rho2)
     grad = partials(triangle)
     assert (cx[0], cx[1], cx[2]) == (grad.fx, grad.fy, grad.fz)
-    assert str(pairing(rho1, rho2, triangle)) == "1"
+    assert str(pairing(rho1, rho2, grad)) == "1"
     _report(8, f"Saito check passes for {free_names}; triangle pairing constant is 1")
 
 

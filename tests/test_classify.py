@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -30,10 +31,20 @@ from freecurve.data import shipped_corpus_dir
 from freecurve.errors import InternalInconsistencyError, NotReducedError
 from freecurve.fields import QQ, FieldPlan
 from freecurve.invariants import compute_bundle, n_dim, tau_max, tjurina
+from freecurve.linalg import ExactMatrix, kernel_basis
 from freecurve.parser import parse_poly
 from freecurve.poly import HomogPoly, choose2, dim_S, partials, poly_str
 from freecurve.report import analyze
-from freecurve.syzygy import Syzygy, rank_profile, syzygy_basis
+from freecurve.syzygy import (
+    Reducedness,
+    Syzygy,
+    jacobian_matrix,
+    multiples,
+    outside_span,
+    rank_profile,
+    reducedness_check,
+    syzygy_basis,
+)
 
 TRIANGLE = parse_poly("x*y*z")
 CUSP = parse_poly("x^3-y^2*z")
@@ -114,15 +125,15 @@ def test_cross_product_of_triangle_syzygies_is_gradient():
 def test_pairing_triangle_is_one():
     rho1 = syz("x", "-y", "0")
     rho2 = syz("x", "0", "-z")
-    h = pairing(rho1, rho2, TRIANGLE)
+    h = pairing(rho1, rho2, partials(TRIANGLE))
     assert h.degree == 0 and poly_str(h) == "1"
 
 
 def test_pairing_antisymmetry_and_multiples():
     rho1 = syz("x", "-y", "0")
-    assert pairing(rho1, rho1, TRIANGLE).is_zero()
+    assert pairing(rho1, rho1, partials(TRIANGLE)).is_zero()
     scaled = Syzygy(*(p.mul_monomial((0, 0, 1)) for p in rho1))
-    assert pairing(rho1, scaled, TRIANGLE).is_zero()
+    assert pairing(rho1, scaled, partials(TRIANGLE)).is_zero()
 
 
 def test_pairing_bilinear_on_random_syzygy_combinations():
@@ -137,46 +148,46 @@ def test_pairing_bilinear_on_random_syzygy_combinations():
                 for p, q in zip(r1, r2)
             )
         )
-        lhs = pairing(combo, r2, TRIANGLE)
-        rhs = pairing(r1, r2, TRIANGLE).scale(QQ.from_int(a))
+        lhs = pairing(combo, r2, partials(TRIANGLE))
+        rhs = pairing(r1, r2, partials(TRIANGLE)).scale(QQ.from_int(a))
         assert lhs == rhs  # the r2-component drops out by antisymmetry
 
 
 def test_saito_verify_triangle():
     rho1 = syz("x", "-y", "0")
     rho2 = syz("x", "0", "-z")
-    assert saito_verify(TRIANGLE, rho1, rho2)
+    assert saito_verify(partials(TRIANGLE), rho1, rho2)
 
 
 def test_saito_verify_rejects_dependent_pair():
     # degrees still sum to d-1, but the pair is dependent, so h = 0
     rho1 = syz("x", "-y", "0")
-    assert not saito_verify(TRIANGLE, rho1, rho1)
+    assert not saito_verify(partials(TRIANGLE), rho1, rho1)
     rho2 = syz("x", "0", "-z")
     combo = Syzygy(*(p + q.scale(QQ.from_int(2)) for p, q in zip(rho2, rho1)))
-    assert saito_verify(TRIANGLE, rho1, combo)  # combos off the line still work
+    assert saito_verify(partials(TRIANGLE), rho1, combo)  # combos off the line still work
 
 
 def test_saito_verify_degree_precondition():
     rho1 = syz("x", "-y", "0")
     too_big = Syzygy(*(p.mul_monomial((1, 0, 0)) for p in rho1))
     with pytest.raises(ValueError):
-        saito_verify(TRIANGLE, rho1, too_big)
+        saito_verify(partials(TRIANGLE), rho1, too_big)
 
 
 def test_v_map_kills_the_minimal_syzygy_and_its_multiples():
     basis = syzygy_basis(TRIANGLE, 1)
     rho1 = basis[0]
-    assert pairing(rho1, rho1, TRIANGLE).is_zero()
-    assert pairing(basis[1], rho1, TRIANGLE).degree == 0
-    assert not pairing(basis[1], rho1, TRIANGLE).is_zero()
+    assert pairing(rho1, rho1, partials(TRIANGLE)).is_zero()
+    assert pairing(basis[1], rho1, partials(TRIANGLE)).degree == 0
+    assert not pairing(basis[1], rho1, partials(TRIANGLE)).is_zero()
 
 
 def test_v_map_cusp_gives_independent_linear_forms():
     (rho1,) = syzygy_basis(CUSP, 1)
-    _, rho2, rho3 = nearly_free_generators(CUSP, 1)
-    l2 = pairing(rho2, rho1, CUSP)
-    l3 = pairing(rho3, rho1, CUSP)
+    _, rho2, rho3 = nearly_free_generators(rank_profile(CUSP), 1)
+    l2 = pairing(rho2, rho1, partials(CUSP))
+    l3 = pairing(rho3, rho1, partials(CUSP))
     assert l2.degree == 1 and l3.degree == 1
     vecs = [l2.coeff_vector(), l3.coeff_vector()]
     # independence: the 2x3 coefficient matrix has a nonzero 2-minor
@@ -189,7 +200,7 @@ def test_v_map_cusp_gives_independent_linear_forms():
 
 
 def test_nearly_free_generators_cusp():
-    rho1, rho2, rho3 = nearly_free_generators(CUSP, 1)
+    rho1, rho2, rho3 = nearly_free_generators(rank_profile(CUSP), 1)
     assert rho1.degree == 1 and rho2.degree == 2 and rho3.degree == 2
     for s in (rho1, rho2, rho3):
         assert s.holds_for(CUSP)
@@ -230,13 +241,13 @@ def test_resolution_formula_implies_the_nearly_free_consequences():
 
 def test_nearly_free_generators_rejects_free_curve():
     with pytest.raises(InternalInconsistencyError):
-        nearly_free_generators(TRIANGLE, 1)
+        nearly_free_generators(rank_profile(TRIANGLE), 1)
     assert not resolution_matches(rank_profile(TRIANGLE), 1)
 
 
 def test_free_pair_triangle():
-    rho1, rho2 = free_pair(TRIANGLE, 1)
-    assert saito_verify(TRIANGLE, rho1, rho2)
+    rho1, rho2 = free_pair(rank_profile(TRIANGLE), 1)
+    assert saito_verify(partials(TRIANGLE), rho1, rho2)
 
 
 @pytest.mark.parametrize(
@@ -308,9 +319,9 @@ def test_qq_analysis_reads_the_certificate_lifts_and_builds_no_bareiss_kernel(mo
 
         return wrapper
 
-    def counted(f, k, prime, gradient=None):
+    def counted(grad, k, prime):
         lifted.append(k)
-        return lift(f, k, prime, gradient)
+        return lift(grad, k, prime)
 
     modules = [m for name, m in sys.modules.items() if name.startswith("freecurve.")]
     for module in modules:
@@ -332,3 +343,87 @@ def test_qq_analysis_reads_the_certificate_lifts_and_builds_no_bareiss_kernel(mo
         assert report["classification"]["verdict"] == verdict, expr
         assert report["classification"]["verified"] is True, expr
         assert lifted == certificate + added, expr
+
+
+def test_one_gradient_per_analysis(monkeypatch):
+    # The rank profile differentiates the primitive form once and keeps the
+    # gradient (`RankProfile.grad`): the sweeps, the Koszul relations, every
+    # lift, the plateau's restriction and the structural checks read it.
+    # In qq y*z^3-1/7*x^4 (NearlyFree (1, 3)) lifts on demand at degree 3,
+    # and (1/2*x^3-1/3*y^2*z)*z (Free) pairs its generators (Saito); in
+    # auto no prime differentiates f again.
+    differentiated, partial = [], HomogPoly.partial
+
+    def counted(self, axis):
+        differentiated.append((str(self), axis))
+        return partial(self, axis)
+
+    def recorded(grad, k, prime):
+        lifted.append(k)
+        return lift(grad, k, prime)
+
+    monkeypatch.setattr(HomogPoly, "partial", counted)
+    lift, lifted = syzygy._lifted_kernel, []
+    for module in [m for name, m in sys.modules.items() if name.startswith("freecurve.")]:
+        if getattr(module, "_lifted_kernel", None) is lift:
+            monkeypatch.setattr(module, "_lifted_kernel", recorded)
+    for expr, verdict, on_demand in (("y*z^3-1/7*x^4", NEARLY_FREE, [3]), ("(1/2*x^3-1/3*y^2*z)*z", FREE, [])):
+        f = parse_poly(expr)
+        form = str(syzygy.primitive_form(f))
+        certificate = sorted(rank_profile(f, QQ).lifts)
+        for mode in ("qq", "auto"):
+            differentiated.clear()
+            lifted.clear()
+            report = analyze(f, FieldPlan.from_mode(mode, 0))
+            assert report["classification"]["verdict"] == verdict, (expr, mode)
+            assert report["classification"]["verified"] is True, (expr, mode)
+            assert differentiated == [(form, 0), (form, 1), (form, 2)], (expr, mode)
+            assert lifted == (certificate + on_demand if mode == "qq" else []), (expr, mode)
+
+
+def _curves_over_q_with_generators():
+    # the Free and NearlyFree curves of the corpus and of the families, the
+    # families up to the degree their qq cases run at
+    from test_families import MONOMIAL_ARRANGEMENTS, QQ_MAX_DEGREE, SYMMETRIC
+
+    exprs = [load_case(path).expression for path in sorted(shipped_corpus_dir().glob("*.curve"))]
+    for family, members in (("symmetric", SYMMETRIC), ("arrangement", MONOMIAL_ARRANGEMENTS)):
+        exprs += [expr for expr, _, _ in members if parse_poly(expr).degree <= QQ_MAX_DEGREE[family]]
+    for expr in exprs:
+        profile = rank_profile(parse_poly(expr), QQ)
+        if reducedness_check(profile) is Reducedness.REDUCED:
+            bundle = compute_bundle(profile)
+            verdict = classify(bundle).verdict
+            if verdict in (FREE, NEARLY_FREE):
+                yield expr, profile, bundle.r, verdict
+
+
+def _leading_one(triple):
+    vec = [c for part in triple for c in part.coeff_vector()]
+    lead = next(c for c in vec if c)
+    return tuple(Fraction(c) / lead for c in vec)
+
+
+def test_generators_over_q_span_the_lines_of_the_canonical_kernel_vectors():
+    # Over Q free_pair and nearly_free_generators return the certificate's
+    # primitive integer triples.  Each spans the line of the canonical
+    # (leading-1) kernel vector that Bareiss gives: rho1 first at degree r,
+    # then the vectors at d-1-r or d-r outside S * rho1.  On the canonical
+    # pair, with f's own gradient, the Saito check reads the same truth
+    # value as on the integer pair with the profile's gradient.
+    seen = set()
+    for expr, profile, r, verdict in _curves_over_q_with_generators():
+        degree = profile.d - r - (verdict == FREE)
+        got = free_pair(profile, r) if verdict == FREE else nearly_free_generators(profile, r)
+        assert all(type(c) is int for triple in got for part in triple for c in part.terms.values()), expr
+        rho1 = kernel_basis(jacobian_matrix(profile.f, r, QQ))[0]
+        kernel = kernel_basis(jacobian_matrix(profile.f, degree, QQ))
+        picked = outside_span(multiples([Syzygy.from_lift(r, rho1)], degree, QQ), ExactMatrix.from_rows(QQ, kernel))
+        canonical = [rho1, *(kernel[i] for i in picked)]
+        assert [_leading_one(triple) for triple in got] == canonical, expr
+        if verdict == FREE:
+            f = parse_poly(expr)
+            pair = [Syzygy.from_lift(k, v) for k, v in zip((r, degree), canonical)]
+            assert saito_verify(profile.grad, *got) is saito_verify(partials(f), *pair) is True, expr
+        seen.add(verdict)
+    assert seen == {FREE, NEARLY_FREE}

@@ -27,7 +27,7 @@ from freecurve.linalg import ExactMatrix, rank
 from freecurve.parser import parse_poly
 from freecurve.poly import dim_S
 from freecurve.report import analyze
-from freecurve.syzygy import _integral, jacobian_matrix, mdr, rank_profile
+from freecurve.syzygy import jacobian_matrix, mdr, primitive_form, rank_profile
 
 from oracles import smooth_series_oracle
 
@@ -146,7 +146,7 @@ def test_oracle_functionals_are_primitive_integer_rows_of_the_left_kernel():
     # primitive form F exactly; a rational curve is scaled to F first
     for expr in ("x^3-y^2*z", "x*y*z*(x+y+z)", "(1/2*x^3+1/3*y^3-z^3)*(x+y)", "(x^2-y^2)*(y^2-z^2)*(x^2-z^2)"):
         f = parse_poly(expr)
-        (F,) = _integral((f,))
+        F = primitive_form(f)
         d, T = f.degree, 3 * (f.degree - 2)
         functionals: dict = {}
         for j in range(T + 1):

@@ -12,6 +12,7 @@ from freecurve.corpus import load_case
 from freecurve.data import shipped_corpus_dir
 from freecurve.errors import InputError, InternalInconsistencyError
 from freecurve.fields import GF, QQ, FieldPlan
+from freecurve.invariants import n_dim_saturation_oracle
 from freecurve.linalg import ExactMatrix, _rref, kernel_basis, rank
 from freecurve.parser import parse_poly
 from freecurve.poly import HomogPoly, dim_S, dim_choose2, monomial_basis, monomial_position, partials
@@ -43,6 +44,12 @@ from oracles import (
 TRIANGLE = parse_poly("x*y*z")
 CUSP = parse_poly("x^3-y^2*z")
 FERMAT3 = parse_poly("x^3+y^3+z^3")
+
+
+def _gradient(f):
+    """The integer gradient that the rank profile of f keeps and hands to
+    the sweeps and the lifts (`RankProfile.grad`)."""
+    return partials(syzygy.primitive_form(f))
 
 
 def test_jacobian_matrix_shape_and_rank_degree_zero():
@@ -121,7 +128,7 @@ def test_jacobian_builder_matches_multiples_and_the_sympy_layout(jacobian_refere
         assert J.field is field and J.row_lists() == expected, (name, k)
         # the builder's integer array of the primitive form F = c*f, which
         # the lifts reduce mod each prime: Python ints over Q
-        (F,) = syzygy._integral((f,))
+        F = syzygy.primitive_form(f)
         c = next(F.terms[m] / v for m, v in f.terms.items())
         ints = syzygy._multiples_array([(g,) for g in partials(F)], k + f.degree - 1).T
         over_F = [[field.from_fraction(c * v) for v in row] for row in over_q]
@@ -228,6 +235,8 @@ def test_holds_for_checks_rational_syzygies_with_denominators():
     assert koszul.holds_for(f, partials(f))
     bump = HomogPoly(QQ, 2, {(0, 1, 1): Fraction(1, 13)})
     assert not Syzygy(koszul.a + bump, koszul.b, koszul.c).holds_for(f)
+    # the zero triple holds over Q, as it does over a prime
+    assert Syzygy(*[HomogPoly.zero(QQ, 2)] * 3).holds_for(f)
     for syz in syzygy_basis(f, 2):
         assert any(c.denominator > 1 for part in syz for c in part.terms.values())
         assert syz.holds_for(f)
@@ -245,6 +254,7 @@ def test_holds_for_reduces_the_integer_sums_mod_p():
     grad = partials(f.map_field(field))
     assert good.holds_for(f) and good.holds_for(f, grad)
     assert not bad.holds_for(f) and not bad.holds_for(f, grad)
+    assert Syzygy(zero, zero, zero).holds_for(f)
     # blocks a, b, c on the monomials x, y, z
     assert Syzygy.from_vector(f, 1, [0, 3, 0, 4, 0, 0, 0, 0, 0], field) == good
     with pytest.raises(InternalInconsistencyError, match="fails the defining relation"):
@@ -335,8 +345,8 @@ def _record_swept_degrees(monkeypatch) -> list[int]:
     degrees = []
     inner = syzygy._swept_ranks
 
-    def recording(f, field):
-        for k, r in enumerate(inner(f, field)):
+    def recording(grad, field):
+        for k, r in enumerate(inner(grad, field)):
             degrees.append(k)
             yield r
 
@@ -365,7 +375,8 @@ def _dense_curve(rng, d):
 
 def _assert_sweep_matches_per_degree(f, top, field):
     expected = tuple(rank_jacobian(f, k, field) for k in range(top + 1))
-    assert syzygy._persistent(f, field, top, syzygy._swept_ranks(f, field)) == expected, (str(f), field.name)
+    grad = _gradient(f)
+    assert syzygy._persistent(grad, field, top, syzygy._swept_ranks(grad, field)) == expected, (str(f), field.name)
 
 
 # 3, 5 and 7 lose rank on many curves; 2147483659 and 2999999929 are the
@@ -406,7 +417,8 @@ def test_rank_sweep_shifts_only_the_rows_the_last_step_appended(p, monkeypatch):
 
     monkeypatch.setattr(syzygy, "_mod_p_echelon", recording)
     f = _dense_curve(random.Random(p), 6)
-    ranks = syzygy._persistent(f, GF(p), 2 * f.degree, syzygy._swept_ranks(f, GF(p)))
+    grad = _gradient(f)
+    ranks = syzygy._persistent(grad, GF(p), 2 * f.degree, syzygy._swept_ranks(grad, GF(p)))
     # the sweep stops at source degree 2d-4 in both fields: mod CERT_PRIME
     # the sextic is smooth, and H(3d-5) = 0, which rank J_(2d-4) fixes,
     # leaves nothing to read; mod 7 Gotzmann persistence holds there, as H
@@ -497,7 +509,7 @@ def test_persistence_refuses_a_rank_above_macaulays_bound():
     # as 1^<2> = 1, so a source that reports it is broken
     ranks = iter([dim_S(2) - 1, dim_S(3) - 2])
     with pytest.raises(InternalInconsistencyError, match="Macaulay"):
-        syzygy._persistent(FERMAT3, QQ, 6, ranks)
+        syzygy._persistent(partials(FERMAT3), QQ, 6, ranks)
 
 
 def _sparse_form(rng, p, e):
@@ -642,7 +654,8 @@ def test_rank_sweep_keeps_few_rows_live():
     field = GF(syzygy.CERT_PRIME)
     for f in (_load_curve("free12_a"), _dense_curve(random.Random(12), 12)):
         sweep = _jacobian_sweep(f, field, 2 * f.degree)
-        assert len(sweep.piv) + len(sweep.gone) == syzygy._persistent(f, field, 2 * f.degree, syzygy._swept_ranks(f, field))[-1]
+        grad = _gradient(f)
+        assert len(sweep.piv) + len(sweep.gone) == syzygy._persistent(grad, field, 2 * f.degree, syzygy._swept_ranks(grad, field))[-1]
         assert len(sweep.piv) <= (len(sweep.piv) + len(sweep.gone)) / 4, str(f)
 
 
@@ -785,6 +798,9 @@ def test_profile_refuses_what_defines_no_curve():
         for field in (QQ, FieldPlan.from_mode("auto", 0)):
             with pytest.raises(InputError, match="no curve"):
                 rank_profile(f, field)
+    # the saturation oracle refuses the zero form the same way
+    with pytest.raises(InputError, match="no curve"):
+        n_dim_saturation_oracle(HomogPoly.zero(QQ, 3), 0)
 
 
 def test_profile_guard_admits_degree_32():
@@ -853,9 +869,9 @@ def _record_kernel_reads(monkeypatch) -> list[int]:
     degrees = []
     inner = syzygy._lifted_kernel
 
-    def recording(f, k, prime, gradient=None):
+    def recording(grad, k, prime):
         degrees.append(k)
-        return inner(f, k, prime, gradient)
+        return inner(grad, k, prime)
 
     monkeypatch.setattr(syzygy, "_lifted_kernel", recording)
     return degrees
@@ -892,12 +908,14 @@ def test_certificate_at_small_primes_falls_back_and_stays_exact(bareiss_profiles
     cases = _small_prime_cases(bareiss_profiles)
     reads = _record_kernel_reads(monkeypatch)
     for name, f, bareiss in cases:
-        assert syzygy._persistent(f, QQ, len(bareiss) - 1, syzygy._proved_ranks(f)) == bareiss, name
+        grad = _gradient(f)
+        assert syzygy._persistent(grad, QQ, len(bareiss) - 1, syzygy._proved_ranks(grad)) == bareiss, name
     at_cert_prime = len(reads)
     for prime in (3, 5, 7):
         reads.clear()
         for name, f, bareiss in cases:
-            assert syzygy._persistent(f, QQ, len(bareiss) - 1, syzygy._proved_ranks(f, prime)) == bareiss, (name, prime)
+            grad = _gradient(f)
+            assert syzygy._persistent(grad, QQ, len(bareiss) - 1, syzygy._proved_ranks(grad, prime)) == bareiss, (name, prime)
         assert len(reads) > at_cert_prime, prime
 
 
@@ -912,7 +930,8 @@ def test_certificate_reads_kernels_where_the_dense_reference_does(bareiss_profil
     for prime in primes:
         for (name, f, bareiss), degrees in zip(cases, expected[prime]):
             reads.clear()
-            syzygy._persistent(f, QQ, len(bareiss) - 1, syzygy._proved_ranks(f, prime))
+            grad = _gradient(f)
+            syzygy._persistent(grad, QQ, len(bareiss) - 1, syzygy._proved_ranks(grad, prime))
             assert reads == degrees, (name, prime)
 
 
@@ -944,19 +963,15 @@ def _leading_one(vectors):
 def test_lifted_kernel_is_the_bareiss_kernel(certificate_kernel_reads):
     # The lift returns primitive integer vectors that, scaled to a leading
     # 1, are the reduced echelon basis over Q, from the certificate's prime
-    # and from 3, 5 and 7, where many images are unlucky and dropped.  The
-    # gradient that the certificate computes once and hands to each lift
-    # gives the same vectors.
+    # and from 3, 5 and 7, where many images are unlucky and dropped.
     reads, _ = certificate_kernel_reads
     assert {name for name, _, _ in reads} >= {"free12_a.curve", "braid6.curve", "random 11"}
     for name, f, k in reads:
         expected = kernel_basis(jacobian_matrix(f, k, QQ))
         for prime in (syzygy.CERT_PRIME, 3, 5, 7):
-            lifted = syzygy._lifted_kernel(f, k, prime)
+            lifted = syzygy._lifted_kernel(_gradient(f), k, prime)
             assert all(gcd(*v) == 1 for v in lifted), (name, k, prime)
             assert _leading_one(lifted) == expected, (name, k, prime)
-        given = syzygy._lifted_kernel(f, k, syzygy.CERT_PRIME, syzygy._integer_gradient(f))
-        assert given == syzygy._lifted_kernel(f, k, syzygy.CERT_PRIME), (name, k)
 
 
 def test_lift_drops_an_unlucky_prime_and_keeps_combining(monkeypatch):
@@ -966,7 +981,7 @@ def test_lift_drops_an_unlucky_prime_and_keeps_combining(monkeypatch):
     # starting again.
     moduli = _record_moduli(monkeypatch)
     f = parse_poly("x^3+y^3+z^3+10*x*y*z")
-    lifted = syzygy._lifted_kernel(f, 2, 11)
+    lifted = syzygy._lifted_kernel(_gradient(f), 2, 11)
     assert _leading_one(lifted) == kernel_basis(jacobian_matrix(f, 2, QQ))
     assert moduli == [11, 11 * 17, 11 * 17 * 19]
 
