@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, TypeVar
 
 from .errors import InternalInconsistencyError
@@ -65,6 +66,18 @@ def random_prime(rng: random.Random, lo: int = _PRIME_LO, hi: int = _PRIME_HI) -
         c = rng.randrange(lo, hi + 1) | 1
         if is_probable_prime(c):
             return c
+
+
+@lru_cache(maxsize=64)
+def _prime_pair(seed: int) -> tuple[int, int]:
+    """The two distinct primes of a seed's plan, drawn and tested once per
+    seed; a batch makes one plan per curve from one seed."""
+    rng = random.Random(seed)
+    p1 = random_prime(rng)
+    p2 = random_prime(rng)
+    while p2 == p1:
+        p2 = random_prime(rng)
+    return p1, p2
 
 
 class RationalField:
@@ -204,12 +217,7 @@ class FieldPlan:
 
     @classmethod
     def primes(cls, seed: int = 0, fallback: bool = True) -> "FieldPlan":
-        rng = random.Random(seed)
-        p1 = random_prime(rng)
-        p2 = random_prime(rng)
-        while p2 == p1:
-            p2 = random_prime(rng)
-        return cls("auto" if fallback else "pp", (GF(p1), GF(p2)), seed)
+        return cls("auto" if fallback else "pp", tuple(map(GF, _prime_pair(seed))), seed)
 
     @classmethod
     def from_mode(cls, mode: str, seed: int = 0) -> "FieldPlan":

@@ -10,8 +10,9 @@ The formulas in (d, r) live here once each: the maximal Tjurina number
 brute-force saturation oracle, an independent check of n(f)_k, computes
 ranks itself: over Q only, on the curve's primitive integer form, with
 its functionals held as primitive integer rows, so that every matrix it
-eliminates is integral.  It uses no prime field, no Euler formula and no
-rank profile.
+eliminates is integral.  It takes the columns of J_f's matrices in
+x-graded order (`syzygy.x_graded`), which keeps the fill low.  It uses no
+prime field, no Euler formula and no rank profile.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable
 from .errors import InternalInconsistencyError, NotReducedError
 from .linalg import integer_kernel_basis, rank
 from .poly import HomogPoly, choose2, dim_choose2, dim_S, monomial_position
-from .syzygy import RankProfile, _column_cells, jacobian_matrix, mdr, milnor_plateau, primitive_form, rank_jacobian
+from .syzygy import RankProfile, _column_cells, jacobian_matrix, mdr, milnor_plateau, primitive_form, rank_jacobian, x_graded
 
 
 def smooth_reference(d: int, k: int) -> int:
@@ -100,9 +101,11 @@ def _saturation_dim(f: HomogPoly, j: int, e: int, functionals: dict) -> int:
     if target not in functionals:
         # Functionals cutting out J at the target degree, one primitive
         # integer row each.  The target is at least max(j+1, T+1), so the
-        # source degree is >= 0.
-        jac = jacobian_matrix(f, target - f.degree + 1)
-        functionals[target] = integer_kernel_basis(jac.transpose())
+        # source degree is >= 0.  The multiples are eliminated in x-graded
+        # order, ascending; row order leaves the kernel's RREF unchanged.
+        s = target - f.degree + 1
+        multiples = jacobian_matrix(f, s).columns(x_graded(s, ascending=True)).transpose()
+        functionals[target] = integer_kernel_basis(multiples)
     left_null = functionals[target]
     n_j = dim_S(j)
     if left_null.rows == 0:

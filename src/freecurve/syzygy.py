@@ -20,13 +20,16 @@ sweeps stop once the Hilbert function of S/J_f meets Gotzmann's
 persistence condition, reaches 0, or is flat where J_f fills a fixed line
 h = 0 (`_persistent`).  Every
 multiplication matrix comes from one builder (`multiples`);
-`jacobian_matrix` and `rank_jacobian` build and rank one J_k of any
-curve, for the kernels mod p and as the independent reference.
+`jacobian_matrix` builds one J_k of any curve, for the kernels mod p.
+`jacobian_ranks` ranks J_0..J_k of any curve from one elimination of J_k
+in x-graded column order (`rank_jacobian` reads one of them): the
+independent reference, and the saturation oracle's dim (J_f)_j.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -243,9 +246,32 @@ def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient |
 
 def rank_jacobian(f: HomogPoly, k: int, field: Field = QQ) -> int:
     """Rank of the degree-k Jacobian multiplication matrix (0 for k < 0)."""
-    if k < 0:
-        return 0
-    return rank(jacobian_matrix(f, k, field))
+    return jacobian_ranks(f, k, field)[k] if k >= 0 else 0
+
+
+def jacobian_ranks(f: HomogPoly, top: int, field: Field = QQ) -> tuple[int, ...]:
+    """rank J_0, ..., rank J_top, from one elimination of J_top.
+
+    J_top's columns are taken in `x_graded` order, x-exponent of their
+    multiplier descending.  The columns with x-exponent >= a form a prefix,
+    x^a times the columns of J_(top-a), and multiplication by x^a is
+    injective, so the prefix has rank J_(top-a).  Pivot columns are
+    scanned left to right, so that rank is the count of pivots in the
+    prefix.  The order also keeps the fill of the elimination low.
+    """
+    pivots = pivot_columns(jacobian_matrix(f, top, field).columns(x_graded(top)))
+    return tuple(bisect_left(pivots, 3 * dim_S(k)) for k in range(top + 1))
+
+
+def x_graded(k: int, ascending: bool = False) -> list[int]:
+    """The columns of J_k, or the rows of its transpose, sorted stably by
+    the x-exponent of their multiplier nu: descending, or `ascending`.
+    Within a block the monomials of x-exponent k-s are the run of s+1
+    positions from `monomial_position` of y^s, so each x-exponent takes
+    that run of block 0, then of block 1, then of block 2."""
+    n = dim_S(k)
+    degrees = range(k, -1, -1) if ascending else range(k + 1)
+    return [b * n + i for s in degrees for b in range(3) for i in range(dim_S(s - 1), dim_S(s))]
 
 
 def syzygy_basis(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> list[Syzygy]:

@@ -166,9 +166,9 @@ def dense_certificate_kernel_degrees(f, ranks, prime: int) -> list[int]:
     zero = HomogPoly.zero(P, f.degree - 1)
     gens = [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]
     degrees = []
-    for k in range(persistence_stop(f, ranks) + 1):
+    stop = persistence_stop(f, ranks)
+    for k, r in enumerate(syzygy.jacobian_ranks(f, stop, P)):
         n = 3 * dim_S(k)
-        r = syzygy.rank_jacobian(f, k, P)
         if r < n:
             V = syzygy.multiples(gens, k, P)
             if rank(V) != n - r:

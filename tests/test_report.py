@@ -36,6 +36,18 @@ def test_unlucky_prime_falls_back_once():
     assert auto["field"]["fallbacks"] == plan.fallbacks == 1
 
 
+def test_plans_of_one_seed_share_primes_but_not_fallbacks():
+    # a seed's primes are drawn once; each plan is its own object and
+    # counts its own fallbacks
+    first, second = (FieldPlan.from_mode(mode, 0) for mode in ("auto", "auto"))
+    assert first is not second
+    assert first.describe()["primes"] == second.describe()["primes"] == [2190953423, 2582278367]
+    assert FieldPlan.from_mode("pp", 0).describe()["primes"] == first.describe()["primes"]
+    analyze(parse_poly(UNLUCKY_AT_SEED_0), first)
+    assert first.fallbacks == 1
+    assert second.fallbacks == 0 and second.describe()["fallbacks"] == 0
+
+
 def test_unlucky_prime_without_fallback_aborts(capsys):
     assert main(["analyze", "--poly", UNLUCKY_AT_SEED_0, "--json", "--field", "pp"]) == 3
     assert "internal inconsistency" in capsys.readouterr().err

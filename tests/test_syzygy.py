@@ -20,6 +20,7 @@ from freecurve.syzygy import (
     Reducedness,
     Syzygy,
     jacobian_matrix,
+    jacobian_ranks,
     mdr,
     multiples,
     outside_span,
@@ -374,9 +375,40 @@ def _dense_curve(rng, d):
 
 
 def _assert_sweep_matches_per_degree(f, top, field):
-    expected = tuple(rank_jacobian(f, k, field) for k in range(top + 1))
+    expected = jacobian_ranks(f, top, field)
     grad = _gradient(f)
     assert syzygy._persistent(grad, field, top, syzygy._swept_ranks(grad, field)) == expected, (str(f), field.name)
+
+
+def _layout_ranks(f, top, field):
+    """rank J_0, ..., rank J_top, each J_k eliminated on its own in the
+    layout order: over Q by sympy (`ar_dim_oracle`) up to source degree 4,
+    where it stays fast, and by Bareiss above it; over a prime by
+    `oracles.dense_mod_p_echelon`."""
+    if not field.char:
+        return tuple(3 * dim_S(k) - ar_dim_oracle(f, k) if k <= 4 else rank(jacobian_matrix(f, k, QQ)) for k in range(top + 1))
+    return tuple(len(dense_mod_p_echelon(jacobian_matrix(f, k, field)._data, field.char)[1]) for k in range(top + 1))
+
+
+# Every field the sweeps and the certificate rank over: Q, the
+# certificate's prime, a prime past int64 (object arrays) and three small
+# primes at which the curves below lose rank.
+@pytest.mark.parametrize("field", [QQ, GF(syzygy.CERT_PRIME), GF(2**61 - 1), GF(3), GF(5), GF(7)], ids=repr)
+def test_jacobian_ranks_match_per_degree_eliminations(field):
+    # one x-graded elimination of J_top ranks every J_k below it: each
+    # prefix of its ranks, top = 0 included, is the tuple of the layout
+    # order's ranks, and `rank_jacobian` reads its last entry
+    curves = [parse_poly(expr) for expr in ("x", "x*y", "x^2*y", "x^5", DEGENERATE_MOD_3_5_7)]
+    for path in sorted(shipped_corpus_dir().glob("*.curve")):
+        f = parse_poly(load_case(path).expression)
+        if f.degree <= 6:
+            curves.append(f)
+    for f in curves:
+        top = 2 * f.degree
+        expected = _layout_ranks(f, top, field)
+        for k in range(top + 1):
+            assert jacobian_ranks(f, k, field) == expected[: k + 1], (str(f), k)
+            assert rank_jacobian(f, k, field) == expected[k], (str(f), k)
 
 
 # 3, 5 and 7 lose rank on many curves; 2147483659 and 2999999929 are the
@@ -776,7 +808,7 @@ def _smooth_curve(rng, d):
         for mono in ((d, 0, 0), (0, d, 0), (0, 0, d)):
             terms[mono] = Fraction(1)
         f = HomogPoly(QQ, d, terms)
-        ranks = tuple(rank_jacobian(f, k, QQ) for k in range(2 * d + 1))
+        ranks = jacobian_ranks(f, 2 * d, QQ)
         if ranks[2 * d - 4] == dim_S(3 * d - 5):
             return f, ranks
 
@@ -851,7 +883,8 @@ DEGENERATE_MOD_3_5_7 = "x^3+y^3+z^3+2*x*y*z"
 def bareiss_profiles():
     """(name, f, Bareiss ranks at 0..2d) for every shipped corpus curve of
     degree <= 6, 20 random reduced curves of degree 4..5 and one cubic.
-    (Bareiss ranks of 20 random sextics would take about a minute.)"""
+    (The ranks of 20 random sextics would add about 6 s, one
+    `jacobian_ranks` pass each.)"""
     curves = []
     for path in sorted(shipped_corpus_dir().glob("*.curve")):
         f = parse_poly(load_case(path).expression)
@@ -860,7 +893,7 @@ def bareiss_profiles():
     for i, profile in enumerate(random_reduced_curves(20, seed=7, max_degree=5)):
         curves.append((f"random {i}", profile.f))
     curves.append((DEGENERATE_MOD_3_5_7, parse_poly(DEGENERATE_MOD_3_5_7)))
-    return [(name, f, tuple(rank_jacobian(f, k, QQ) for k in range(2 * f.degree + 1))) for name, f in curves]
+    return [(name, f, jacobian_ranks(f, 2 * f.degree, QQ)) for name, f in curves]
 
 
 def _record_kernel_reads(monkeypatch) -> list[int]:
@@ -1005,5 +1038,5 @@ def test_certificate_prime_and_the_primes_above_it_are_lucky_on_every_kernel_rea
 def test_certificate_clears_a_denominator_divisible_by_the_prime():
     # the certificate works on an integer multiple of f, which reduces mod p
     f = parse_poly(f"x^3+y^3+z^3+1/{syzygy.CERT_PRIME}*x*y*z")
-    bareiss = tuple(rank_jacobian(f, k, QQ) for k in range(2 * f.degree + 1))
+    bareiss = jacobian_ranks(f, 2 * f.degree, QQ)
     assert rank_profile(f, QQ).ranks == bareiss
