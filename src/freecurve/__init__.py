@@ -65,7 +65,6 @@ from .poly import (
     choose2,
     dim_S,
     dim_choose2,
-    euler_check,
     monomial_basis,
     partials,
     poly_str,

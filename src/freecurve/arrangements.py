@@ -16,7 +16,7 @@ from math import isqrt
 
 from .errors import InputError
 from .fields import QQ
-from .invariants import dpw_bounds, tau_max
+from .invariants import dpw_bounds
 from .parser import MAX_LITERAL_DIGITS
 from .poly import HomogPoly
 
@@ -215,9 +215,3 @@ def interval_table(d: int) -> list[tuple[int, int, int]]:
     if d > MAX_INTERVAL_DEGREE:
         raise InputError(f"degree {d} is above {MAX_INTERVAL_DEGREE}, the largest interval table printed")
     return [(r, *dpw_bounds(d, r)) for r in range(1, d // 2 + 1)]
-
-
-def rigidity_intervals_disjoint(d: int) -> bool:
-    """Check tau(s)_max < tau(s-1)_min for every s <= sqrt(d-3)."""
-    limit = isqrt(d - 3) if d >= 3 else 0
-    return all(tau_max(d, s) < (d - 1) * (d - s) for s in range(1, limit + 1))

@@ -9,11 +9,12 @@ Every identity the analysis proves is asserted by `analyze` itself, on
 every run, and aborts with exit 3: the agreement of the three criteria,
 the du Plessis-Wall interval, the ct bounds and the shape of the n
 table.  The corpus adds only what needs a corpus file or an independent
-computation: the stated expectations, the saturation-defect formula
-against the brute-force oracle over Q (degree <= ORACLE_MAX_DEGREE), the
-theorem that an irreducible curve with a degree-1 relation is nearly
-free (it reads the `irreducible` metadata), and that the structural
-verification of a Free or NearlyFree verdict succeeded.
+computation: the stated expectations, the saturation-defect formula at
+every j in [0, T] against the table of the brute-force oracle over Q,
+one oracle call per curve (degree <= ORACLE_MAX_DEGREE), the theorem
+that an irreducible curve with a degree-1 relation is nearly free (it
+reads the `irreducible` metadata), and that the structural verification
+of a Free or NearlyFree verdict succeeded.
 """
 
 from __future__ import annotations
@@ -130,10 +131,8 @@ def _check_cross_invariants(case: CurveCase, f: HomogPoly, report: dict, failure
             raise InputError(
                 f"table degree {len(ar_table) - 1} is below {needed}, the smallest the cross-checks of this curve read"
             )
-        functionals: dict = {}  # shared by every j of this curve
-        for j in range(0, report["T"] + 1):
+        for j, oracle in enumerate(n_dim_saturation_oracle(f)):
             formula = n_dim(d, j, report["tau"], ar_table.__getitem__)
-            oracle = n_dim_saturation_oracle(f, j, functionals=functionals)
             if formula != oracle:
                 failures.append(f"n_{j} = {formula} but saturation oracle gives {oracle}")
 

@@ -7,12 +7,14 @@ the smooth Hilbert function, the saturation defects n(f)_k from an
 Euler-characteristic identity and the quotient dimensions delta(f)_k.
 The formulas in (d, r) live here once each: the maximal Tjurina number
 `tau_max`, the du Plessis-Wall interval and the defect.  Only the
-brute-force saturation oracle, an independent check of n(f)_k, computes
-ranks itself: over Q only, on the curve's primitive integer form, with
-its functionals held as primitive integer rows, so that every matrix it
-eliminates is integral.  It takes the columns of J_f's matrices in
-x-graded order (`syzygy.x_graded`), which keeps the fill low.  It uses no
-prime field, no Euler formula and no rank profile.
+brute-force saturation oracle, an independent check of the whole table
+n(f)_0..n(f)_T, computes ranks itself: one call per curve, over Q only,
+on the curve's primitive integer form, with its functionals held as
+primitive integer rows, so that every matrix it eliminates is integral.
+It reads every dim (J_f)_j from one `jacobian_ranks` pass and takes the
+columns of J_f's matrices in x-graded order (`syzygy.x_graded`), which
+keeps the fill low.  It uses no prime field, no Euler formula and no
+rank profile.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InternalInconsistencyError, NotReducedError
-from .linalg import integer_kernel_basis, rank
+from .linalg import ExactMatrix, integer_kernel_basis, rank
 from .poly import HomogPoly, choose2, dim_choose2, dim_S, monomial_position
-from .syzygy import RankProfile, _column_cells, jacobian_matrix, mdr, milnor_plateau, primitive_form, rank_jacobian, x_graded
+from .syzygy import RankProfile, _column_cells, jacobian_matrix, jacobian_ranks, mdr, milnor_plateau, primitive_form, x_graded
 
 
 def smooth_reference(d: int, k: int) -> int:
@@ -94,18 +96,23 @@ def n_dim(d: int, j: int, tau: int, ar: Callable[[int], int]) -> int:
     return value
 
 
+def _functionals(f: HomogPoly, t: int) -> ExactMatrix:
+    """The functionals on S_t that vanish on (J_f)_t, one primitive integer
+    row each, for f an integer form and t >= d-1.  The multiples are
+    eliminated in x-graded order, ascending; row order leaves the kernel's
+    RREF unchanged."""
+    s = t - f.degree + 1
+    multiples = jacobian_matrix(f, s).columns(x_graded(s, ascending=True)).transpose()
+    return integer_kernel_basis(multiples)
+
+
 def _saturation_dim(f: HomogPoly, j: int, e: int, functionals: dict) -> int:
     """dim {g in S_j : x^e g, y^e g, z^e g all lie in J_f}, over Q, for f
     an integer form."""
     target = j + e
     if target not in functionals:
-        # Functionals cutting out J at the target degree, one primitive
-        # integer row each.  The target is at least max(j+1, T+1), so the
-        # source degree is >= 0.  The multiples are eliminated in x-graded
-        # order, ascending; row order leaves the kernel's RREF unchanged.
-        s = target - f.degree + 1
-        multiples = jacobian_matrix(f, s).columns(x_graded(s, ascending=True)).transpose()
-        functionals[target] = integer_kernel_basis(multiples)
+        # the target is at least max(j+1, T+1), so the source degree is >= 0
+        functionals[target] = _functionals(f, target)
     left_null = functionals[target]
     n_j = dim_S(j)
     if left_null.rows == 0:
@@ -118,34 +125,10 @@ def _saturation_dim(f: HomogPoly, j: int, e: int, functionals: dict) -> int:
     return n_j - rank(x_part.stack(y_part).stack(z_part))
 
 
-def n_dim_saturation_oracle(f: HomogPoly, j: int, functionals: dict | None = None) -> int:
-    """Brute-force n(f)_j over Q: saturate the Jacobian ideal degree by degree.
-
-    f is first scaled to its primitive integer form (the zero form raises
-    InputError): a multiple has the same Jacobian ranks and left null
-    spaces, and every matrix below is then integral, eliminated on integer
-    rows.  The functionals on S_t that vanish on (J_f)_t, a left null
-    space of the Jacobian matrix, are computed once per target degree t,
-    as primitive integer rows.  Composed with multiplication by x^e, y^e
-    and z^e they cut (J_f : m^e)_j out of S_j at t = j+e.  Starting from
-    e = max(1, T+1-j), e grows until two consecutive rounds have equal
-    dimension; the rounds are nested, so equal dimension means equal
-    subspace.  The defect is that dimension minus dim (J_f)_j.  The
-    Euler-characteristic formula is not used.
-
-    `functionals` maps a target degree to its functionals.  One dict,
-    owned by the caller and shared by every j of one curve, computes each
-    target once: every j <= T probes T+1, T+2, ...
-    """
-    if j < 0:
-        raise ValueError("degree must be non-negative")
-    if functionals is None:
-        functionals = {}
-    f = primitive_form(f)
-    d = f.degree
-    T = 3 * (d - 2)
-    dim_j_f = rank_jacobian(f, j - d + 1)
-    e = max(1, T + 1 - j)
+def _saturation_defect(f: HomogPoly, j: int, dim_j_f: int, functionals: dict) -> int:
+    """n(f)_j of the integer form f, given dim (J_f)_j, with the
+    functionals of each target degree probed kept in `functionals`."""
+    e = max(1, 3 * (f.degree - 2) + 1 - j)
     previous = _saturation_dim(f, j, e, functionals)
     while True:
         e += 1
@@ -158,6 +141,33 @@ def n_dim_saturation_oracle(f: HomogPoly, j: int, functionals: dict | None = Non
         if current == previous:
             return current - dim_j_f
         previous = current
+
+
+def n_dim_saturation_oracle(f: HomogPoly) -> tuple[int, ...]:
+    """Brute-force n(f)_0, ..., n(f)_T over Q: saturate the Jacobian ideal
+    degree by degree.
+
+    f is first scaled to its primitive integer form (the zero form raises
+    InputError): a multiple has the same Jacobian ranks and left null
+    spaces, and every matrix below is then integral, eliminated on integer
+    rows.  Every dim (J_f)_j is read from one `jacobian_ranks` elimination
+    of J_(T-d+1).  The functionals on S_t that vanish on (J_f)_t, a left
+    null space of the Jacobian matrix, are computed once per target degree
+    t, as primitive integer rows; every j probes T+1, T+2, ...  Composed
+    with multiplication by x^e, y^e and z^e they cut (J_f : m^e)_j out of
+    S_j at t = j+e.  Starting from e = max(1, T+1-j), e grows until two
+    consecutive rounds have equal dimension; the rounds are nested, so
+    equal dimension means equal subspace.  The defect is that dimension
+    minus dim (J_f)_j.  The Euler-characteristic formula is not used.  A
+    line (T < 0) has the empty table.
+    """
+    f = primitive_form(f)
+    d = f.degree
+    T = 3 * (d - 2)
+    # (J_f)_j = 0 for j < d-1; jacobian_matrix refuses a negative degree
+    dims = (0,) * (d - 1) + (jacobian_ranks(f, T - d + 1) if d >= 3 else ())
+    functionals: dict = {}
+    return tuple(_saturation_defect(f, j, dims[j], functionals) for j in range(T + 1))
 
 
 def delta_dim(p: RankProfile, k: int, r: int) -> int:

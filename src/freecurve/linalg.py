@@ -78,19 +78,6 @@ class ExactMatrix:
         """The integral matrix over Q with `rows`, each n Python ints."""
         return cls(QQ, len(rows), n, np.array(rows, dtype=object).reshape(len(rows), n))
 
-    @classmethod
-    def zeros(cls, field: Field, m: int, n: int) -> "ExactMatrix":
-        # np.zeros leaves the pages of an int64 array unmapped until written;
-        # over Q the zero is a Fraction, where np.zeros would put int 0.
-        data = np.zeros((m, n), dtype=_dtype(field))
-        if data.dtype == object:
-            data.fill(field.zero)
-        return cls(field, m, n, data)
-
-    @classmethod
-    def identity(cls, field: Field, n: int) -> "ExactMatrix":
-        return cls.from_rows(field, [[int(i == j) for j in range(n)] for i in range(n)])
-
     def row_lists(self) -> list[list]:
         return self._data.tolist()
 

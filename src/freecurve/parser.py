@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import PolyParseError
 from .fields import QQ
-from .poly import HomogPoly, Monomial
+from .poly import HomogPoly, Monomial, _monomial_str
 from .syzygy import MAX_CURVE_DEGREE
 
 # Parentheses open at once; each level costs five stack frames.
@@ -222,12 +222,7 @@ def parse_poly(text: str) -> HomogPoly:
         low, high = by_degree[0], by_degree[-1]
         raise PolyParseError(
             "polynomial is not homogeneous: term "
-            f"{_mono_text(low)} has degree {sum(low)} but term "
-            f"{_mono_text(high)} has degree {sum(high)}"
+            f"{_monomial_str(low) or '1'} has degree {sum(low)} but term "
+            f"{_monomial_str(high) or '1'} has degree {sum(high)}"
         )
     return HomogPoly(QQ, degrees.pop(), {m: Fraction(c) for m, c in value.items()})
-
-
-def _mono_text(mono: Monomial) -> str:
-    parts = [f"{v}^{e}" if e > 1 else v for v, e in zip("xyz", mono) if e]
-    return "*".join(parts) if parts else "1"

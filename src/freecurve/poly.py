@@ -214,15 +214,6 @@ def partials(f: HomogPoly) -> Gradient:
     return Gradient(f.partial(0), f.partial(1), f.partial(2))
 
 
-def euler_check(f: HomogPoly) -> bool:
-    """Whether x*f_x + y*f_y + z*f_z equals deg(f) * f exactly."""
-    if f.degree == 0 or f.is_zero():
-        return True
-    fx, fy, fz = partials(f)
-    lhs = fx.mul_monomial((1, 0, 0)) + fy.mul_monomial((0, 1, 0)) + fz.mul_monomial((0, 0, 1))
-    return lhs == f.scale(f.field.from_int(f.degree))
-
-
 def _monomial_str(mono: Monomial) -> str:
     parts = []
     for name, e in zip(_VARS, mono):

@@ -22,8 +22,9 @@ h = 0 (`_persistent`).  Every
 multiplication matrix comes from one builder (`multiples`);
 `jacobian_matrix` builds one J_k of any curve, for the kernels mod p.
 `jacobian_ranks` ranks J_0..J_k of any curve from one elimination of J_k
-in x-graded column order (`rank_jacobian` reads one of them): the
-independent reference, and the saturation oracle's dim (J_f)_j.
+in x-graded column order: the independent reference, and, in one pass
+per curve, the saturation oracle's dim (J_f)_j.  `rank_jacobian` reads
+one of them; no module here calls it.
 """
 
 from __future__ import annotations
@@ -245,7 +246,11 @@ def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient |
 
 
 def rank_jacobian(f: HomogPoly, k: int, field: Field = QQ) -> int:
-    """Rank of the degree-k Jacobian multiplication matrix (0 for k < 0)."""
+    """Rank of the degree-k Jacobian multiplication matrix (0 for k < 0).
+
+    The public per-degree reference, the last entry of `jacobian_ranks`;
+    no module of the package calls it, and the benchmark's tracer wraps
+    it by name."""
     return jacobian_ranks(f, k, field)[k] if k >= 0 else 0
 
 

@@ -21,6 +21,15 @@ X, Y, Z = sympy.symbols("x y z")
 _GENS = (X, Y, Z)
 
 
+def euler_check(f: HomogPoly) -> bool:
+    """Whether x*f_x + y*f_y + z*f_z equals deg(f) * f exactly."""
+    if f.degree == 0 or f.is_zero():
+        return True
+    fx, fy, fz = partials(f)
+    lhs = fx.mul_monomial((1, 0, 0)) + fy.mul_monomial((0, 1, 0)) + fz.mul_monomial((0, 0, 1))
+    return lhs == f.scale(f.field.from_int(f.degree))
+
+
 def to_sympy(f):
     expr = sympy.Integer(0)
     for (i, j, k), c in f.terms.items():

@@ -140,10 +140,10 @@ def test_criterion_06_saturation_oracle_equivalence(corpus_results):
         tau = report["tau"]
         T = report["T"]
         ar = report["tables"]["ar"]["values"]
-        functionals: dict = {}  # one per curve, shared by all its j
+        oracle = n_dim_saturation_oracle(f)
+        assert len(oracle) == T + 1, result.name
         for j in range(0, T + 1):
-            oracle = n_dim_saturation_oracle(f, j, functionals=functionals)
-            assert n_dim(d, j, tau, ar.__getitem__) == oracle, (result.name, j)
+            assert n_dim(d, j, tau, ar.__getitem__) == oracle[j], (result.name, j)
             compared += 1
     assert compared > 0
     _report(6, f"formula n_j equals the saturation oracle on {compared} graded pieces")
@@ -157,10 +157,8 @@ def test_saturation_oracle_on_a_degree_12_arrangement(corpus_results):
     d, tau, T = report["degree"], report["tau"], report["T"]
     assert d == 12 > ORACLE_MAX_DEGREE
     ar = report["tables"]["ar"]["values"]
-    functionals: dict = {}
-    for j in range(T + 1):
-        oracle = n_dim_saturation_oracle(result.poly, j, functionals=functionals)
-        assert n_dim(d, j, tau, ar.__getitem__) == oracle, j
+    oracle = n_dim_saturation_oracle(result.poly)
+    assert oracle == tuple(n_dim(d, j, tau, ar.__getitem__) for j in range(T + 1))
 
 
 def test_criterion_07_delta_characterization(corpus_results, random_curve_survey):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,12 +14,11 @@ from freecurve.arrangements import (
     intersection_lattice,
     interval_table,
     lattice_tjurina,
-    rigidity_intervals_disjoint,
     terao_rigidity,
 )
 from freecurve.errors import InputError
 from freecurve.fields import FieldPlan
-from freecurve.invariants import tjurina
+from freecurve.invariants import tau_max, tjurina
 from freecurve.syzygy import rank_profile
 from freecurve.poly import poly_str
 
@@ -142,6 +142,12 @@ def test_terao_rigidity_pins_r_at_maximal_tau():
             tau_max = (d - 1) * (d - r - 1) + r * r
             result = terao_rigidity(d, tau_max)
             assert result.status == "Rigid" and result.r == r
+
+
+def rigidity_intervals_disjoint(d: int) -> bool:
+    """Check tau(s)_max < tau(s-1)_min for every s <= sqrt(d-3)."""
+    limit = isqrt(d - 3) if d >= 3 else 0
+    return all(tau_max(d, s) < (d - 1) * (d - s) for s in range(1, limit + 1))
 
 
 def test_interval_disjointness_scan():

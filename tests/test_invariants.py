@@ -27,7 +27,7 @@ from freecurve.linalg import ExactMatrix, rank
 from freecurve.parser import parse_poly
 from freecurve.poly import dim_S
 from freecurve.report import analyze
-from freecurve.syzygy import jacobian_matrix, mdr, primitive_form, rank_profile
+from freecurve.syzygy import jacobian_matrix, mdr, primitive_form, rank_jacobian, rank_profile
 
 from oracles import smooth_series_oracle
 
@@ -122,37 +122,62 @@ def test_n_dim_tables(f, table):
     [(CUSP, 1, 1), (CUSP, 2, 1), (TRIANGLE, 0, 0), (TRIANGLE, 2, 0), (TRIANGLE, 3, 0)],
 )
 def test_saturation_oracle_examples(f, j, expected):
-    assert n_dim_saturation_oracle(f, j) == expected
+    assert n_dim_saturation_oracle(f)[j] == expected
 
 
-def test_formula_equals_oracle_on_small_curves():
+def _recording_builder(monkeypatch) -> list:
+    # every (target, functionals) the oracle builds, in call order
+    built = []
+    inner = invariants._functionals
+
+    def recording(f, t):
+        left_null = inner(f, t)
+        built.append((t, left_null))
+        return left_null
+
+    monkeypatch.setattr(invariants, "_functionals", recording)
+    return built
+
+
+def test_formula_equals_oracle_on_small_curves(monkeypatch):
+    built = _recording_builder(monkeypatch)
     for expr in ("x*y*z", "x^3-y^2*z", "x^3+y^3+z^3", "x*y*z*(x+y+z)", "x^3+x^2*z-y^2*z"):
         f = parse_poly(expr)
         profile = rank_profile(f)
         tau = tjurina(profile)
         T = 3 * (f.degree - 2)
-        shared: dict = {}
-        for j in range(T + 1):
-            oracle = n_dim_saturation_oracle(f, j)
-            assert n_dim(f.degree, j, tau, profile.ar) == oracle, (expr, j)
-            assert n_dim_saturation_oracle(f, j, functionals=shared) == oracle, (expr, j)
-        # every j <= T settles after probing the targets T+1 and T+2
-        assert sorted(shared) == [T + 1, T + 2], expr
+        built.clear()
+        oracle = n_dim_saturation_oracle(f)
+        assert oracle == tuple(n_dim(f.degree, j, tau, profile.ar) for j in range(T + 1)), expr
+        # every j <= T settles after probing the targets T+1 and T+2, each
+        # built once per call
+        assert [t for t, _ in built] == [T + 1, T + 2], expr
 
 
-def test_oracle_functionals_are_primitive_integer_rows_of_the_left_kernel():
+def test_oracle_table_runs_from_0_to_T():
+    # T+1 entries, none for a line; below degree 3 no rank is read (J_-1
+    # would be refused), and the one entry is the formula's.  From degree 3
+    # on, test_formula_equals_oracle_on_small_curves compares all T+1
+    assert n_dim_saturation_oracle(parse_poly("x")) == ()
+    for expr, table in (("x*y", (0,)), ("x^2+y^2+z^2", (1,))):
+        f = parse_poly(expr)
+        profile = rank_profile(f)
+        assert n_dim_saturation_oracle(f) == table == (n_dim(2, 0, tjurina(profile), profile.ar),), expr
+
+
+def test_oracle_functionals_are_primitive_integer_rows_of_the_left_kernel(monkeypatch):
     # for each target degree t the oracle probes: dim S_t - rank_Q J_t rows
     # of coprime Python ints, independent, each killing J_t of the
     # primitive form F exactly; a rational curve is scaled to F first
+    built = _recording_builder(monkeypatch)
     for expr in ("x^3-y^2*z", "x*y*z*(x+y+z)", "(1/2*x^3+1/3*y^3-z^3)*(x+y)", "(x^2-y^2)*(y^2-z^2)*(x^2-z^2)"):
         f = parse_poly(expr)
         F = primitive_form(f)
-        d, T = f.degree, 3 * (f.degree - 2)
-        functionals: dict = {}
-        for j in range(T + 1):
-            n_dim_saturation_oracle(f, j, functionals)
-        assert functionals, expr
-        for t, left_null in functionals.items():
+        d = f.degree
+        built.clear()
+        n_dim_saturation_oracle(f)
+        assert built, expr
+        for t, left_null in built:
             J = jacobian_matrix(F, t - d + 1, QQ)
             rows = left_null.row_lists()
             assert left_null.field is QQ and len(rows) == dim_S(t) - rank(J), (expr, t)
@@ -163,11 +188,16 @@ def test_oracle_functionals_are_primitive_integer_rows_of_the_left_kernel():
 
 @pytest.mark.parametrize("f", [TRIANGLE, CUSP, FERMAT3, parse_poly("x*y*z*(x+y+z)")])
 def test_oracle_vanishes_above_T(f):
+    # the per-j saturation, run past the table at j = T+1 and T+2
     profile = rank_profile(f)
     tau = tjurina(profile)
-    T = 3 * (f.degree - 2)
+    F = primitive_form(f)
+    d = f.degree
+    T = 3 * (d - 2)
+    functionals: dict = {}
     for j in (T + 1, T + 2):
-        assert n_dim_saturation_oracle(f, j) == 0 == n_dim(f.degree, j, tau, profile.ar)
+        oracle = invariants._saturation_defect(F, j, rank_jacobian(F, j - d + 1), functionals)
+        assert oracle == 0 == n_dim(d, j, tau, profile.ar)
 
 
 def test_oracle_builds_no_prime_field_matrix(monkeypatch):
@@ -181,14 +211,8 @@ def test_oracle_builds_no_prime_field_matrix(monkeypatch):
         inner(self, field, rows, cols, data)
 
     monkeypatch.setattr(ExactMatrix, "__init__", recording)
-    for j in range(4):
-        n_dim_saturation_oracle(parse_poly("x*y*z*(x+y+z)"), j)
+    n_dim_saturation_oracle(parse_poly("x*y*z*(x+y+z)"))
     assert fields and all(field is QQ for field in fields)
-
-
-def test_oracle_rejects_negative_degree():
-    with pytest.raises(ValueError):
-        n_dim_saturation_oracle(CUSP, -1)
 
 
 def test_oracle_asserts_nesting(monkeypatch):
@@ -196,7 +220,7 @@ def test_oracle_asserts_nesting(monkeypatch):
     dims = iter([5, 4])
     monkeypatch.setattr(invariants, "_saturation_dim", lambda *args: next(dims))
     with pytest.raises(InternalInconsistencyError):
-        n_dim_saturation_oracle(CUSP, 1)
+        n_dim_saturation_oracle(CUSP)
 
 
 def test_delta_examples():

@@ -15,12 +15,13 @@ from freecurve.poly import (
     choose2,
     dim_S,
     dim_choose2,
-    euler_check,
     monomial_basis,
     partials,
     poly_str,
 )
 from freecurve.syzygy import MAX_CURVE_DEGREE
+
+from oracles import euler_check
 
 
 def test_binomial_helpers_differ_below_two():
@@ -66,6 +67,14 @@ def test_parse_rejects_inhomogeneous_with_term_names():
     message = str(exc.value)
     assert "x^2" in message and "y^3" in message
     assert "degree 2" in message and "degree 3" in message
+    # a constant term is named 1; a monomial as `poly_str` prints it
+    for text, low, high in (("z^3 + 1 + x", "1", "z^3"), ("x*y^3*z+x^2", "x^2", "x*y^3*z")):
+        with pytest.raises(PolyParseError) as exc:
+            parse_poly(text)
+        degrees = [parse_poly(m).degree for m in (low, high)]
+        assert str(exc.value) == (
+            f"polynomial is not homogeneous: term {low} has degree {degrees[0]} but term {high} has degree {degrees[1]}"
+        )
 
 
 def test_parse_rejects_zero():

@@ -832,7 +832,7 @@ def test_profile_refuses_what_defines_no_curve():
                 rank_profile(f, field)
     # the saturation oracle refuses the zero form the same way
     with pytest.raises(InputError, match="no curve"):
-        n_dim_saturation_oracle(HomogPoly.zero(QQ, 3), 0)
+        n_dim_saturation_oracle(HomogPoly.zero(QQ, 3))
 
 
 def test_profile_guard_admits_degree_32():
