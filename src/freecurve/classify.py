@@ -12,25 +12,26 @@ the graded dimensions of the module they span at every degree of the
 profile.  A failed structural check is reported as `verified: false`,
 not raised; `freecurve corpus` is what fails a curve for it.  The
 generators after the minimal relation rho1 are the kernel vectors that
-lie outside the multiples S * rho1: over Q the primitive integer ones the
-certificate lifted (`RankProfile.lifts`), lifted on demand where its
-bounds met, over a prime the canonical ones mod p.  The checks read the
-profile's one gradient (`RankProfile.grad`).  Every number the criteria
-read comes from the curve's invariant bundle; only the structural checks
-build syzygies, once per verdict over the bundle's field plan.
+lie outside the multiples S * rho1.  The profile decides where the
+kernels come from, in one code path for every field (`RankProfile.kernel`
+and `RankProfile.syzygy`): over Q the primitive integer vectors the
+certificate lifted, lifted on demand where its bounds met, over a prime
+the canonical ones mod p.  The checks read the profile's one gradient
+(`RankProfile.grad`).  Every number the criteria read comes from the
+curve's invariant bundle; only the structural checks build syzygies, once
+per verdict over the bundle's field plan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .errors import InternalInconsistencyError
 from .fields import Field, QQ
-from .linalg import ExactMatrix, kernel_basis, solve_exact
-from .poly import Gradient, HomogPoly, dim_S, dim_choose2
+from .linalg import ExactMatrix, solve_exact
+from .poly import Gradient, HomogPoly, dim_choose2
 from .invariants import InvariantBundle, delta_dim, tau_max
-from .syzygy import CERT_PRIME, RankProfile, Syzygy, _lifted_kernel, jacobian_matrix, multiples, outside_span, syzygy_basis
+from .syzygy import RankProfile, Syzygy, multiples, outside_span, syzygy_basis
 
 FREE = "Free"
 NEARLY_FREE = "NearlyFree"
@@ -180,30 +181,21 @@ def nearly_free_resolution_dim(d: int, r: int, k: int) -> int:
 def _generators(p: RankProfile, r: int, degree: int, count: int, field: Field) -> tuple[Syzygy, ...]:
     """The minimal-degree relation rho1, then the `count` vectors of the
     kernel basis of AR(f)_degree that lie outside S_(degree-r) * rho1; any
-    other count aborts.  Over a prime the kernels are eliminated and the
-    triples re-verified; over Q they are p.lifts, lifted where it has none
-    (`syzygy._lifted_kernel` verifies them), as primitive integer triples."""
-    if field.char:
-        grad = p.gradient(field)
-        basis = syzygy_basis(p.f, r, field, grad=grad)
-        kernel = kernel_basis(jacobian_matrix(p.f, degree, field, grad=grad))
-        candidates = ExactMatrix.from_rows(field, kernel)
-        syzygy = partial(Syzygy.from_vector, p.f, degree, field=field, grad=grad)
-    else:
-        lifted = {k: p.lifts[k] if k in p.lifts else _lifted_kernel(p.grad, k, CERT_PRIME) for k in {r, degree}}
-        basis, kernel = [Syzygy.from_lift(r, v) for v in lifted[r][:1]], lifted[degree]
-        candidates = ExactMatrix.integral(kernel, 3 * dim_S(degree))
-        syzygy = partial(Syzygy.from_lift, degree)
+    other count aborts.  The kernels are `RankProfile.kernel`'s, and the
+    triples `RankProfile.syzygy`'s: over Q primitive integer triples, over a
+    prime canonical ones, verified."""
+    basis = syzygy_basis(p, r, field)
     if not basis:
         raise ValueError(f"no relation in degree {r}; is r really mdr(f)?")
     rho1 = basis[0]
-    picked = outside_span(multiples([rho1], degree, field), candidates)
+    kernel = p.kernel(degree, field)
+    picked = outside_span(multiples([rho1], degree, field), ExactMatrix.from_rows(field, kernel))
     if len(picked) != count:
         raise InternalInconsistencyError(
             f"complement of the minimal relation in degree {degree} has "
             f"dimension {len(picked)}, expected {count}"
         )
-    return (rho1, *(syzygy(kernel[i]) for i in picked))
+    return (rho1, *(p.syzygy(degree, kernel[i], field) for i in picked))
 
 
 def nearly_free_generators(p: RankProfile, r: int, field: Field = QQ) -> tuple[Syzygy, Syzygy, Syzygy]:

@@ -53,7 +53,6 @@ class CaseResult:
     failures: list[str] = dc_field(default_factory=list)
     report: dict | None = None
     plan: FieldPlan | None = None
-    poly: HomogPoly | None = None
 
     @property
     def passed(self) -> bool:
@@ -149,7 +148,7 @@ def _check_cross_invariants(case: CurveCase, f: HomogPoly, report: dict, failure
 def run_case(case: CurveCase, plan: FieldPlan, table_max: int | None = None) -> CaseResult:
     result = CaseResult(name=case.path.name, plan=plan)
     try:
-        f = result.poly = parse_poly(case.expression)
+        f = parse_poly(case.expression)
         report = result.report = analyze(f, plan, table_max=table_max, source=case.expression)
         _check_expectations(case, report, result.failures)
         if report.get("classification"):

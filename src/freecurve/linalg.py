@@ -8,11 +8,13 @@ The rank sweeps in `syzygy` eliminate with `_mod_p_echelon` and
 arithmetic of the elimination depends on the field.  All of it is exact:
 
 * over Q, fraction-free (Bareiss) elimination on rows scaled to coprime
-  integers, which keeps intermediate entries at minor size.  An integral
-  matrix, one that holds Python ints (a multiplication matrix with
-  integral coefficients, such as J_k of an integer form, or the primitive
-  kernel rows of `integer_kernel_basis`), has each row divided by its gcd
-  only; a row of `Fraction`s has its denominators cleared first.
+  integers, which keeps intermediate entries at minor size.  Entries
+  over Q are Python ints or `Fraction`s, kept as given.  A row of ints (a
+  multiplication matrix with integral coefficients, such as J_k of an
+  integer form, the primitive kernel rows of `integer_kernel_basis`, or
+  the lifted kernel vectors the structural checks stack) is divided by
+  its gcd only; a row holding a `Fraction` has its denominators cleared
+  first.
   Each row's Bareiss scaling is deferred until a pivot hits it, so a row
   that is zero in the pivot column is not touched.  The reduced form is
   read from the echelon rows by fraction-free back-substitution, and a
@@ -46,14 +48,14 @@ class ExactMatrix:
 
     Over a prime p with p^2 < 2^63 the dtype is int64, so a product of two
     entries cannot overflow.  Otherwise it is object: Python ints over a
-    larger prime, Fractions over Q.  Entries are field elements, in [0, p)
-    over a prime; constructors reduce what they are given mod p.  An
-    integral matrix over Q holds Python ints instead of Fractions, never a
-    mix of the two; only the multiplication-matrix builder
-    (`syzygy.multiples`, from integral coefficients) and `integral` (the
-    rows of `integer_kernel_basis` and of the lifts) make one, and every
-    operation reads it as it reads Fractions.  Matrices are never changed
-    in place, so `transpose` can return a view.
+    larger prime, Python ints and Fractions over Q.  Entries are field
+    elements, in [0, p) over a prime; constructors reduce what they are
+    given mod p.  Over Q they are kept as given: an integral matrix, such
+    as the multiplication-matrix builder's (`syzygy.multiples`, from
+    integral coefficients), the rows of `integer_kernel_basis` or a
+    `from_rows` of Python ints, holds Python ints, and every operation
+    reads ints and Fractions alike.  Matrices are never changed in place,
+    so `transpose` can return a view.
     """
 
     __slots__ = ("field", "rows", "cols", "_data")
@@ -72,11 +74,6 @@ class ExactMatrix:
             if len(r) != n:
                 raise ValueError("ragged rows")
         return cls(field, m, n, _entries(field, rows).reshape(m, n))
-
-    @classmethod
-    def integral(cls, rows: Sequence[Sequence[int]], n: int) -> "ExactMatrix":
-        """The integral matrix over Q with `rows`, each n Python ints."""
-        return cls(QQ, len(rows), n, np.array(rows, dtype=object).reshape(len(rows), n))
 
     def row_lists(self) -> list[list]:
         return self._data.tolist()
@@ -103,15 +100,9 @@ def _dtype(field: Field):
 
 def _entries(field: Field, values) -> np.ndarray:
     """`values` as an array of field elements: reduced mod p over a prime,
-    `Fraction`s over Q (a `Fraction` given is stored as it is)."""
+    over Q Python ints and `Fraction`s as they are given."""
     a = np.array(values, dtype=_dtype(field))
-    if field.char:
-        return a % field.char
-    flat = a.reshape(-1)  # a view: the array was just made contiguous
-    for i, v in enumerate(flat):
-        if type(v) is not Fraction:
-            flat[i] = Fraction(v)
-    return a
+    return a % field.char if field.char else a
 
 
 # ---------------------------------------------------------------------------
@@ -405,21 +396,19 @@ def integer_kernel_basis(M: ExactMatrix) -> ExactMatrix:
             v[last - pc] = -xi[t]
         g = sign * gcd(*v)
         vecs.append([c // g for c in v])
-    return ExactMatrix.integral(vecs, n)
+    return ExactMatrix(QQ, len(vecs), n, np.array(vecs, dtype=object).reshape(len(vecs), n))
 
 
 def solve_exact(M: ExactMatrix, b: Sequence):
     """Some x with Mx = b, or None when the system is inconsistent.
 
     When solutions form an affine family the canonical echelon particular
-    solution is returned (free coordinates set to zero).  Over Q, b is
-    kept as given, ints or Fractions, as the elimination reads both.
+    solution is returned (free coordinates set to zero).
     """
     if len(b) != M.rows:
         raise ValueError("right-hand side length must equal row count")
     field = M.field
-    rhs = _entries(field, b) if field.char else np.array(b, dtype=object)
-    aug = np.hstack([M._data, rhs.reshape(M.rows, 1)])
+    aug = np.hstack([M._data, _entries(field, b).reshape(M.rows, 1)])
     rr, pivots = _rref(ExactMatrix(field, M.rows, M.cols + 1, aug))
     if pivots and pivots[-1] == M.cols:
         return None

@@ -14,8 +14,9 @@ read.  Over Q each rank is proved from one prime (`_proved_ranks`): the
 same sweep gives the dimensions of the certificate's module of syzygies,
 and where its bounds do not meet, ker_Q J_k is lifted from its images
 mod successive primes by CRT and rational reconstruction and verified
-exactly (`_lifted_kernel`).  The profile keeps those lifts, and they are
-the kernels over Q of the structural checks (`syzygy_basis`).  Both
+exactly (`_lifted_kernel`).  The profile keeps those lifts, and it alone
+decides where the structural checks' syzygies come from in each field
+(`RankProfile.kernel`, `RankProfile.syzygy`, `syzygy_basis`).  Both
 sweeps stop once the Hilbert function of S/J_f meets Gotzmann's
 persistence condition, reaches 0, or is flat where J_f fills a fixed line
 h = 0 (`_persistent`).  Every
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -98,36 +99,25 @@ class Syzygy(NamedTuple):
         return self.a.degree
 
     @classmethod
-    def from_vector(cls, f: HomogPoly, k: int, vec, field: Field, grad: Gradient | None = None) -> "Syzygy":
-        """The degree-k triple with coefficient blocks a, b, c in `vec`,
-        re-verified against f (whose gradient over `field`, or a nonzero
-        multiple of it, may be passed)."""
-        n = dim_S(k)
-        syz = cls(*(HomogPoly.from_vector(field, k, vec[i * n : (i + 1) * n]) for i in range(3)))
-        if not syz.holds_for(f, grad):
-            raise InternalInconsistencyError(
-                f"vector at degree {k} fails the defining relation"
-            )
-        return syz
+    def from_vector(cls, k: int, vec: Sequence, field: Field) -> "Syzygy":
+        """The degree-k triple with coefficient blocks a, b, c in `vec`, as
+        given but reduced mod p over a prime; unverified.  `vec` must hold
+        3 dim S_k entries (ValueError otherwise)."""
+        n, p = dim_S(k), field.char
+        if len(vec) != 3 * n:
+            raise ValueError(f"a degree-{k} triple has {3 * n} coefficients, not {len(vec)}")
+        if p:
+            vec = [c % p for c in vec]
+        return cls(*(HomogPoly.from_vector(field, k, vec[i * n : (i + 1) * n]) for i in range(3)))
 
-    @classmethod
-    def from_lift(cls, k: int, vec: Sequence) -> "Syzygy":
-        """The degree-k triple over Q with coefficient blocks a, b, c in
-        `vec`, a multiple of a vector `_lifted_kernel` verified."""
-        n = dim_S(k)
-        return cls(*(HomogPoly.from_vector(QQ, k, vec[i * n : (i + 1) * n]) for i in range(3)))
-
-    def holds_for(self, f: HomogPoly, grad: Gradient | None = None) -> bool:
+    def holds_for(self, grad: Gradient) -> bool:
         """Whether a*f_x + b*f_y + c*f_z = 0, summed exactly: over Q as
         given, over a prime in Python integers reduced mod p once.
 
-        `grad` may be any nonzero multiple of the gradient of f over the
-        triple's field (default `partials`).  The zero triple holds.
+        `grad` is the gradient of the curve over the triple's field, or any
+        nonzero multiple of it.  The zero triple holds.
         """
-        field = self.a.field
-        if grad is None:
-            grad = partials(f.map_field(field))
-        return _relation_vanishes([u.terms.items() for u in self], [g.terms.items() for g in grad], field.char)
+        return _relation_vanishes([u.terms.items() for u in self], [g.terms.items() for g in grad], self.a.field.char)
 
 
 def _relation_vanishes(triple, gradient, p: int = 0) -> bool:
@@ -279,22 +269,6 @@ def x_graded(k: int, ascending: bool = False) -> list[int]:
     return [b * n + i for s in degrees for b in range(3) for i in range(dim_S(s - 1), dim_S(s))]
 
 
-def syzygy_basis(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient | None = None) -> list[Syzygy]:
-    """Canonical echelon basis of AR(f)_k, each triple verified exactly:
-    over Q the lift of ker J_k (`_lifted_kernel`) scaled to leading 1s,
-    over a prime the kernel of J_k mod p, re-verified against `grad`, the
-    gradient of f over `field` or a nonzero multiple of it, integral over
-    Q (default `partials` of f, over Q of its primitive form)."""
-    if k < 0:
-        raise ValueError("source degree must be non-negative")
-    if not field.char:
-        lifted = _lifted_kernel(grad if grad is not None else partials(primitive_form(f)), k, CERT_PRIME)
-        return [Syzygy.from_lift(k, [Fraction(c, next(x for x in v if x)) for c in v]) for v in lifted]
-    if grad is None:
-        grad = partials(f.map_field(field))
-    return [Syzygy.from_vector(f, k, vec, field, grad) for vec in kernel_basis(jacobian_matrix(f, k, field, grad=grad))]
-
-
 @dataclass(frozen=True)
 class RankProfile:
     """The Jacobian ranks of one curve at source degrees 0..top, agreed once.
@@ -304,8 +278,9 @@ class RankProfile:
     made once, which every later step reads (`gradient` reduces it mod p).
     `plan` is the field plan the ranks were agreed over; the structural
     checks of a verdict run on `f` over the same plan.  `table_max` is the
-    top degree of the reported tables.  `lifts` holds the kernels the certificate lifted over Q,
-    which the structural checks over Q read; over a prime it is empty.
+    top degree of the reported tables.  `lifts` holds the kernels the
+    certificate lifted over Q; over a prime it is empty.  `reduced` holds
+    `grad` mod each prime read so far: in an analysis, the plan's.
     """
 
     f: HomogPoly
@@ -314,14 +289,34 @@ class RankProfile:
     table_max: int
     ranks: tuple[int, ...]
     lifts: Lifts
+    reduced: dict[Field, Gradient] = dc_field(default_factory=dict, repr=False, compare=False)
 
     @property
     def d(self) -> int:
         return self.f.degree
 
     def gradient(self, field: Field) -> Gradient:
-        """`grad` over `field`: as it is over Q, reduced mod p over a prime."""
-        return Gradient(*(g.map_field(field) for g in self.grad))
+        """`grad` over `field`, reduced mod p once per profile."""
+        return _gradient_mod(self.grad, field, self.reduced)
+
+    def kernel(self, k: int, field: Field) -> list[Sequence[int]]:
+        """A basis of ker J_k over `field`: over Q the certificate's lift at
+        k, or one lifted now (not stored) where it kept none, verified; over
+        a prime the canonical `kernel_basis` of J_k mod p, unverified."""
+        if k < 0:
+            raise ValueError("source degree must be non-negative")
+        if not field.char:
+            return self.lifts[k] if k in self.lifts else _lifted_kernel(self.grad, k, CERT_PRIME)
+        return kernel_basis(jacobian_matrix(self.f, k, field, grad=self.gradient(field)))
+
+    def syzygy(self, k: int, vec: Sequence, field: Field) -> Syzygy:
+        """The triple of a vector of `kernel(k, field)`, verified exactly
+        over a prime (InternalInconsistencyError if it fails); over Q
+        `_lifted_kernel` verified it."""
+        syz = Syzygy.from_vector(k, vec, field)
+        if field.char and not syz.holds_for(self.gradient(field)):
+            raise InternalInconsistencyError(f"vector at degree {k} fails the defining relation")
+        return syz
 
     def rank(self, k: int) -> int:
         if k >= len(self.ranks):
@@ -335,6 +330,21 @@ class RankProfile:
     def m(self, k: int) -> int:
         """dim (S/J_f)_k, zero in negative degrees."""
         return dim_S(k) - self.rank(k - self.d + 1)
+
+
+def _gradient_mod(grad: Gradient, field: Field, reduced: dict[Field, Gradient]) -> Gradient:
+    """`grad` over `field`: over a prime its reduction kept in `reduced`."""
+    if not field.char:
+        return grad
+    if field not in reduced:
+        reduced[field] = Gradient(*(g.map_field(field) for g in grad))
+    return reduced[field]
+
+
+def syzygy_basis(p: RankProfile, k: int, field: Field = QQ) -> list[Syzygy]:
+    """The canonical echelon basis of AR(f)_k of profile p, each triple
+    verified; over Q each vector scaled to a primitive integer one."""
+    return [p.syzygy(k, v, field) for v in p.kernel(k, field)]
 
 
 def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | None = None) -> RankProfile:
@@ -400,12 +410,15 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
     grad = partials(f)
     plan = field if isinstance(field, FieldPlan) else FieldPlan.over(field)
     lifts: Lifts = {}
+    reduced: dict[Field, Gradient] = {}  # the sweep's reductions, which the checks read
     ranks = plan.agree(
-        lambda F: _persistent(grad, F, top, _proved_ranks(grad, lifts=lifts) if F.char == 0 else _swept_ranks(grad, F)),
+        lambda F: _persistent(
+            grad, F, top, _proved_ranks(grad, lifts=lifts) if F.char == 0 else _swept_ranks(_gradient_mod(grad, F, reduced), F)
+        ),
         # H(top+d-1) = 0: the curve is smooth, and one prime proves its ranks
         lambda ranks: ranks[top] == dim_S(top + f.degree - 1),
     )
-    return RankProfile(f, grad, plan, K, ranks, lifts)
+    return RankProfile(f, grad, plan, K, ranks, lifts, reduced)
 
 
 def primitive_form(f: HomogPoly) -> HomogPoly:
@@ -441,7 +454,8 @@ def _swept_ranks(grad: Gradient, field: Field) -> Iterator[int]:
     """rank J_0, J_1, ... over a prime field, one step each of a sweep up
     the degrees D = d-1, d, ... of the Jacobian ideal J_f (`_ModuleSweep`):
     rank J_k is dim (J_f)_(k+d-1), and `grad` mod p generates J_f in
-    degree d-1.  The pipeline ranks Jacobians mod p only here."""
+    degree d-1 (`grad` may already be over `field`).  The pipeline ranks
+    Jacobians mod p only here."""
     J = _ModuleSweep(field, 1, grad[0].degree - 1, retire=True)
     yield J.step([(part.map_field(field),) for part in grad])
     while True:
@@ -745,14 +759,14 @@ def _proved_ranks(grad: Gradient, prime: int = CERT_PRIME, *, lifts: Lifts | Non
     `prime`.  V is 0 below the degree its first generators join at, and
     its sweep starts there."""
     P = GF(prime)
-    fx, fy, fz = (g.map_field(P) for g in grad)
+    fx, fy, fz = mod_p = Gradient(*(g.map_field(P) for g in grad))
     e = fx.degree
     zero = HomogPoly.zero(P, e)
     # V's generators by the degree they join at: the Koszul relations at
     # d-1, the kernel vectors over Q found at k at k+1
     joining = {e: [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]}
     V = None
-    for k, r in enumerate(_swept_ranks(grad, P)):
+    for k, r in enumerate(_swept_ranks(mod_p, P)):
         n = 3 * dim_S(k)
         gens = joining.pop(k, [])
         if V is None and gens:
@@ -762,10 +776,7 @@ def _proved_ranks(grad: Gradient, prime: int = CERT_PRIME, *, lifts: Lifts | Non
             if lifts is not None:
                 lifts[k] = vectors
             r = n - len(vectors)
-            m = n // 3
-            joining.setdefault(k + 1, []).extend(
-                tuple(HomogPoly.from_vector(P, k, [c % prime for c in v[i * m : (i + 1) * m]]) for i in range(3)) for v in vectors
-            )
+            joining.setdefault(k + 1, []).extend(Syzygy.from_vector(k, v, P) for v in vectors)
         yield r
 
 

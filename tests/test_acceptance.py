@@ -136,7 +136,7 @@ def test_criterion_06_saturation_oracle_equivalence(corpus_results):
         d = report["degree"]
         if d > ORACLE_MAX_DEGREE:
             continue
-        f = result.poly
+        f = parse_poly(report["input"])
         tau = report["tau"]
         T = report["T"]
         ar = report["tables"]["ar"]["values"]
@@ -157,7 +157,7 @@ def test_saturation_oracle_on_a_degree_12_arrangement(corpus_results):
     d, tau, T = report["degree"], report["tau"], report["T"]
     assert d == 12 > ORACLE_MAX_DEGREE
     ar = report["tables"]["ar"]["values"]
-    oracle = n_dim_saturation_oracle(result.poly)
+    oracle = n_dim_saturation_oracle(parse_poly(report["input"]))
     assert oracle == tuple(n_dim(d, j, tau, ar.__getitem__) for j in range(T + 1))
 
 
@@ -267,11 +267,11 @@ def test_criterion_10_determinism_and_field_agreement(corpus_results):
     # degree (the profile over Q is itself proved from a prime).
     matrices = 0
     for result in corpus_results:
-        if result.report is None or result.poly is None or result.plan is None:
+        if result.report is None or result.plan is None:
             continue
         if result.report["degree"] > 6:
             continue
-        f = result.poly
+        f = parse_poly(result.report["input"])
         bareiss = None
         for prime in result.plan.fields:
             over_p = rank_profile(f, prime)

@@ -138,7 +138,7 @@ def test_pairing_antisymmetry_and_multiples():
 
 def test_pairing_bilinear_on_random_syzygy_combinations():
     rng = random.Random(5)
-    basis = syzygy_basis(TRIANGLE, 1)
+    basis = syzygy_basis(rank_profile(TRIANGLE), 1)
     r1, r2 = basis
     for _ in range(5):
         a, b = rng.randint(-3, 3), rng.randint(-3, 3)
@@ -176,7 +176,7 @@ def test_saito_verify_degree_precondition():
 
 
 def test_v_map_kills_the_minimal_syzygy_and_its_multiples():
-    basis = syzygy_basis(TRIANGLE, 1)
+    basis = syzygy_basis(rank_profile(TRIANGLE), 1)
     rho1 = basis[0]
     assert pairing(rho1, rho1, partials(TRIANGLE)).is_zero()
     assert pairing(basis[1], rho1, partials(TRIANGLE)).degree == 0
@@ -184,8 +184,9 @@ def test_v_map_kills_the_minimal_syzygy_and_its_multiples():
 
 
 def test_v_map_cusp_gives_independent_linear_forms():
-    (rho1,) = syzygy_basis(CUSP, 1)
-    _, rho2, rho3 = nearly_free_generators(rank_profile(CUSP), 1)
+    profile = rank_profile(CUSP)
+    (rho1,) = syzygy_basis(profile, 1)
+    _, rho2, rho3 = nearly_free_generators(profile, 1)
     l2 = pairing(rho2, rho1, partials(CUSP))
     l3 = pairing(rho3, rho1, partials(CUSP))
     assert l2.degree == 1 and l3.degree == 1
@@ -200,12 +201,12 @@ def test_v_map_cusp_gives_independent_linear_forms():
 
 
 def test_nearly_free_generators_cusp():
-    rho1, rho2, rho3 = nearly_free_generators(rank_profile(CUSP), 1)
+    profile = rank_profile(CUSP)
+    rho1, rho2, rho3 = nearly_free_generators(profile, 1)
     assert rho1.degree == 1 and rho2.degree == 2 and rho3.degree == 2
     for s in (rho1, rho2, rho3):
-        assert s.holds_for(CUSP)
+        assert s.holds_for(partials(CUSP))
     # ar(f)_k matches the three-generator resolution count through d+2
-    profile = rank_profile(CUSP)
     for k in range(0, CUSP.degree + 3):
         assert profile.ar(k) == nearly_free_resolution_dim(CUSP.degree, 1, k)
     assert resolution_matches(profile, 1)
@@ -381,6 +382,30 @@ def test_one_gradient_per_analysis(monkeypatch):
             assert lifted == (certificate + on_demand if mode == "qq" else []), (expr, mode)
 
 
+def test_an_auto_analysis_reduces_the_gradient_once_per_prime(monkeypatch):
+    # The sweep over each prime and the structural checks read one
+    # reduction of the profile's gradient (`RankProfile.gradient`).  The
+    # triangle reads Free (Saito, which reads the gradient twice) and the
+    # cusp NearlyFree; each partial is reduced once per prime of the plan.
+    reductions, map_field = [], HomogPoly.map_field
+
+    def counted(self, field):
+        if field is not self.field:
+            reductions.append((str(self), field.char))
+        return map_field(self, field)
+
+    monkeypatch.setattr(HomogPoly, "map_field", counted)
+    for expr, verdict in (("x*y*z", "Free"), ("x^3-y^2*z", "NearlyFree")):
+        f = parse_poly(expr)
+        grad = partials(syzygy.primitive_form(f))
+        plan = FieldPlan.from_mode("auto", 0)
+        reductions.clear()
+        report = analyze(f, plan)
+        assert report["classification"]["verdict"] == verdict and report["classification"]["verified"] is True, expr
+        primes = [F.char for F in plan.fields]
+        assert sorted(reductions) == sorted((str(g), p) for p in primes for g in grad), expr
+
+
 def _curves_over_q_with_generators():
     # the Free and NearlyFree curves of the corpus and of the families, the
     # families up to the degree their qq cases run at
@@ -418,12 +443,12 @@ def test_generators_over_q_span_the_lines_of_the_canonical_kernel_vectors():
         assert all(type(c) is int for triple in got for part in triple for c in part.terms.values()), expr
         rho1 = kernel_basis(jacobian_matrix(profile.f, r, QQ))[0]
         kernel = kernel_basis(jacobian_matrix(profile.f, degree, QQ))
-        picked = outside_span(multiples([Syzygy.from_lift(r, rho1)], degree, QQ), ExactMatrix.from_rows(QQ, kernel))
+        picked = outside_span(multiples([Syzygy.from_vector(r, rho1, QQ)], degree, QQ), ExactMatrix.from_rows(QQ, kernel))
         canonical = [rho1, *(kernel[i] for i in picked)]
         assert [_leading_one(triple) for triple in got] == canonical, expr
         if verdict == FREE:
             f = parse_poly(expr)
-            pair = [Syzygy.from_lift(k, v) for k, v in zip((r, degree), canonical)]
+            pair = [Syzygy.from_vector(k, v, QQ) for k, v in zip((r, degree), canonical)]
             assert saito_verify(profile.grad, *got) is saito_verify(partials(f), *pair) is True, expr
         seen.add(verdict)
     assert seen == {FREE, NEARLY_FREE}

@@ -98,8 +98,8 @@ def test_stack_appends_rows():
 
 def test_constructors_and_views_hold_field_elements():
     for field in THREE_FIELDS:
-        minus_one = field.from_int(-1)
-        sparse = ExactMatrix.from_rows(field, [[0, 0, field.one], [minus_one, 0, 0]])
+        minus_one, o = field.from_int(-1), field.zero
+        sparse = ExactMatrix.from_rows(field, [[o, o, field.one], [minus_one, o, o]])
         assert sparse.row_lists() == [[0, 0, 1], [minus_one, 0, 0]]
         zero = zeros(field, 2, 2)
         assert zero.row_lists() == [[0, 0], [0, 0]]
@@ -110,11 +110,20 @@ def test_constructors_and_views_hold_field_elements():
         assert (picked.rows, picked.cols) == (2, 2)
         assert picked.row_lists() == [[1, 0], [0, minus_one]]
         assert sparse.columns([]).row_lists() == [[], []]
-        # int input becomes field elements too: Fractions over Q
-        from_ints = ExactMatrix.from_rows(field, [[1, 2], [-1, 0]])
-        assert from_ints.row_lists() == [[1, 2], [minus_one, 0]]
-        for M in (sparse, zero, transposed, picked, zero.stack(sparse.columns([0, 1])), identity(field, 2), from_ints):
+        for M in (sparse, zero, transposed, picked, zero.stack(sparse.columns([0, 1]))):
             assert_field_entries(M)
+        # int input is reduced mod p over a prime, and stays Python ints
+        # over Q: an integral matrix, which every operation reads as it is
+        for from_ints in (ExactMatrix.from_rows(field, [[1, 2], [-1, 0]]), identity(field, 2)):
+            if field is QQ:
+                assert {type(v) for row in from_ints.row_lists() for v in row} == {int}
+            else:
+                assert_field_entries(from_ints)
+        assert ExactMatrix.from_rows(field, [[1, 2], [-1, 0]]).row_lists() == [[1, 2], [minus_one, 0]]
+        # a Fraction over Q is kept as given, next to the ints
+        if field is QQ:
+            mixed = ExactMatrix.from_rows(QQ, [[Fraction(1, 2), 3]]).row_lists()
+            assert [type(v) for v in mixed[0]] == [Fraction, int] and mixed == [[Fraction(1, 2), 3]]
 
 
 def test_prime_field_refuses_a_denominator_it_divides():

@@ -10,7 +10,7 @@ from freecurve.errors import InternalInconsistencyError
 from freecurve.fields import GF, QQ, FieldPlan
 from freecurve.invariants import delta_dim, n_dim
 from freecurve.parser import parse_poly
-from freecurve.report import analyze
+from freecurve.report import analyze, render_json
 from freecurve.syzygy import rank_profile
 
 # The first prime drawn from seed 0 divides a denominator of this cubic.
@@ -122,6 +122,59 @@ def test_bare_fields_describe_themselves():
     over_q = analyze(f, QQ)
     assert over_q["field"] == {"mode": "qq", "primes": None, "fallbacks": 0}
     assert _without_field(over_p) == _without_field(over_q)
+
+
+# Curves whose report must read the same in qq as in the prime modes, but
+# for `field`: (expression, verdict, verified, the prime modes).
+#  * rational coefficients: the profile and the oracle scale a curve to its
+#    primitive integer form.  The Free curve's structural check over Q reads
+#    the certificate's lifts; the NearlyFree one, with a coefficient past
+#    int64, lifts through the builder's object-dtype path;
+#  * structural checks over Q: they read the kernels the certificate lifted
+#    and lift on demand where its bounds met (y*z^3-x^4, r = 1, at degree
+#    3); over the primes of auto they eliminate mod p.  The last two carry
+#    denominators, so they reach the on-demand lift and the span test
+#    through the primitive form's integer gradient;
+#  * the plateau stop (`syzygy._persistent`): the free ten lines stop at
+#    source degree 5, where the certificate still lifts; the eight lines with
+#    h = x + 1009y + 2027z as a component never fill and are swept to the
+#    top;
+#  * smooth curves: a two-prime plan takes the profile from its first prime,
+#    as H reaching 0 mod p proves every rank over Q, so auto and pp read
+#    qq's report with no fallback.
+QQ_AGAINST_PRIMES = [
+    pytest.param("(1/2*x^3+1/3*y^3-z^3)*(x+y+z)", "Neither", None, ("auto",), id="rational-neither"),
+    pytest.param("(1/2*x^3-1/3*y^2*z)*z", "Free", True, ("auto",), id="rational-free"),
+    pytest.param("(2^70+1)*x^3-y^2*z", "NearlyFree", True, ("auto",), id="rational-past-int64"),
+    pytest.param("y*z^3-x^4", "NearlyFree", True, ("auto",), id="lifts-on-demand"),
+    pytest.param("y^2*z^5-x^7", "NearlyFree", True, ("auto",), id="lifts-cusp7"),
+    pytest.param("x*y*z*(x+y+z)", "NearlyFree", True, ("auto",), id="lifts-four-lines"),
+    pytest.param("x*y*z*(x-y)*(x-z)*(y-z)", "Free", True, ("auto",), id="lifts-braid6"),
+    pytest.param("y*z^3-1/7*x^4", "NearlyFree", True, ("auto",), id="lifts-on-demand-rational"),
+    pytest.param("3/5*y^2*z^5-x^7", "NearlyFree", True, ("auto",), id="lifts-cusp7-rational"),
+    pytest.param("x*y*z*(x+y)*(x-y)*(x+z)*(x-z)*(y+z)*(y-z)*(x+y+z)", "Free", True, ("auto",), id="plateau-ten-lines"),
+    pytest.param(
+        "x*y*z*(x+y+z)*(x+2*y+3*z)*(x-3*y+5*z)*(2*x+7*y-z)*(x+1009*y+2027*z)", "Neither", None, ("auto",), id="plateau-never-fills"
+    ),
+    pytest.param("x^6+y^6+z^6", "Smooth", None, ("auto", "pp"), id="smooth-fermat6"),
+    pytest.param(
+        "x^6+y^6+z^6+x^5*y-3*x^3*y^2*z+2*y^4*z^2-x*z^5+5*x^2*y^2*z^2", "Smooth", None, ("auto", "pp"), id="smooth-dense6"
+    ),
+]
+
+
+@pytest.mark.parametrize("expr,verdict,verified,modes", QQ_AGAINST_PRIMES)
+def test_qq_reads_as_the_prime_modes_but_for_field(expr, verdict, verified, modes):
+    # the JSON report of `freecurve analyze --poly expr --json` at seed 0
+    f = parse_poly(expr)
+    reports = {mode: json.loads(render_json(analyze(f, FieldPlan.from_mode(mode, 0), source=expr))) for mode in ("qq", *modes)}
+    fields = {mode: report.pop("field") for mode, report in reports.items()}
+    classification = reports["qq"]["classification"]
+    assert (classification["verdict"], classification["verified"]) == (verdict, verified)
+    for mode in modes:
+        assert reports[mode] == reports["qq"], mode
+    if verdict == "Smooth":
+        assert [fields[mode]["fallbacks"] for mode in modes] == [0, 0]
 
 
 # reduced curves of degree 3 to 7

@@ -13,7 +13,7 @@ from freecurve.data import shipped_corpus_dir
 from freecurve.errors import InputError, InternalInconsistencyError
 from freecurve.fields import GF, QQ, FieldPlan
 from freecurve.invariants import n_dim_saturation_oracle
-from freecurve.linalg import ExactMatrix, _rref, kernel_basis, rank
+from freecurve.linalg import ExactMatrix, _rref, integer_kernel_basis, kernel_basis, rank
 from freecurve.parser import parse_poly
 from freecurve.poly import HomogPoly, dim_S, dim_choose2, monomial_basis, monomial_position, partials
 from freecurve.syzygy import (
@@ -146,7 +146,7 @@ def test_jacobian_matrix_refuses_a_prime_that_divides_a_denominator():
 
 
 def test_multiples_lay_out_each_monomial_multiple_as_one_row():
-    rho1 = syzygy_basis(CUSP, 1)[0]
+    rho1 = syzygy_basis(rank_profile(CUSP), 1)[0]
     halves = tuple(part.scale(Fraction(1, 2)) for part in rho1)
     # a coefficient past int64: the builder's object array
     big = tuple(part.scale(Fraction(2**70 + 1)) for part in rho1)
@@ -219,29 +219,35 @@ def test_ar_dim_matches_independent_oracle():
 
 
 def test_syzygy_basis_verifies_and_is_canonical():
-    basis = syzygy_basis(TRIANGLE, 1)
-    assert len(basis) == 2
-    for syz in basis:
-        assert syz.holds_for(TRIANGLE)
-    again = syzygy_basis(TRIANGLE, 1)
-    assert again == basis
+    for field in (QQ, GF(7)):
+        basis = syzygy_basis(rank_profile(TRIANGLE, field), 1, field)
+        assert len(basis) == 2
+        for syz in basis:
+            assert syz.holds_for(partials(TRIANGLE.map_field(field)))
+        again = syzygy_basis(rank_profile(TRIANGLE, field), 1, field)
+        assert again == basis
 
 
 def test_holds_for_checks_rational_syzygies_with_denominators():
     f = parse_poly("1/2*x^3 + 2/3*x*y*z + 1/5*y^3 - 3/7*z^3")
-    fx, fy, fz = partials(f)
+    fx, fy, fz = grad = partials(f)
+    # the profile's integer gradient is a nonzero multiple of f's
+    profile = rank_profile(f)
     eleventh = Fraction(1, 11)
     koszul = Syzygy(fy.scale(eleventh), (-fx).scale(eleventh), HomogPoly.zero(QQ, 2))
-    assert koszul.holds_for(f)
-    assert koszul.holds_for(f, partials(f))
+    assert koszul.holds_for(grad)
+    assert koszul.holds_for(profile.grad)
     bump = HomogPoly(QQ, 2, {(0, 1, 1): Fraction(1, 13)})
-    assert not Syzygy(koszul.a + bump, koszul.b, koszul.c).holds_for(f)
+    assert not Syzygy(koszul.a + bump, koszul.b, koszul.c).holds_for(grad)
     # the zero triple holds over Q, as it does over a prime
-    assert Syzygy(*[HomogPoly.zero(QQ, 2)] * 3).holds_for(f)
-    for syz in syzygy_basis(f, 2):
+    assert Syzygy(*[HomogPoly.zero(QQ, 2)] * 3).holds_for(grad)
+    for syz in syzygy_basis(profile, 2):
+        # the primitive integer triple, scaled to a leading 1
+        lead = next(c for part in syz for c in part.coeff_vector() if c)
+        syz = Syzygy(*(part.scale(Fraction(1, lead)) for part in syz))
         assert any(c.denominator > 1 for part in syz for c in part.terms.values())
-        assert syz.holds_for(f)
-        assert not Syzygy(syz.a, syz.b, syz.c + bump).holds_for(f)
+        assert syz.holds_for(grad) and syz.holds_for(profile.grad)
+        assert not Syzygy(syz.a, syz.b, syz.c + bump).holds_for(grad)
 
 
 def test_holds_for_reduces_the_integer_sums_mod_p():
@@ -253,31 +259,80 @@ def test_holds_for_reduces_the_integer_sums_mod_p():
     good = Syzygy(HomogPoly(field, 1, {(0, 1, 0): 3}), HomogPoly(field, 1, {(1, 0, 0): 4}), zero)
     bad = Syzygy(good.a, HomogPoly(field, 1, {(1, 0, 0): 5}), zero)
     grad = partials(f.map_field(field))
-    assert good.holds_for(f) and good.holds_for(f, grad)
-    assert not bad.holds_for(f) and not bad.holds_for(f, grad)
-    assert Syzygy(zero, zero, zero).holds_for(f)
-    # blocks a, b, c on the monomials x, y, z
-    assert Syzygy.from_vector(f, 1, [0, 3, 0, 4, 0, 0, 0, 0, 0], field) == good
+    assert good.holds_for(grad)
+    assert not bad.holds_for(grad)
+    assert Syzygy(zero, zero, zero).holds_for(grad)
+    # blocks a, b, c on the monomials x, y, z, the integers reduced mod p
+    assert Syzygy.from_vector(1, [0, 3, 0, 4, 0, 0, 0, 0, 0], field) == good
+    assert Syzygy.from_vector(1, [0, 10, 0, -3, 0, 0, 0, 0, 0], field) == good
+    # the profile verifies what it lays out over a prime
+    profile = rank_profile(f, field)
+    assert profile.syzygy(1, [0, 3, 0, 4, 0, 0, 0, 0, 0], field) == good
     with pytest.raises(InternalInconsistencyError, match="fails the defining relation"):
-        Syzygy.from_vector(f, 1, [0, 3, 0, 5, 0, 0, 0, 0, 0], field)
-    with pytest.raises(InternalInconsistencyError, match="fails the defining relation"):
-        Syzygy.from_vector(f, 1, [Fraction(v) for v in (0, 3, 0, 4, 0, 0, 0, 0, 0)], QQ)
+        profile.syzygy(1, [0, 3, 0, 5, 0, 0, 0, 0, 0], field)
+    # over Q the integer sum 14xy is no relation
+    over_q = Syzygy.from_vector(1, [Fraction(v) for v in (0, 3, 0, 4, 0, 0, 0, 0, 0)], QQ)
+    assert not over_q.holds_for(partials(f))
 
 
 def test_rational_syzygy_basis_is_the_bareiss_kernel_entry_by_entry():
-    # Over Q `syzygy_basis` reads the lift; scaled to a leading 1 it must be
-    # the canonical basis that Bareiss eliminates, at every degree k <= d.
+    # Over Q `syzygy_basis` reads the certificate's lift, or lifts where it
+    # kept none.  It must be the canonical basis that Bareiss eliminates,
+    # each vector scaled to coprime integers with a positive leading entry
+    # (`integer_kernel_basis`), at every degree k <= d.
     for path in sorted(shipped_corpus_dir().glob("*.curve")):
         f = parse_poly(load_case(path).expression)
         if f.degree > 6:
             continue
+        profile = rank_profile(f, QQ)
         for k in range(f.degree + 1):
-            basis = [tuple(c for part in syz for c in part.coeff_vector()) for syz in syzygy_basis(f, k, QQ)]
-            assert basis == kernel_basis(jacobian_matrix(f, k, QQ)), (path.name, k)
+            syzygies = syzygy_basis(profile, k, QQ)
+            assert all(type(c) is int for syz in syzygies for part in syz for c in part.terms.values()), (path.name, k)
+            basis = [[c for part in syz for c in part.coeff_vector()] for syz in syzygies]
+            assert basis == integer_kernel_basis(jacobian_matrix(profile.f, k, QQ)).row_lists(), (path.name, k)
+
+
+def test_from_vector_refuses_a_vector_of_the_wrong_length():
+    # a degree-1 triple has 3 * dim S_1 = 9 coefficients: a longer vector
+    # must not lose its extra entries silently, nor a shorter one be padded
+    for field in (QQ, GF(7)):
+        assert Syzygy.from_vector(1, [0, 3, 0, 4, 0, 0, 0, 0, 0], field).degree == 1
+        for vec in ([0, 3, 0, 4, 0, 0, 0, 0, 0, 99, 5], [0, 3, 0, 4, 0, 0, 0, 0]):
+            with pytest.raises(ValueError, match="9 coefficients"):
+                Syzygy.from_vector(1, vec, field)
+    profile = rank_profile(CUSP, GF(7))
+    with pytest.raises(ValueError, match="9 coefficients"):
+        profile.syzygy(1, [0, 1, 0, 0, 0, 5, 0, 0, 0, 0], GF(7))
+
+
+def test_rational_syzygy_basis_lifts_only_where_the_certificate_kept_none(monkeypatch):
+    # Over Q `RankProfile.kernel` reads the certificate's lift at a degree
+    # it holds, and lifts once elsewhere, without storing it: `lifts` keeps
+    # meaning what the certificate lifted.  y*z^3-1/7*x^4 (r = 1) has its
+    # bounds met at degree 3, where the Koszul relations and the multiples
+    # of rho1 span AR(f)_3.
+    def counted(grad, k, prime):
+        lifted.append(k)
+        return lift(grad, k, prime)
+
+    lift, lifted = syzygy._lifted_kernel, []
+    monkeypatch.setattr(syzygy, "_lifted_kernel", counted)
+    profile = rank_profile(parse_poly("y*z^3-1/7*x^4"), QQ)
+    certificate = sorted(profile.lifts)
+    assert 1 in certificate and 3 not in certificate
+    for k in certificate:
+        lifted.clear()
+        assert profile.kernel(k, QQ) is profile.lifts[k]
+        basis = syzygy_basis(profile, k, QQ)
+        assert len(basis) == len(profile.lifts[k]) and lifted == [], k
+    lifted.clear()
+    basis = syzygy_basis(profile, 3, QQ)
+    assert lifted == [3] and sorted(profile.lifts) == certificate
+    assert len(basis) == profile.ar(3)
 
 
 def test_cusp_minimal_syzygy_is_normalized():
-    (syz,) = syzygy_basis(CUSP, 1)
+    (syz,) = syzygy_basis(rank_profile(CUSP), 1)
     # canonical representative of (0, y, -2z) with leading coefficient 1
     assert syz.a.is_zero()
     assert syz.b.terms == {(0, 1, 0): 1}
