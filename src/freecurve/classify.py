@@ -16,10 +16,12 @@ lie outside the multiples S * rho1.  The profile decides where the
 kernels come from, in one code path for every field (`RankProfile.kernel`
 and `RankProfile.syzygy`): over Q the primitive integer vectors the
 certificate lifted, lifted on demand where its bounds met, over a prime
-the canonical ones mod p.  The checks read the profile's one gradient
-(`RankProfile.grad`).  Every number the criteria read comes from the
-curve's invariant bundle; only the structural checks build syzygies, once
-per verdict over the bundle's field plan.
+the canonical ones mod p.  The checks read the profile's one integer
+gradient (`RankProfile.grad`); only Saito's pairing maps it to a prime
+field, where its product check needs one field.  Every number the
+criteria read comes from the curve's invariant bundle; only the
+structural checks build syzygies, once per verdict over the bundle's
+field plan.
 """
 
 from __future__ import annotations
@@ -124,7 +126,10 @@ def cross_product(rho, rho2) -> tuple[HomogPoly, HomogPoly, HomogPoly]:
 
 def pairing(rho, rho2, grad: Gradient) -> HomogPoly:
     """The unique h with rho x rho2 = h * grad, for `grad` the gradient of
-    the curve over the triples' field or a nonzero multiple of it.
+    the curve or a nonzero multiple of it, over the triples' field or, over
+    a prime, over Q with integer coefficients, such as `RankProfile.grad`;
+    it is mapped to the triples' field here, as the product h * grad is
+    checked in one field.
 
     h exists for any two genuine relations of a reduced curve; an
     inconsistent solve therefore signals corrupted inputs and aborts.
@@ -132,6 +137,7 @@ def pairing(rho, rho2, grad: Gradient) -> HomogPoly:
     against a minimal relation rho1, h vanishes on the multiples of rho1.
     """
     field = rho[0].field
+    grad = Gradient(*(g.map_field(field) for g in grad))
     cross = cross_product(rho, rho2)
     q = cross[0].degree - grad[0].degree
     if q < 0:
@@ -224,7 +230,7 @@ def _structure_ok(p: RankProfile, r: int, verdict: str, field: Field) -> bool:
     """Structural check of a Free or NearlyFree verdict over one field."""
     try:
         if verdict == FREE:
-            return saito_verify(p.gradient(field), *free_pair(p, r, field))
+            return saito_verify(p.grad, *free_pair(p, r, field))
         nearly_free_generators(p, r, field)
         return True
     except InternalInconsistencyError:

@@ -2,9 +2,9 @@
 
 Rational scalars are `fractions.Fraction` (kept in lowest terms with a
 positive denominator by the Fraction type itself); prime-field scalars are
-plain ints reduced into [0, p).  Field objects are stateless flyweights
-carrying the arithmetic, so matrix and polynomial code stays agnostic of
-the concrete scalar type.
+plain ints reduced into [0, p).  Field objects are stateless, carry the
+arithmetic, and compare by their characteristic, so matrix and
+polynomial code stays agnostic of the concrete scalar type.
 
 The module also provides `FieldPlan`, the field-selection strategy used by
 the analysis pipeline: compute every classification-feeding quantity over
@@ -69,15 +69,16 @@ def random_prime(rng: random.Random, lo: int = _PRIME_LO, hi: int = _PRIME_HI) -
 
 
 @lru_cache(maxsize=64)
-def _prime_pair(seed: int) -> tuple[int, int]:
-    """The two distinct primes of a seed's plan, drawn and tested once per
-    seed; a batch makes one plan per curve from one seed."""
+def _prime_pair(seed: int) -> tuple["PrimeField", "PrimeField"]:
+    """The fields of the two distinct primes of a seed's plan, drawn,
+    tested and made once per seed; a batch makes one plan per curve from
+    one seed."""
     rng = random.Random(seed)
     p1 = random_prime(rng)
     p2 = random_prime(rng)
     while p2 == p1:
         p2 = random_prime(rng)
-    return p1, p2
+    return GF(p1), GF(p2)
 
 
 class RationalField:
@@ -119,25 +120,26 @@ class PrimeField:
     """F_p for any odd prime p.  Elements are ints in [0, p).
 
     The field plans draw p from (2^31, 3 * 10^9), where p^2 < 2^63.
+    Fields of one p are equal.  Each construction tests p for primality,
+    so the pipeline makes its fields once, where it chooses their primes
+    (`_prime_pair`, `syzygy.CERT_FIELD`).
     """
 
     __slots__ = ("p", "name", "zero", "one")
 
-    _cache: dict[int, "PrimeField"] = {}
-
-    def __new__(cls, p: int):
-        cached = cls._cache.get(p)
-        if cached is not None:
-            return cached
+    def __init__(self, p: int):
         if p % 2 == 0 or not is_probable_prime(p):
             raise ValueError(f"{p} is not an odd prime")
-        self = object.__new__(cls)
         self.p = p
         self.name = f"GF({p})"
         self.zero = 0
         self.one = 1
-        cls._cache[p] = self
-        return self
+
+    def __eq__(self, other):
+        return isinstance(other, PrimeField) and other.p == self.p
+
+    def __hash__(self):
+        return hash(self.p)
 
     @property
     def char(self) -> int:
@@ -217,7 +219,7 @@ class FieldPlan:
 
     @classmethod
     def primes(cls, seed: int = 0, fallback: bool = True) -> "FieldPlan":
-        return cls("auto" if fallback else "pp", tuple(map(GF, _prime_pair(seed))), seed)
+        return cls("auto" if fallback else "pp", _prime_pair(seed), seed)
 
     @classmethod
     def from_mode(cls, mode: str, seed: int = 0) -> "FieldPlan":

@@ -296,25 +296,21 @@ def _integer_rref(M: ExactMatrix) -> tuple[list[list[int]], int, list[int], list
     return x, D, pivots, free
 
 
-def _rref(M: ExactMatrix) -> tuple[list[list], list[int]]:
-    """Unique RREF of M (nonzero rows only) plus pivot columns.  Over Q it
-    is read from `_integer_rref`, and a `Fraction` is made only at the
-    non-pivot columns."""
+def _rref(M: ExactMatrix) -> tuple[np.ndarray, list[int]]:
+    """Unique RREF of M (nonzero rows only, as an array of field elements
+    in M's dtype) plus pivot columns.  Over Q it is read from
+    `_integer_rref`, and a `Fraction` is made only at the non-pivot
+    columns."""
     if M.rows == 0 or M.cols == 0:
-        return [], []
+        return M._data[:0], []
     if M.field.char:
         rr, pivots = _mod_p_echelon(M._data, M.field.char)
-        return rr[: len(pivots)].tolist(), pivots
+        return rr[: len(pivots)], pivots
     x, D, pivots, free = _integer_rref(M)
-    zero, one = M.field.zero, M.field.one
-    rows = []
-    for pc, xi in zip(pivots, x):
-        row = [zero] * M.cols
-        row[pc] = one
-        for f, v in zip(free, xi):
-            if v:
-                row[f] = Fraction(v, D)
-        rows.append(row)
+    r = len(pivots)
+    rows = np.full((r, M.cols), M.field.zero, dtype=object)
+    rows[np.arange(r), pivots] = M.field.one
+    rows[:, free] = np.array(x, dtype=object).reshape(r, len(free)) * Fraction(1, D)
     return rows, pivots
 
 
@@ -351,25 +347,20 @@ def kernel_basis(M: ExactMatrix) -> list[tuple]:
     its pivot, which in M's order means after c, so that entry vanishes
     unless c > f.  Each vector thus leads with its 1 at f, and by ascending
     f the vectors already are the reduced echelon basis: one elimination.
+    Stacked, they are one array: the identity at the free columns and the
+    negated columns of R at the pivots, taken mod p over a prime.
     """
-    field = M.field
-    n = M.cols
-    if n == 0:
-        return []
+    field, n = M.field, M.cols
     rr, rev_pivots = _rref(ExactMatrix(field, M.rows, n, M._data[:, ::-1]))
-    last = n - 1
-    pivots = [last - c for c in rev_pivots]
-    pivset = set(pivots)
-    vecs = []
-    for fcol in range(n):
-        if fcol in pivset:
-            continue
-        v = [field.zero] * n
-        v[fcol] = field.one
-        for row, pc in zip(rr, pivots):
-            v[pc] = field.neg(row[last - fcol])
-        vecs.append(tuple(v))
-    return vecs
+    pivots = n - 1 - np.array(rev_pivots, dtype=np.int64)
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    K = np.full((len(free), n), field.zero, dtype=_dtype(field))
+    K[np.arange(len(free)), free] = field.one
+    neg = -rr[:, n - 1 - free].T
+    K[:, pivots] = neg % field.char if field.char else neg
+    return [tuple(v) for v in K.tolist()]
 
 
 def integer_kernel_basis(M: ExactMatrix) -> ExactMatrix:
@@ -413,6 +404,6 @@ def solve_exact(M: ExactMatrix, b: Sequence):
     if pivots and pivots[-1] == M.cols:
         return None
     x = [field.zero] * M.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = rr[i][M.cols]
+    for pc, v in zip(pivots, rr[:, M.cols].tolist()):
+        x[pc] = v
     return tuple(x)

@@ -111,7 +111,7 @@ class HomogPoly:
     # -- arithmetic ----------------------------------------------------
 
     def _require_same(self, other: "HomogPoly"):
-        if self.field is not other.field:
+        if self.field != other.field:
             raise ValueError("mixed coefficient fields")
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
@@ -142,7 +142,7 @@ class HomogPoly:
         return HomogPoly(f, self.degree, {m: f.mul(scalar, c) for m, c in self.terms.items()})
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
-        if self.field is not other.field:
+        if self.field != other.field:
             raise ValueError("mixed coefficient fields")
         f = self.field
         out: dict[Monomial, object] = {}
@@ -180,7 +180,7 @@ class HomogPoly:
 
     def map_field(self, field: Field) -> "HomogPoly":
         """Reinterpret rational coefficients in another exact field."""
-        if field is self.field:
+        if field == self.field:
             return self
         if not isinstance(self.field, RationalField):
             raise ValueError("can only convert from rational coefficients")
@@ -191,7 +191,7 @@ class HomogPoly:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, HomogPoly)
-            and self.field is other.field
+            and self.field == other.field
             and self.degree == other.degree
             and self.terms == other.terms
         )

@@ -22,6 +22,10 @@ persistence condition, reaches 0, or is flat where J_f fills a fixed line
 h = 0 (`_persistent`).  Every
 multiplication matrix comes from one builder (`multiples`);
 `jacobian_matrix` builds one J_k of any curve, for the kernels mod p.
+The sweeps, the kernels mod p and the checks of their syzygies read the
+curve's one integer gradient (`RankProfile.grad`) and integer relations:
+residues mod p exist only inside arrays, each reduced once
+(`_field_entries`), and in the sums of the exact checks.
 `jacobian_ranks` ranks J_0..J_k of any curve from one elimination of J_k
 in x-graded column order: the independent reference, and, in one pass
 per curve, the saturation oracle's dim (J_f)_j.  `rank_jacobian` reads
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -42,7 +46,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InputError, InternalInconsistencyError
-from .fields import GF, Field, FieldPlan, QQ, is_probable_prime
+from .fields import GF, Field, FieldPlan, PrimeField, QQ, is_probable_prime
 from .linalg import ExactMatrix, _dtype, _mod_p_echelon, _mod_p_matmul, kernel_basis, pivot_columns, rank
 from .poly import Gradient, HomogPoly, dim_S, monomial_basis, monomial_position, partials
 
@@ -80,8 +84,10 @@ MAX_CURVE_DEGREE = next(d for d in count(1) if dim_S(3 * d + 1) * 3 * dim_S(2 * 
 # midway.
 RETIRE_MIN_ROWS = 2**6
 
-# The prime of the certified rational profile: the first prime above 2^31.
+# The prime of the certified rational profile: the first prime above 2^31,
+# and its field, made (and its primality tested) once.
 CERT_PRIME = 2_147_483_659
+CERT_FIELD = GF(CERT_PRIME)
 
 # Bases of ker_Q J_k by degree k, as `_lifted_kernel` returns them.
 Lifts = dict[int, list[list[int]]]
@@ -100,22 +106,21 @@ class Syzygy(NamedTuple):
 
     @classmethod
     def from_vector(cls, k: int, vec: Sequence, field: Field) -> "Syzygy":
-        """The degree-k triple with coefficient blocks a, b, c in `vec`, as
-        given but reduced mod p over a prime; unverified.  `vec` must hold
-        3 dim S_k entries (ValueError otherwise)."""
-        n, p = dim_S(k), field.char
+        """The degree-k triple with coefficient blocks a, b, c in `vec`,
+        elements of `field` as given; unverified.  `vec` must hold 3 dim S_k
+        entries (ValueError otherwise)."""
+        n = dim_S(k)
         if len(vec) != 3 * n:
             raise ValueError(f"a degree-{k} triple has {3 * n} coefficients, not {len(vec)}")
-        if p:
-            vec = [c % p for c in vec]
         return cls(*(HomogPoly.from_vector(field, k, vec[i * n : (i + 1) * n]) for i in range(3)))
 
     def holds_for(self, grad: Gradient) -> bool:
         """Whether a*f_x + b*f_y + c*f_z = 0, summed exactly: over Q as
         given, over a prime in Python integers reduced mod p once.
 
-        `grad` is the gradient of the curve over the triple's field, or any
-        nonzero multiple of it.  The zero triple holds.
+        `grad` is the gradient of the curve, or any nonzero multiple of it,
+        over the triple's field or, over a prime, over Q with integer
+        coefficients, such as `RankProfile.grad`.  The zero triple holds.
         """
         return _relation_vanishes([u.terms.items() for u in self], [g.terms.items() for g in grad], self.a.field.char)
 
@@ -220,7 +225,8 @@ def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient |
 
     The transpose of the `multiples` of (f_x,), (f_y,), (f_z,) at degree
     k+d-1, the gradient of f over `field` (or `grad`, a nonzero multiple
-    of it): columns come in three blocks
+    of it, over `field` or over Q with integer coefficients, which the
+    array reduces mod p): columns come in three blocks
     (a, b, c), each in canonical monomial order; rows are the
     degree-(k+d-1) monomials in canonical order.  Over Q its entries are
     Python ints when f has integer coefficients, `Fraction`s otherwise.
@@ -275,12 +281,13 @@ class RankProfile:
 
     `f` is the curve's primitive integer form: coprime Python-int
     coefficients, which reduce mod every prime.  `grad` is its gradient,
-    made once, which every later step reads (`gradient` reduces it mod p).
-    `plan` is the field plan the ranks were agreed over; the structural
-    checks of a verdict run on `f` over the same plan.  `table_max` is the
-    top degree of the reported tables.  `lifts` holds the kernels the
-    certificate lifted over Q; over a prime it is empty.  `reduced` holds
-    `grad` mod each prime read so far: in an analysis, the plan's.
+    made once, in integers, which every later step reads in every field:
+    the arrays built from it are reduced mod p, and the exact checks sum in
+    integers and reduce once.  `plan` is the field plan the ranks were
+    agreed over; the structural checks of a verdict run on `f` over the
+    same plan.  `table_max` is the top degree of the reported tables.
+    `lifts` holds the kernels the certificate lifted over Q; over a prime
+    it is empty.
     """
 
     f: HomogPoly
@@ -289,15 +296,10 @@ class RankProfile:
     table_max: int
     ranks: tuple[int, ...]
     lifts: Lifts
-    reduced: dict[Field, Gradient] = dc_field(default_factory=dict, repr=False, compare=False)
 
     @property
     def d(self) -> int:
         return self.f.degree
-
-    def gradient(self, field: Field) -> Gradient:
-        """`grad` over `field`, reduced mod p once per profile."""
-        return _gradient_mod(self.grad, field, self.reduced)
 
     def kernel(self, k: int, field: Field) -> list[Sequence[int]]:
         """A basis of ker J_k over `field`: over Q the certificate's lift at
@@ -306,15 +308,15 @@ class RankProfile:
         if k < 0:
             raise ValueError("source degree must be non-negative")
         if not field.char:
-            return self.lifts[k] if k in self.lifts else _lifted_kernel(self.grad, k, CERT_PRIME)
-        return kernel_basis(jacobian_matrix(self.f, k, field, grad=self.gradient(field)))
+            return self.lifts[k] if k in self.lifts else _lifted_kernel(self.grad, k, CERT_FIELD)
+        return kernel_basis(jacobian_matrix(self.f, k, field, grad=self.grad))
 
     def syzygy(self, k: int, vec: Sequence, field: Field) -> Syzygy:
         """The triple of a vector of `kernel(k, field)`, verified exactly
         over a prime (InternalInconsistencyError if it fails); over Q
         `_lifted_kernel` verified it."""
         syz = Syzygy.from_vector(k, vec, field)
-        if field.char and not syz.holds_for(self.gradient(field)):
+        if field.char and not syz.holds_for(self.grad):
             raise InternalInconsistencyError(f"vector at degree {k} fails the defining relation")
         return syz
 
@@ -330,15 +332,6 @@ class RankProfile:
     def m(self, k: int) -> int:
         """dim (S/J_f)_k, zero in negative degrees."""
         return dim_S(k) - self.rank(k - self.d + 1)
-
-
-def _gradient_mod(grad: Gradient, field: Field, reduced: dict[Field, Gradient]) -> Gradient:
-    """`grad` over `field`: over a prime its reduction kept in `reduced`."""
-    if not field.char:
-        return grad
-    if field not in reduced:
-        reduced[field] = Gradient(*(g.map_field(field) for g in grad))
-    return reduced[field]
 
 
 def syzygy_basis(p: RankProfile, k: int, field: Field = QQ) -> list[Syzygy]:
@@ -410,15 +403,12 @@ def rank_profile(f: HomogPoly, field: Field | FieldPlan = QQ, table_max: int | N
     grad = partials(f)
     plan = field if isinstance(field, FieldPlan) else FieldPlan.over(field)
     lifts: Lifts = {}
-    reduced: dict[Field, Gradient] = {}  # the sweep's reductions, which the checks read
     ranks = plan.agree(
-        lambda F: _persistent(
-            grad, F, top, _proved_ranks(grad, lifts=lifts) if F.char == 0 else _swept_ranks(_gradient_mod(grad, F, reduced), F)
-        ),
+        lambda F: _persistent(grad, F, top, _proved_ranks(grad, lifts=lifts) if F.char == 0 else _swept_ranks(grad, F)),
         # H(top+d-1) = 0: the curve is smooth, and one prime proves its ranks
         lambda ranks: ranks[top] == dim_S(top + f.degree - 1),
     )
-    return RankProfile(f, grad, plan, K, ranks, lifts, reduced)
+    return RankProfile(f, grad, plan, K, ranks, lifts)
 
 
 def primitive_form(f: HomogPoly) -> HomogPoly:
@@ -453,11 +443,11 @@ def profile_degrees(d: int, table_max: int | None = None) -> tuple[int, int]:
 def _swept_ranks(grad: Gradient, field: Field) -> Iterator[int]:
     """rank J_0, J_1, ... over a prime field, one step each of a sweep up
     the degrees D = d-1, d, ... of the Jacobian ideal J_f (`_ModuleSweep`):
-    rank J_k is dim (J_f)_(k+d-1), and `grad` mod p generates J_f in
-    degree d-1 (`grad` may already be over `field`).  The pipeline ranks
-    Jacobians mod p only here."""
+    rank J_k is dim (J_f)_(k+d-1), and the integer gradient `grad`, which
+    the sweep reduces mod p, generates J_f in degree d-1.  The pipeline
+    ranks Jacobians mod p only here."""
     J = _ModuleSweep(field, 1, grad[0].degree - 1, retire=True)
-    yield J.step([(part.map_field(field),) for part in grad])
+    yield J.step([(part,) for part in grad])
     while True:
         yield J.step([])
 
@@ -510,7 +500,7 @@ def _persistent(grad: Gradient, field: Field, top: int, ranks: Iterator[int]) ->
     and never fill, and only the other conditions stop the sweep.
     A rank read above Macaulay's bound raises InternalInconsistencyError.
     """
-    d, P = grad[0].degree + 1, field if field.char else GF(CERT_PRIME)
+    d, P = grad[0].degree + 1, field if field.char else CERT_FIELD
     out: list[int] = []
     forms = None
     # once the rest of H is fixed: H(D+1) from H(D) and D
@@ -656,21 +646,23 @@ class _ModuleSweep:
 
     def step(self, gens: Sequence[Sequence[HomogPoly]]) -> int:
         """Move to degree D+1, where the multiples of the tuples `gens` (of
-        degree at most D+1) join M; return dim M_(D+1)."""
+        degree at most D+1, over the sweep's field or over Q with integer
+        coefficients) join M; return dim M_(D+1)."""
         p, t, piv, non, N = self.field.char, self.t, self.piv, self.non, self.N
         m1 = dim_S(self.D + 1)
         C = np.concatenate([non, np.arange(t * dim_S(self.D), t * m1)])
         nn = len(non)
         w_piv, w_N = piv[len(piv) - self.w :], N[len(piv) - self.w :]
         # the joining rows at full width: y*W_D, z*W_D, then G, which
-        # `_multiples_array` lays out one block after the other
+        # `_multiples_array` lays out one block after the other, reduced
+        # mod p into the dtype of N
         rows = np.zeros((2 * self.w, t * m1), dtype=N.dtype)
         for s, shift in enumerate(_shift_maps(self.D, t)):
             block = rows[s * self.w : (s + 1) * self.w]
             block[np.arange(self.w), shift[w_piv]] = 1
             block[:, shift[non]] = w_N
         if gens:
-            G = _multiples_array(gens, self.D + 1)
+            G = _field_entries(_multiples_array(gens, self.D + 1), self.field)
             rows = np.vstack([rows, G[:, (np.arange(m1)[:, None] + m1 * np.arange(t)).ravel()]])
         # the x rows read N on the first nn columns of C and 0 on the rest;
         # only the pivots some row touches, and the rows that touch one,
@@ -752,39 +744,40 @@ def _column_cells(D: int, t: int) -> np.ndarray:
     return cells
 
 
-def _proved_ranks(grad: Gradient, prime: int = CERT_PRIME, *, lifts: Lifts | None = None) -> Iterator[int]:
+def _proved_ranks(grad: Gradient, P: PrimeField = CERT_FIELD, *, lifts: Lifts | None = None) -> Iterator[int]:
     """rank_Q J_0, J_1, ... of the curve with integer gradient `grad`,
-    proved from `prime` as `rank_profile` says; each basis of ker_Q J_k
-    lifted is stored in `lifts` under k and joins V at k+1, reduced mod
-    `prime`.  V is 0 below the degree its first generators join at, and
+    proved from the prime field `P` as `rank_profile` says; each basis of
+    ker_Q J_k lifted is stored in `lifts` under k and joins V at k+1.  The
+    sweeps take V's generators, like the gradient, in integers and reduce
+    them mod p.  V is 0 below the degree its first generators join at, and
     its sweep starts there."""
-    P = GF(prime)
-    fx, fy, fz = mod_p = Gradient(*(g.map_field(P) for g in grad))
+    fx, fy, fz = grad
     e = fx.degree
-    zero = HomogPoly.zero(P, e)
+    zero = HomogPoly.zero(QQ, e)
     # V's generators by the degree they join at: the Koszul relations at
     # d-1, the kernel vectors over Q found at k at k+1
     joining = {e: [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]}
     V = None
-    for k, r in enumerate(_swept_ranks(mod_p, P)):
+    for k, r in enumerate(_swept_ranks(grad, P)):
         n = 3 * dim_S(k)
         gens = joining.pop(k, [])
         if V is None and gens:
             V = _ModuleSweep(P, 3, k - 1)
         if (V.step(gens) if V is not None else 0) != n - r:
-            vectors = _lifted_kernel(grad, k, prime)
+            vectors = _lifted_kernel(grad, k, P)
             if lifts is not None:
                 lifts[k] = vectors
             r = n - len(vectors)
-            joining.setdefault(k + 1, []).extend(Syzygy.from_vector(k, v, P) for v in vectors)
+            joining.setdefault(k + 1, []).extend(Syzygy.from_vector(k, v, QQ) for v in vectors)
         yield r
 
 
-def _lifted_kernel(grad: Gradient, k: int, prime: int) -> list[list[int]]:
+def _lifted_kernel(grad: Gradient, k: int, P: PrimeField) -> list[list[int]]:
     """ker_Q J_k of the curve with integer gradient `grad` as primitive
-    integer vectors, lifted from its images mod `prime` and the primes
-    above it.  J_k is built once as an integer array (`_multiples_array`
-    of the gradient, transposed) and reduced mod each prime.
+    integer vectors, lifted from its images over the prime field `P` and
+    the prime fields above it.  J_k is built once as an integer array
+    (`_multiples_array` of the gradient, transposed) and reduced mod each
+    prime.
 
     The image mod p is the reduced echelon basis of ker_p J_k
     (`kernel_basis`): 1 at its free columns, 0 at the others.  Ranks only
@@ -814,8 +807,8 @@ def _lifted_kernel(grad: Gradient, k: int, prime: int) -> list[list[int]]:
     basis, terms = monomial_basis(k), [g.terms.items() for g in grad]
     J = _multiples_array([(g,) for g in grad], k + grad[0].degree).T
     best = None
-    for p in _primes_from(prime):
-        P = GF(p)
+    for P in _fields_from(P):
+        p = P.char
         image = kernel_basis(ExactMatrix(P, *J.shape, _field_entries(J, P)))
         free = tuple(v.index(1) for v in image)
         pattern = (len(free), free)
@@ -875,13 +868,15 @@ def _reconstructed(R: np.ndarray, m: int) -> tuple[np.ndarray, int] | None:
             return None
 
 
-def _primes_from(p: int) -> Iterator[int]:
-    """The odd prime p and the primes above it, in order."""
+def _fields_from(P: PrimeField) -> Iterator[PrimeField]:
+    """The prime field P and the prime fields above it, in order."""
+    p = P.char
     while True:
-        yield p
+        yield P
         p += 2
         while not is_probable_prime(p):
             p += 2
+        P = GF(p)
 
 
 def mdr(p: RankProfile) -> int:

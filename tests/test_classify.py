@@ -320,9 +320,9 @@ def test_qq_analysis_reads_the_certificate_lifts_and_builds_no_bareiss_kernel(mo
 
         return wrapper
 
-    def counted(grad, k, prime):
+    def counted(grad, k, P):
         lifted.append(k)
-        return lift(grad, k, prime)
+        return lift(grad, k, P)
 
     modules = [m for name, m in sys.modules.items() if name.startswith("freecurve.")]
     for module in modules:
@@ -359,9 +359,9 @@ def test_one_gradient_per_analysis(monkeypatch):
         differentiated.append((str(self), axis))
         return partial(self, axis)
 
-    def recorded(grad, k, prime):
+    def recorded(grad, k, P):
         lifted.append(k)
-        return lift(grad, k, prime)
+        return lift(grad, k, P)
 
     monkeypatch.setattr(HomogPoly, "partial", counted)
     lift, lifted = syzygy._lifted_kernel, []
@@ -382,28 +382,45 @@ def test_one_gradient_per_analysis(monkeypatch):
             assert lifted == (certificate + on_demand if mode == "qq" else []), (expr, mode)
 
 
-def test_an_auto_analysis_reduces_the_gradient_once_per_prime(monkeypatch):
-    # The sweep over each prime and the structural checks read one
-    # reduction of the profile's gradient (`RankProfile.gradient`).  The
-    # triangle reads Free (Saito, which reads the gradient twice) and the
-    # cusp NearlyFree; each partial is reduced once per prime of the plan.
-    reductions, map_field = [], HomogPoly.map_field
+def test_only_saitos_pairing_maps_the_gradient_to_a_prime(monkeypatch):
+    # Each array over a prime is reduced once, inside it: the sweeps, the
+    # kernels mod p and the checks of their syzygies read the profile's
+    # integer gradient, and `rank_profile` maps no polynomial to a prime
+    # field in any mode.  In an analysis only Saito's pairing maps the
+    # gradient, as its product check h * grad needs one field: the
+    # triangle reads Free and maps each partial once per prime of the
+    # plan; the cusp reads NearlyFree and maps none.
+    maps, inside = [], []
+    classify_module = sys.modules[classify.__module__]
+    map_field = HomogPoly.map_field
 
     def counted(self, field):
-        if field is not self.field:
-            reductions.append((str(self), field.char))
+        if field.char:
+            maps.append((str(self), field.char, bool(inside)))
         return map_field(self, field)
 
+    def in_pairing(*args):
+        inside.append(True)
+        try:
+            return pairing(*args)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(HomogPoly, "map_field", counted)
-    for expr, verdict in (("x*y*z", "Free"), ("x^3-y^2*z", "NearlyFree")):
-        f = parse_poly(expr)
+    monkeypatch.setattr(classify_module, "pairing", in_pairing)
+    for mode in ("auto", "pp", "qq"):
+        for f in (TRIANGLE, CUSP):
+            maps.clear()
+            rank_profile(f, FieldPlan.from_mode(mode, 0))
+            assert maps == [], (mode, str(f))
+    for f, verdict in ((TRIANGLE, "Free"), (CUSP, "NearlyFree")):
         grad = partials(syzygy.primitive_form(f))
         plan = FieldPlan.from_mode("auto", 0)
-        reductions.clear()
+        maps.clear()
         report = analyze(f, plan)
-        assert report["classification"]["verdict"] == verdict and report["classification"]["verified"] is True, expr
-        primes = [F.char for F in plan.fields]
-        assert sorted(reductions) == sorted((str(g), p) for p in primes for g in grad), expr
+        assert report["classification"]["verdict"] == verdict and report["classification"]["verified"] is True, str(f)
+        pairings = plan.fields if verdict == "Free" else ()
+        assert sorted(maps) == sorted((str(g), F.char, True) for F in pairings for g in grad), str(f)
 
 
 def _curves_over_q_with_generators():

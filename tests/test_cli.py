@@ -327,3 +327,25 @@ def test_seed_changes_primes_but_not_results():
     assert ra["field"]["primes"] != rb["field"]["primes"]
     for key in ("tau", "mdr", "ct", "st", "tables", "classification"):
         assert ra[key] == rb[key]
+
+
+def test_a_run_leaves_numpy_ma_unimported():
+    # numpy.ma adds about 1 MB of resident memory to a run, which the
+    # benchmark's peak_rss_mb reads; np.unique and np.setdiff1d import it,
+    # a boolean mask read by np.flatnonzero does not
+    script = "\n".join(
+        [
+            "import sys",
+            "import freecurve",
+            "from freecurve.corpus import run_corpus",
+            "from freecurve.data import shipped_corpus_dir",
+            "for mode in ('auto', 'pp', 'qq'):",
+            "    for expr in ('x*y*z', 'x^3-y^2*z', 'x*y*z*(x+y+z)*(x+2*y+3*z)'):",
+            "        freecurve.analyze(freecurve.parse_poly(expr), freecurve.FieldPlan.from_mode(mode, 0))",
+            "assert all(case.passed for case in run_corpus(shipped_corpus_dir()))",
+            "print('numpy.ma' in sys.modules)",
+        ]
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

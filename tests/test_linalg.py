@@ -5,7 +5,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freecurve.corpus import load_case
 from freecurve.data import shipped_corpus_dir
@@ -256,7 +256,8 @@ def assert_q_elimination_matches_fraction_rref(rows, b):
     assert _bareiss_echelon([list(r) for r in ints]) == dense_bareiss_echelon(ints)
     ref_rows, ref_pivots = fraction_rref(rows)
     assert pivot_columns(M) == ref_pivots
-    assert _rref(M) == (ref_rows, ref_pivots)
+    rows_q, pivots_q = _rref(M)
+    assert (rows_q.tolist(), pivots_q) == (ref_rows, ref_pivots)
     # the kernel vector of each free column, made canonical by one more RREF
     free = [f for f in range(n) if f not in ref_pivots]
     spanning = []
@@ -269,7 +270,8 @@ def assert_q_elimination_matches_fraction_rref(rows, b):
     assert kernel_basis(M) == [tuple(v) for v in fraction_rref(spanning)[0]]
     # an integral matrix, the same rows held as Python ints, reads the same
     integral = ExactMatrix(QQ, M.rows, n, np.array(ints, dtype=object).reshape(M.rows, n))
-    assert pivot_columns(integral) == ref_pivots and _rref(integral) == (ref_rows, ref_pivots)
+    rows_q, pivots_q = _rref(integral)
+    assert pivot_columns(integral) == ref_pivots and (rows_q.tolist(), pivots_q) == (ref_rows, ref_pivots)
     # the canonical kernel vectors as primitive integer rows, leading entry > 0
     primitive = integer_kernel_basis(M)
     assert primitive.field is QQ and (primitive.rows, primitive.cols) == (n - len(ref_pivots), n)
@@ -416,27 +418,6 @@ def test_kernel_and_solve_over_random_63bit_prime():
     assert solve_exact(ExactMatrix.from_rows(field, [[1, 1], [2, 2]]), [1, 3]) is None
 
 
-@settings(max_examples=90, deadline=None)
-@given(field_matrices())
-def test_kernel_basis_is_the_reduced_echelon_kernel_in_every_field(case):
-    field, rows = case
-    M = ExactMatrix.from_rows(field, rows)
-    basis = kernel_basis(M)
-    assert len(basis) == M.cols - rank(M)
-    leads = []
-    for vec in basis:
-        assert len(vec) == M.cols
-        assert_field_elements(field, vec)
-        lead = next(j for j, v in enumerate(vec) if v)
-        assert vec[lead] == 1
-        leads.append(lead)
-        for row in rows:
-            assert residue(field, sum(a * v for a, v in zip(row, vec))) == 0
-    assert leads == sorted(set(leads))
-    for i, lead in enumerate(leads):
-        assert all(other[lead] == 0 for k, other in enumerate(basis) if k != i)
-
-
 def test_kernel_basis_matches_sympy_oracle_on_corpus_jacobians():
     # the Jacobian and its transpose (the saturation oracle's functionals)
     for path in sorted(shipped_corpus_dir().glob("*.curve")):
@@ -520,7 +501,41 @@ def _echelon_cases(rng: random.Random, p: int) -> list[np.ndarray]:
 
 # 3, 5 and 7 make many entries and pivots vanish; 2^61-1 is stored in
 # object arrays
-@pytest.mark.parametrize("p", [3, 5, 7, CERT_PRIME, 2**61 - 1])
+ECHELON_PRIMES = (3, 5, 7, CERT_PRIME, 2**61 - 1)
+
+
+def _with_echelon_cases(test):
+    """`test` with the matrices of the echelon reference test as explicit
+    examples, each over its prime."""
+    for p in ECHELON_PRIMES:
+        for a in _echelon_cases(random.Random(p), p):
+            test = example((GF(p), a.tolist()))(test)
+    return test
+
+
+@settings(max_examples=90, deadline=None)
+@_with_echelon_cases
+@given(field_matrices())
+def test_kernel_basis_is_the_reduced_echelon_kernel_in_every_field(case):
+    field, rows = case
+    M = ExactMatrix.from_rows(field, rows)
+    basis = kernel_basis(M)
+    assert len(basis) == M.cols - rank(M)
+    leads = []
+    for vec in basis:
+        assert len(vec) == M.cols
+        assert_field_elements(field, vec)
+        lead = next(j for j, v in enumerate(vec) if v)
+        assert vec[lead] == 1
+        leads.append(lead)
+        for row in rows:
+            assert residue(field, sum(a * v for a, v in zip(row, vec))) == 0
+    assert leads == sorted(set(leads))
+    for i, lead in enumerate(leads):
+        assert all(other[lead] == 0 for k, other in enumerate(basis) if k != i)
+
+
+@pytest.mark.parametrize("p", ECHELON_PRIMES)
 @pytest.mark.parametrize("reduced", [False, True])
 def test_mod_p_echelon_matches_the_dense_per_column_reference(p, reduced):
     # the RREF against the reference's; pivoting is pinned, so the pivots

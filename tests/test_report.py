@@ -1,15 +1,17 @@
 """Per-curve reports: the field block, fallbacks, agreement counts and tables."""
 
+import gc
 import json
 
 import pytest
 
-from freecurve import invariants
+from freecurve import invariants, syzygy
 from freecurve.cli import main
 from freecurve.errors import InternalInconsistencyError
-from freecurve.fields import GF, QQ, FieldPlan
+from freecurve.fields import GF, QQ, FieldPlan, PrimeField, _prime_pair
 from freecurve.invariants import delta_dim, n_dim
 from freecurve.parser import parse_poly
+from freecurve.poly import monomial_basis
 from freecurve.report import analyze, render_json
 from freecurve.syzygy import rank_profile
 
@@ -46,6 +48,30 @@ def test_plans_of_one_seed_share_primes_but_not_fallbacks():
     analyze(parse_poly(UNLUCKY_AT_SEED_0), first)
     assert first.fallbacks == 1
     assert second.fallbacks == 0 and second.describe()["fallbacks"] == 0
+
+
+def test_module_state_is_bounded_over_a_long_batch():
+    # A batch makes one plan per curve from its seed.  Over seeds 0-299 in
+    # one process the module-level caches hold what the curves' degrees
+    # put there at the first seeds, and the seed-keyed prime pairs, the
+    # only prime fields kept past their plans, stay within their lru bound.
+    curves = [parse_poly(expr) for expr in ("x*y*z", "x^3-y^2*z", "x*y*z*(x+y+z)")]
+    by_degree = (monomial_basis, syzygy._shift_maps, syzygy._column_cells)
+
+    def live_fields():
+        gc.collect()
+        return sum(isinstance(obj, PrimeField) for obj in gc.get_objects())
+
+    before = live_fields()
+    for seed in range(300):
+        if seed == 10:
+            warm = [cache.cache_info().currsize for cache in by_degree]
+        for f in curves:
+            analyze(f, FieldPlan.from_mode("auto", seed))
+    assert [cache.cache_info().currsize for cache in by_degree] == warm
+    kept = _prime_pair.cache_info().maxsize
+    assert _prime_pair.cache_info().currsize <= kept < 300
+    assert live_fields() - before <= 2 * kept
 
 
 def test_unlucky_prime_without_fallback_aborts(capsys):

@@ -13,7 +13,7 @@ from freecurve.data import shipped_corpus_dir
 from freecurve.errors import InputError, InternalInconsistencyError
 from freecurve.fields import GF, QQ, FieldPlan
 from freecurve.invariants import n_dim_saturation_oracle
-from freecurve.linalg import ExactMatrix, _rref, integer_kernel_basis, kernel_basis, rank
+from freecurve.linalg import ExactMatrix, _dtype, _rref, integer_kernel_basis, kernel_basis, rank
 from freecurve.parser import parse_poly
 from freecurve.poly import HomogPoly, dim_S, dim_choose2, monomial_basis, monomial_position, partials
 from freecurve.syzygy import (
@@ -262,11 +262,12 @@ def test_holds_for_reduces_the_integer_sums_mod_p():
     assert good.holds_for(grad)
     assert not bad.holds_for(grad)
     assert Syzygy(zero, zero, zero).holds_for(grad)
-    # blocks a, b, c on the monomials x, y, z, the integers reduced mod p
+    # blocks a, b, c on the monomials x, y, z, field elements as given
     assert Syzygy.from_vector(1, [0, 3, 0, 4, 0, 0, 0, 0, 0], field) == good
-    assert Syzygy.from_vector(1, [0, 10, 0, -3, 0, 0, 0, 0, 0], field) == good
-    # the profile verifies what it lays out over a prime
+    # over a prime the integer gradient is accepted, summed and reduced once
     profile = rank_profile(f, field)
+    assert good.holds_for(profile.grad) and not bad.holds_for(profile.grad)
+    # the profile verifies what it lays out over a prime
     assert profile.syzygy(1, [0, 3, 0, 4, 0, 0, 0, 0, 0], field) == good
     with pytest.raises(InternalInconsistencyError, match="fails the defining relation"):
         profile.syzygy(1, [0, 3, 0, 5, 0, 0, 0, 0, 0], field)
@@ -311,9 +312,9 @@ def test_rational_syzygy_basis_lifts_only_where_the_certificate_kept_none(monkey
     # meaning what the certificate lifted.  y*z^3-1/7*x^4 (r = 1) has its
     # bounds met at degree 3, where the Koszul relations and the multiples
     # of rho1 span AR(f)_3.
-    def counted(grad, k, prime):
+    def counted(grad, k, P):
         lifted.append(k)
-        return lift(grad, k, prime)
+        return lift(grad, k, P)
 
     lift, lifted = syzygy._lifted_kernel, []
     monkeypatch.setattr(syzygy, "_lifted_kernel", counted)
@@ -681,7 +682,7 @@ def _assert_sweep_state_is_the_rref(sweep, gens, previous_piv):
     rows, pivots = ([], []) if dense.rows == 0 else _rref(dense.columns((np.arange(n)[:, None] + n * np.arange(t)).ravel()))
     live, gone = set(sweep.piv.tolist()), set(sweep.gone.tolist())
     assert sorted(live | gone) == pivots and not live & gone, D
-    assert B[order].tolist() == [row for row, q in zip(rows, pivots) if q in live], D
+    assert B[order].tolist() == [row.tolist() for row, q in zip(rows, pivots) if q in live], D
     # the last w rows are the ones with the pivots this step added, after
     # the earlier rows that stay live, in their order
     kept = [q for q in previous_piv.tolist() if q not in gone]
@@ -711,6 +712,40 @@ def test_module_sweep_state_is_the_reduced_echelon_basis(p):
         retired.append(len(sweep.gone) > 0)
     # of the retiring sweeps, only the sextic's reaches RETIRE_MIN_ROWS rows
     assert retired == [False, True, False, False, False]
+
+
+@pytest.mark.parametrize("p", [7, syzygy.CERT_PRIME, 2**61 - 1])
+def test_module_sweep_reduces_integer_tuples_once(p):
+    # The sweeps take integer tuples and reduce their joining rows mod p in
+    # one array.  Negative coefficients, and ones above 2^63 that no int64
+    # holds, leave the state that their reductions mod p leave, in the
+    # sweep's dtype: the gradient of a dense sextic plus 2^64 x^6, swept
+    # with retiring, and integer triples of degrees 1, 2 and 4 in S^3.
+    field = GF(p)
+    rng = random.Random(p)
+    f = _dense_curve(rng, 6) + HomogPoly(QQ, 6, {(6, 0, 0): 2**64})
+    big = HomogPoly(QQ, 2, {(0, 2, 0): -(2**63) - 5, (1, 1, 0): 2**63 + 1})
+
+    def triple(e):
+        return tuple(HomogPoly(QQ, e, {mono: rng.randint(-9, 9) for mono in monomial_basis(e)}) for _ in range(3))
+
+    triples = [triple(1), triple(2), triple(4)]
+    triples[1] = (triples[1][0] + big, triples[1][1], big)
+    retired = []
+    for t, D, ints, retire in ((1, 4, [(part,) for part in _gradient(f)], True), (3, -1, triples, False)):
+        assert any(c < 0 for g in ints for part in g for c in part.terms.values())
+        assert any(abs(c) >= 2**63 for g in ints for part in g for c in part.terms.values())
+        residues = [tuple(part.map_field(field) for part in g) for g in ints]
+        sweeps = [syzygy._ModuleSweep(field, t, D, retire=retire) for _ in range(2)]
+        for _ in range(9):
+            dims = [sweep.step([g for g in gens if g[0].degree == sweep.D + 1]) for sweep, gens in zip(sweeps, (ints, residues))]
+            assert dims[0] == dims[1], (t, sweeps[0].D)
+            for name in ("piv", "non", "N", "gone"):
+                got, want = (getattr(sweep, name) for sweep in sweeps)
+                assert got.dtype == want.dtype and got.tolist() == want.tolist(), (t, sweeps[0].D, name)
+        assert sweeps[0].N.dtype == _dtype(field)
+        retired.append(len(sweeps[0].gone) > 0)
+    assert retired == [True, False]
 
 
 def _load_curve(name):
@@ -957,9 +992,9 @@ def _record_kernel_reads(monkeypatch) -> list[int]:
     degrees = []
     inner = syzygy._lifted_kernel
 
-    def recording(grad, k, prime):
+    def recording(grad, k, P):
         degrees.append(k)
-        return inner(grad, k, prime)
+        return inner(grad, k, P)
 
     monkeypatch.setattr(syzygy, "_lifted_kernel", recording)
     return degrees
@@ -1003,7 +1038,7 @@ def test_certificate_at_small_primes_falls_back_and_stays_exact(bareiss_profiles
         reads.clear()
         for name, f, bareiss in cases:
             grad = _gradient(f)
-            assert syzygy._persistent(grad, QQ, len(bareiss) - 1, syzygy._proved_ranks(grad, prime)) == bareiss, (name, prime)
+            assert syzygy._persistent(grad, QQ, len(bareiss) - 1, syzygy._proved_ranks(grad, GF(prime))) == bareiss, (name, prime)
         assert len(reads) > at_cert_prime, prime
 
 
@@ -1019,7 +1054,7 @@ def test_certificate_reads_kernels_where_the_dense_reference_does(bareiss_profil
         for (name, f, bareiss), degrees in zip(cases, expected[prime]):
             reads.clear()
             grad = _gradient(f)
-            syzygy._persistent(grad, QQ, len(bareiss) - 1, syzygy._proved_ranks(grad, prime))
+            syzygy._persistent(grad, QQ, len(bareiss) - 1, syzygy._proved_ranks(grad, GF(prime)))
             assert reads == degrees, (name, prime)
 
 
@@ -1057,7 +1092,7 @@ def test_lifted_kernel_is_the_bareiss_kernel(certificate_kernel_reads):
     for name, f, k in reads:
         expected = kernel_basis(jacobian_matrix(f, k, QQ))
         for prime in (syzygy.CERT_PRIME, 3, 5, 7):
-            lifted = syzygy._lifted_kernel(_gradient(f), k, prime)
+            lifted = syzygy._lifted_kernel(_gradient(f), k, GF(prime))
             assert all(gcd(*v) == 1 for v in lifted), (name, k, prime)
             assert _leading_one(lifted) == expected, (name, k, prime)
 
@@ -1069,7 +1104,7 @@ def test_lift_drops_an_unlucky_prime_and_keeps_combining(monkeypatch):
     # starting again.
     moduli = _record_moduli(monkeypatch)
     f = parse_poly("x^3+y^3+z^3+10*x*y*z")
-    lifted = syzygy._lifted_kernel(_gradient(f), 2, 11)
+    lifted = syzygy._lifted_kernel(_gradient(f), 2, GF(11))
     assert _leading_one(lifted) == kernel_basis(jacobian_matrix(f, 2, QQ))
     assert moduli == [11, 11 * 17, 11 * 17 * 19]
 
@@ -1081,8 +1116,8 @@ def test_certificate_prime_and_the_primes_above_it_are_lucky_on_every_kernel_rea
     reads, moduli = certificate_kernel_reads
     assert any(name.endswith(".curve") for name, _, _ in reads)
     products, m = set(), 1
-    for p in syzygy._primes_from(syzygy.CERT_PRIME):
-        m *= p
+    for P in syzygy._fields_from(syzygy.CERT_FIELD):
+        m *= P.char
         products.add(m)
         if m >= max(moduli):
             break
