@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import InputError
-from .fields import QQ
 from .invariants import dpw_bounds
 from .parser import MAX_LITERAL_DIGITS
 from .poly import HomogPoly
@@ -148,9 +147,9 @@ def _bounded_int(word: str, lineno: int, digits: int = MAX_LITERAL_DIGITS) -> in
 
 def arrangement_poly(lines: LineSet) -> HomogPoly:
     """Product of the defining linear forms, a degree-d polynomial over Q."""
-    product = HomogPoly(QQ, 0, {(0, 0, 0): Fraction(1)})
+    product = HomogPoly(0, {(0, 0, 0): Fraction(1)})
     for a, b, c in lines.lines:
-        form = HomogPoly(QQ, 1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
+        form = HomogPoly(1, {(1, 0, 0): a, (0, 1, 0): b, (0, 0, 1): c})
         product = product * form
     return product
 

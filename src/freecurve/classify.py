@@ -16,9 +16,11 @@ lie outside the multiples S * rho1.  The profile decides where the
 kernels come from, in one code path for every field (`RankProfile.kernel`
 and `RankProfile.syzygy`): over Q the primitive integer vectors the
 certificate lifted, lifted on demand where its bounds met, over a prime
-the canonical ones mod p.  The checks read the profile's one integer
-gradient (`RankProfile.grad`); only Saito's pairing maps it to a prime
-field, where its product check needs one field.  Every number the
+the canonical ones mod p, their residues held as plain ints.  The checks
+read the profile's one integer gradient (`RankProfile.grad`) and take
+their field as an argument: every polynomial lives over Q, and a check
+over a prime reduces its integer coefficients inside its arrays
+(`multiples`) and its exact sums once.  Every number the
 criteria read comes from the curve's invariant bundle; only the
 structural checks build syzygies, once per verdict over the bundle's
 field plan.
@@ -124,25 +126,25 @@ def cross_product(rho, rho2) -> tuple[HomogPoly, HomogPoly, HomogPoly]:
     return (b * c2 - b2 * c, c * a2 - c2 * a, a * b2 - a2 * b)
 
 
-def pairing(rho, rho2, grad: Gradient) -> HomogPoly:
-    """The unique h with rho x rho2 = h * grad, for `grad` the gradient of
-    the curve or a nonzero multiple of it, over the triples' field or, over
-    a prime, over Q with integer coefficients, such as `RankProfile.grad`;
-    it is mapped to the triples' field here, as the product h * grad is
-    checked in one field.
+def pairing(rho, rho2, grad: Gradient, field: Field = QQ) -> HomogPoly:
+    """The unique h with rho x rho2 = h * grad over `field`, for `grad` the
+    gradient of the curve or a nonzero multiple of it, such as
+    `RankProfile.grad`.  The cross product is taken over Q, in integers
+    for integer triples; over a prime, where the triples and `grad` must be
+    integral (residues, say), `multiples` reduces it mod p, h holds
+    residues in [0, p), and h * grad - rho x rho2 is checked mod p.
 
     h exists for any two genuine relations of a reduced curve; an
     inconsistent solve therefore signals corrupted inputs and aborts.
     The result lives in degree deg(rho) + deg(rho2) - (d-1).  Paired
     against a minimal relation rho1, h vanishes on the multiples of rho1.
     """
-    field = rho[0].field
-    grad = Gradient(*(g.map_field(field) for g in grad))
+    p = field.char
     cross = cross_product(rho, rho2)
     q = cross[0].degree - grad[0].degree
     if q < 0:
-        if all(comp.is_zero() for comp in cross):
-            return HomogPoly.zero(field, 0)
+        if all(_vanishes(comp, p) for comp in cross):
+            return HomogPoly.zero(0)
         raise InternalInconsistencyError(
             "exterior product nonzero in a degree below the gradient degree"
         )
@@ -155,15 +157,21 @@ def pairing(rho, rho2, grad: Gradient) -> HomogPoly:
             "exterior product of two relations is not a multiple of the "
             "gradient; inputs cannot both lie in the relation module"
         )
-    h = HomogPoly.from_vector(field, q, solution)
+    h = HomogPoly.from_vector(q, solution)
     for g_comp, c_comp in zip(grad, cross):
-        if h * g_comp != c_comp:
+        if not _vanishes(h * g_comp - c_comp, p):
             raise InternalInconsistencyError("pairing verification failed")
     return h
 
 
-def saito_verify(grad: Gradient, rho1, rho2) -> bool:
-    """Determinant test for a candidate free pair (`grad` as in `pairing`).
+def _vanishes(poly: HomogPoly, p: int) -> bool:
+    """Whether poly is 0 over Q (p = 0), or its integer coefficients mod p."""
+    return all(c % p == 0 for c in poly.terms.values()) if p else poly.is_zero()
+
+
+def saito_verify(grad: Gradient, rho1, rho2, field: Field = QQ) -> bool:
+    """Determinant test for a candidate free pair over `field` (`grad` and
+    the field as in `pairing`).
 
     Requires deg(rho1) + deg(rho2) = d - 1, which forces the pairing into
     degree 0; the pair generates freely exactly when that constant is
@@ -171,7 +179,7 @@ def saito_verify(grad: Gradient, rho1, rho2) -> bool:
     """
     if rho1[0].degree + rho2[0].degree != grad[0].degree:
         raise ValueError("syzygy degrees must add up to d - 1")
-    return not pairing(rho1, rho2, grad).is_zero()
+    return not pairing(rho1, rho2, grad, field).is_zero()
 
 
 def nearly_free_resolution_dim(d: int, r: int, k: int) -> int:
@@ -230,7 +238,7 @@ def _structure_ok(p: RankProfile, r: int, verdict: str, field: Field) -> bool:
     """Structural check of a Free or NearlyFree verdict over one field."""
     try:
         if verdict == FREE:
-            return saito_verify(p.grad, *free_pair(p, r, field))
+            return saito_verify(p.grad, *free_pair(p, r, field), field)
         nearly_free_generators(p, r, field)
         return True
     except InternalInconsistencyError:

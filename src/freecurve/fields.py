@@ -1,10 +1,13 @@
 """Exact coefficient fields: the rationals and prime fields.
 
-Rational scalars are `fractions.Fraction` (kept in lowest terms with a
-positive denominator by the Fraction type itself); prime-field scalars are
-plain ints reduced into [0, p).  Field objects are stateless, carry the
-arithmetic, and compare by their characteristic, so matrix and
-polynomial code stays agnostic of the concrete scalar type.
+A field object names where a matrix lives and carries no arithmetic: its
+characteristic (`char`, and `p` over a prime), its `name`, its `zero` and
+`one`, and, over a prime, whether its residues fit int64 matrix storage
+(`fits_int64`).  Fields compare by their characteristic.  Rational
+scalars are `fractions.Fraction`s or Python ints; prime-field scalars are
+plain ints in [0, p), which the numpy eliminations of `linalg` reduce.
+Polynomials live over Q only (`poly.HomogPoly`); over a prime their
+integer coefficients are reduced inside the arrays built from them.
 
 The module also provides `FieldPlan`, the field-selection strategy used by
 the analysis pipeline: compute every classification-feeding quantity over
@@ -30,7 +33,11 @@ T = TypeVar("T")
 _PRIME_LO = 2**31 + 1
 _PRIME_HI = 2_999_999_999
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes: Miller-Rabin to these bases is deterministic below
+# psi_13 = 3317044064679887385961981 (J. Sorenson and J. Webster, Math.
+# Comp. 86, 2017); the bases 2..37 alone fail at psi_12 =
+# 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_probable_prime(n: int) -> bool:
@@ -82,7 +89,7 @@ def _prime_pair(seed: int) -> tuple["PrimeField", "PrimeField"]:
 
 
 class RationalField:
-    """The field Q.  Elements are `Fraction` values."""
+    """The field Q.  Elements are `Fraction`s or Python ints."""
 
     __slots__ = ()
 
@@ -90,24 +97,6 @@ class RationalField:
     name = "QQ"
     zero = Fraction(0)
     one = Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def from_int(self, n: int):
-        return Fraction(n)
-
-    def from_fraction(self, q: Fraction):
-        return q
 
     def __repr__(self):
         return "QQ"
@@ -144,25 +133,6 @@ class PrimeField:
     @property
     def char(self) -> int:
         return self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def from_int(self, n: int):
-        return n % self.p
-
-    def from_fraction(self, q: Fraction):
-        """q mod p; ValueError if p divides its denominator."""
-        return q.numerator * pow(q.denominator, -1, self.p) % self.p
 
     def fits_int64(self) -> bool:
         # p^2 must stay below 2^63 for int64 matrix storage.

@@ -27,7 +27,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import PolyParseError
-from .fields import QQ
 from .poly import HomogPoly, Monomial, _monomial_str
 from .syzygy import MAX_CURVE_DEGREE
 
@@ -225,4 +224,4 @@ def parse_poly(text: str) -> HomogPoly:
             f"{_monomial_str(low) or '1'} has degree {sum(low)} but term "
             f"{_monomial_str(high) or '1'} has degree {sum(high)}"
         )
-    return HomogPoly(QQ, degrees.pop(), {m: Fraction(c) for m, c in value.items()})
+    return HomogPoly(degrees.pop(), {m: Fraction(c) for m, c in value.items()})

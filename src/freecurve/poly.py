@@ -1,4 +1,4 @@
-"""Homogeneous polynomials in three variables over an exact field.
+"""Homogeneous polynomials in three variables over Q.
 
 A polynomial is stored sparsely as a map from exponent triples (i, j, k)
 to nonzero coefficients.  Monomials of a fixed degree are totally ordered
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from typing import NamedTuple
-
-from .fields import Field, RationalField
 
 Monomial = tuple[int, int, int]
 
@@ -63,41 +61,39 @@ def monomial_position(j, l):
 
 
 class HomogPoly:
-    """A homogeneous polynomial of a declared degree.
+    """A homogeneous polynomial over Q of a declared degree.
 
     The zero polynomial is representable at any degree (empty term map).
-    Over Q a coefficient is a `Fraction` or, in an integral polynomial such
-    as the primitive integer form of a curve and its gradient, a Python
-    int; sums, differences, products and partials of ints stay ints.
+    A coefficient is a `Fraction` or, in an integral polynomial such as the
+    primitive integer form of a curve, its gradient and its integer
+    relations, a Python int; sums, differences, products and partials of
+    ints stay ints.  Over a prime the package reduces integer coefficients
+    inside the arrays built from them, never in a polynomial.
     Instances are immutable and compare by value (they are not hashable);
     all operations return new polynomials.
     """
 
-    __slots__ = ("field", "degree", "terms")
+    __slots__ = ("degree", "terms")
 
-    def __init__(self, field: Field, degree: int, terms: dict):
-        clean = {}
-        for mono, coeff in terms.items():
+    def __init__(self, degree: int, terms: dict):
+        for mono in terms:
             if sum(mono) != degree:
                 raise ValueError(f"monomial {mono} does not have degree {degree}")
-            if not field.is_zero(coeff):
-                clean[mono] = coeff
-        self.field = field
         self.degree = degree
-        self.terms = clean
+        self.terms = {mono: c for mono, c in terms.items() if c != 0}
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, field: Field, degree: int) -> "HomogPoly":
-        return cls(field, degree, {})
+    def zero(cls, degree: int) -> "HomogPoly":
+        return cls(degree, {})
 
     @classmethod
-    def from_vector(cls, field: Field, degree: int, vec) -> "HomogPoly":
+    def from_vector(cls, degree: int, vec) -> "HomogPoly":
         basis = monomial_basis(degree)
         if len(vec) != len(basis):
             raise ValueError("coefficient vector length mismatch")
-        return cls(field, degree, {m: c for m, c in zip(basis, vec) if not field.is_zero(c)})
+        return cls(degree, dict(zip(basis, vec)))
 
     # -- queries -------------------------------------------------------
 
@@ -105,102 +101,58 @@ class HomogPoly:
         return not self.terms
 
     def coeff_vector(self) -> list:
-        zero = self.field.zero
-        return [self.terms.get(m, zero) for m in monomial_basis(self.degree)]
+        return [self.terms.get(m, 0) for m in monomial_basis(self.degree)]
 
     # -- arithmetic ----------------------------------------------------
 
-    def _require_same(self, other: "HomogPoly"):
-        if self.field != other.field:
-            raise ValueError("mixed coefficient fields")
+    def __add__(self, other: "HomogPoly") -> "HomogPoly":
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-
-    def __add__(self, other: "HomogPoly") -> "HomogPoly":
-        self._require_same(other)
-        f = self.field
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            s = f.add(out.get(mono, f.zero), c)
-            if f.is_zero(s):
-                out.pop(mono, None)
-            else:
-                out[mono] = s
-        return HomogPoly(f, self.degree, out)
+            out[mono] = out.get(mono, 0) + c
+        return HomogPoly(self.degree, out)
 
     def __sub__(self, other: "HomogPoly") -> "HomogPoly":
         return self + (-other)
 
     def __neg__(self) -> "HomogPoly":
-        f = self.field
-        return HomogPoly(f, self.degree, {m: f.neg(c) for m, c in self.terms.items()})
-
-    def scale(self, scalar) -> "HomogPoly":
-        f = self.field
-        if f.is_zero(scalar):
-            return HomogPoly.zero(f, self.degree)
-        return HomogPoly(f, self.degree, {m: f.mul(scalar, c) for m, c in self.terms.items()})
+        return HomogPoly(self.degree, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "HomogPoly") -> "HomogPoly":
-        if self.field != other.field:
-            raise ValueError("mixed coefficient fields")
-        f = self.field
         out: dict[Monomial, object] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                s = f.add(out.get(mono, f.zero), f.mul(c1, c2))
-                if f.is_zero(s):
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return HomogPoly(f, self.degree + other.degree, out)
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return HomogPoly(self.degree + other.degree, out)
 
     def mul_monomial(self, mono: Monomial) -> "HomogPoly":
         out = {(m[0] + mono[0], m[1] + mono[1], m[2] + mono[2]): c for m, c in self.terms.items()}
-        return HomogPoly(self.field, self.degree + sum(mono), out)
+        return HomogPoly(self.degree + sum(mono), out)
 
     def partial(self, axis: int) -> "HomogPoly":
-        """Formal partial derivative along x, y or z (axis 0, 1, 2); over Q
-        an integer coefficient stays a Python int."""
+        """Formal partial derivative along x, y or z (axis 0, 1, 2); an
+        integer coefficient stays a Python int."""
         if self.degree < 1:
             raise ValueError("derivative of a degree-0 polynomial")
-        f = self.field
         out: dict[Monomial, object] = {}
         for m, c in self.terms.items():
             e = m[axis]
-            if e == 0:
-                continue
-            lowered = list(m)
-            lowered[axis] = e - 1
-            coeff = f.mul(c, e)
-            if not f.is_zero(coeff):
-                out[tuple(lowered)] = coeff
-        return HomogPoly(f, self.degree - 1, out)
-
-    def map_field(self, field: Field) -> "HomogPoly":
-        """Reinterpret rational coefficients in another exact field."""
-        if field == self.field:
-            return self
-        if not isinstance(self.field, RationalField):
-            raise ValueError("can only convert from rational coefficients")
-        return HomogPoly(field, self.degree, {m: field.from_fraction(c) for m, c in self.terms.items()})
+            if e:
+                out[m[:axis] + (e - 1,) + m[axis + 1 :]] = c * e
+        return HomogPoly(self.degree - 1, out)
 
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HomogPoly)
-            and self.field == other.field
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
+        return isinstance(other, HomogPoly) and self.degree == other.degree and self.terms == other.terms
 
     def __str__(self):
         return poly_str(self)
 
     def __repr__(self):
-        return f"HomogPoly({self.field.name}, deg {self.degree}, {poly_str(self)})"
+        return f"HomogPoly(deg {self.degree}, {poly_str(self)})"
 
 
 class Gradient(NamedTuple):
@@ -228,18 +180,13 @@ def poly_str(f: HomogPoly) -> str:
     """Canonical, re-parseable text form (terms in basis order)."""
     if f.is_zero():
         return "0"
-    rational = isinstance(f.field, RationalField)
     pieces = []
     for mono in monomial_basis(f.degree):
         c = f.terms.get(mono)
         if c is None:
             continue
-        if rational:
-            negative = c < 0
-            mag = -c if negative else c
-        else:
-            negative = False
-            mag = c
+        negative = c < 0
+        mag = -c if negative else c
         ms = _monomial_str(mono)
         if ms and mag == 1:
             body = ms

@@ -24,8 +24,10 @@ multiplication matrix comes from one builder (`multiples`);
 `jacobian_matrix` builds one J_k of any curve, for the kernels mod p.
 The sweeps, the kernels mod p and the checks of their syzygies read the
 curve's one integer gradient (`RankProfile.grad`) and integer relations:
-residues mod p exist only inside arrays, each reduced once
-(`_field_entries`), and in the sums of the exact checks.
+polynomials live over Q only, and residues mod p exist only inside
+arrays, each reduced once (`_field_entries`), in the sums of the exact
+checks, which take their field as an argument (`Syzygy.holds_for`), and
+as the plain-int entries of a kernel vector mod p laid out as a triple.
 `jacobian_ranks` ranks J_0..J_k of any curve from one elimination of J_k
 in x-graded column order: the independent reference, and, in one pass
 per curve, the saturation oracle's dim (J_f)_j.  `rank_jacobian` reads
@@ -105,24 +107,25 @@ class Syzygy(NamedTuple):
         return self.a.degree
 
     @classmethod
-    def from_vector(cls, k: int, vec: Sequence, field: Field) -> "Syzygy":
+    def from_vector(cls, k: int, vec: Sequence) -> "Syzygy":
         """The degree-k triple with coefficient blocks a, b, c in `vec`,
-        elements of `field` as given; unverified.  `vec` must hold 3 dim S_k
-        entries (ValueError otherwise)."""
+        ints or `Fraction`s as given (over a prime, residues in [0, p));
+        unverified.  `vec` must hold 3 dim S_k entries (ValueError
+        otherwise)."""
         n = dim_S(k)
         if len(vec) != 3 * n:
             raise ValueError(f"a degree-{k} triple has {3 * n} coefficients, not {len(vec)}")
-        return cls(*(HomogPoly.from_vector(field, k, vec[i * n : (i + 1) * n]) for i in range(3)))
+        return cls(*(HomogPoly.from_vector(k, vec[i * n : (i + 1) * n]) for i in range(3)))
 
-    def holds_for(self, grad: Gradient) -> bool:
-        """Whether a*f_x + b*f_y + c*f_z = 0, summed exactly: over Q as
-        given, over a prime in Python integers reduced mod p once.
+    def holds_for(self, grad: Gradient, field: Field = QQ) -> bool:
+        """Whether a*f_x + b*f_y + c*f_z = 0 over `field`, summed exactly:
+        over Q as given, over a prime in Python integers reduced mod p once,
+        so the triple's and the gradient's coefficients must be integers.
 
         `grad` is the gradient of the curve, or any nonzero multiple of it,
-        over the triple's field or, over a prime, over Q with integer
-        coefficients, such as `RankProfile.grad`.  The zero triple holds.
+        such as `RankProfile.grad`.  The zero triple holds.
         """
-        return _relation_vanishes([u.terms.items() for u in self], [g.terms.items() for g in grad], self.a.field.char)
+        return _relation_vanishes([u.terms.items() for u in self], [g.terms.items() for g in grad], field.char)
 
 
 def _relation_vanishes(triple, gradient, p: int = 0) -> bool:
@@ -149,7 +152,8 @@ def multiples(gens: Sequence[Sequence[HomogPoly]], k: int, field: Field) -> Exac
     degree-k monomials in canonical order.  This is the layout of every
     multiplication matrix here; all tuples have the length of the first.
     It is `_multiples_array` read in `field`: over Q its entries are
-    Python ints when every coefficient is integral, `Fraction`s otherwise.
+    Python ints when every coefficient is integral, `Fraction`s otherwise;
+    over a prime they are reduced mod p (see `_field_entries`).
     """
     data = _field_entries(_multiples_array(gens, k), field)
     return ExactMatrix(field, *data.shape, data)
@@ -203,10 +207,15 @@ def _multiples_array(gens: Sequence[Sequence[HomogPoly]], k: int) -> np.ndarray:
 def _field_entries(J: np.ndarray, field: Field) -> np.ndarray:
     """An array of `_multiples_array` as entries of `field`, in its dtype:
     over Q its Python ints or `Fraction`s as they are, over a prime its
-    integers reduced by one numpy `%`."""
+    integers reduced by one numpy `%`, and its `Fraction`s, which
+    `_multiples_array` makes of every entry when one coefficient is not
+    integral, as numerator times the inverse of the denominator mod p
+    (ValueError if p divides a denominator)."""
     p, dtype = field.char, _dtype(field)
     if not p or dtype == object or J.dtype == object:
         J = J.astype(object, copy=False)
+    if p and J.size and isinstance(J.flat[0], Fraction):
+        J = np.frompyfunc(lambda c: c.numerator * pow(c.denominator, -1, p), 1, 1)(J)
     return (J % p).astype(dtype, copy=False) if p else J
 
 
@@ -224,20 +233,23 @@ def jacobian_matrix(f: HomogPoly, k: int, field: Field = QQ, *, grad: Gradient |
     """Matrix of (a,b,c) |-> a*f_x + b*f_y + c*f_z from degree k to k+d-1.
 
     The transpose of the `multiples` of (f_x,), (f_y,), (f_z,) at degree
-    k+d-1, the gradient of f over `field` (or `grad`, a nonzero multiple
-    of it, over `field` or over Q with integer coefficients, which the
-    array reduces mod p): columns come in three blocks
-    (a, b, c), each in canonical monomial order; rows are the
-    degree-(k+d-1) monomials in canonical order.  Over Q its entries are
-    Python ints when f has integer coefficients, `Fraction`s otherwise.
-    Over a prime that divides a denominator of f, f has no image and
-    `map_field` raises ValueError.
+    k+d-1, the gradient of f (or `grad`, a nonzero multiple of it) over
+    Q, read in `field`: columns come in three blocks (a, b, c), each in
+    canonical monomial order; rows are the degree-(k+d-1) monomials in
+    canonical order.  Over Q its entries are Python ints when f has
+    integer coefficients, `Fraction`s otherwise.  Over a prime the array
+    reduces them mod p (`_field_entries`); where p divides a denominator of
+    f, f has no image, and ValueError is raised.
     """
     if k < 0:
         raise ValueError("source degree must be non-negative")
     if grad is None:
+        p = field.char
+        # a term such as 1/p*x^p has an integral derivative
+        if p and any(c.denominator % p == 0 for c in f.terms.values()):
+            raise ValueError(f"{p} divides a denominator of f, which has no image mod {p}")
         # a constant f has no gradient: `partial` raises ValueError
-        grad = partials(f.map_field(field))
+        grad = partials(f)
     return multiples([(g,) for g in grad], k + f.degree - 1, field).transpose()
 
 
@@ -312,11 +324,12 @@ class RankProfile:
         return kernel_basis(jacobian_matrix(self.f, k, field, grad=self.grad))
 
     def syzygy(self, k: int, vec: Sequence, field: Field) -> Syzygy:
-        """The triple of a vector of `kernel(k, field)`, verified exactly
-        over a prime (InternalInconsistencyError if it fails); over Q
+        """The triple of a vector of `kernel(k, field)`, its residues mod p
+        as plain ints over a prime, where it is verified exactly on the
+        integer gradient (InternalInconsistencyError if it fails); over Q
         `_lifted_kernel` verified it."""
-        syz = Syzygy.from_vector(k, vec, field)
-        if field.char and not syz.holds_for(self.grad):
+        syz = Syzygy.from_vector(k, vec)
+        if field.char and not syz.holds_for(self.grad, field):
             raise InternalInconsistencyError(f"vector at degree {k} fails the defining relation")
         return syz
 
@@ -419,7 +432,7 @@ def primitive_form(f: HomogPoly) -> HomogPoly:
     den = lcm(*(c.denominator for c in f.terms.values()))
     ints = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
     g = gcd(*ints.values())
-    return HomogPoly(QQ, f.degree, {m: c // g for m, c in ints.items()})
+    return HomogPoly(f.degree, {m: c // g for m, c in ints.items()})
 
 
 def profile_degrees(d: int, table_max: int | None = None) -> tuple[int, int]:
@@ -646,8 +659,8 @@ class _ModuleSweep:
 
     def step(self, gens: Sequence[Sequence[HomogPoly]]) -> int:
         """Move to degree D+1, where the multiples of the tuples `gens` (of
-        degree at most D+1, over the sweep's field or over Q with integer
-        coefficients) join M; return dim M_(D+1)."""
+        degree at most D+1, with integer coefficients, which the step
+        reduces mod p) join M; return dim M_(D+1)."""
         p, t, piv, non, N = self.field.char, self.t, self.piv, self.non, self.N
         m1 = dim_S(self.D + 1)
         C = np.concatenate([non, np.arange(t * dim_S(self.D), t * m1)])
@@ -753,7 +766,7 @@ def _proved_ranks(grad: Gradient, P: PrimeField = CERT_FIELD, *, lifts: Lifts | 
     its sweep starts there."""
     fx, fy, fz = grad
     e = fx.degree
-    zero = HomogPoly.zero(QQ, e)
+    zero = HomogPoly.zero(e)
     # V's generators by the degree they join at: the Koszul relations at
     # d-1, the kernel vectors over Q found at k at k+1
     joining = {e: [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]}
@@ -768,7 +781,7 @@ def _proved_ranks(grad: Gradient, P: PrimeField = CERT_FIELD, *, lifts: Lifts | 
             if lifts is not None:
                 lifts[k] = vectors
             r = n - len(vectors)
-            joining.setdefault(k + 1, []).extend(Syzygy.from_vector(k, v, QQ) for v in vectors)
+            joining.setdefault(k + 1, []).extend(Syzygy.from_vector(k, v) for v in vectors)
         yield r
 
 

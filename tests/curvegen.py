@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from freecurve.fields import FieldPlan
 from freecurve.poly import HomogPoly, monomial_basis
-from freecurve.fields import QQ
 from freecurve.syzygy import Reducedness, rank_profile, reducedness_check
 
 
@@ -24,7 +23,7 @@ def _random_form(rng: random.Random, degree: int) -> HomogPoly:
             terms[mono] = Fraction(c)
     if not terms:
         terms[(degree, 0, 0)] = Fraction(1)
-    return HomogPoly(QQ, degree, terms)
+    return HomogPoly(degree, terms)
 
 
 def _random_partition(rng: random.Random, total: int) -> list[int]:
@@ -46,12 +45,12 @@ def random_reduced_curves(count: int, seed: int = 20240810, max_degree: int = 9)
     produced = 0
     while produced < count:
         d = rng.randint(4, max_degree)
-        f = HomogPoly(QQ, 0, {(0, 0, 0): Fraction(1)})
+        f = HomogPoly(0, {(0, 0, 0): Fraction(1)})
         for e in _random_partition(rng, d):
             f = f * _random_form(rng, e)
         if rng.random() < 0.3:
             mono = rng.choice(monomial_basis(d))
-            bump = HomogPoly(QQ, d, {mono: Fraction(rng.choice([-2, -1, 1, 2]))})
+            bump = HomogPoly(d, {mono: Fraction(rng.choice([-2, -1, 1, 2]))})
             f = f + bump
         if f.is_zero():
             continue

@@ -4,7 +4,10 @@ The oracles recompute graded dimensions through a completely separate code
 path (sympy polynomials and sympy's rational matrix rank) and exist only to
 pin expected values in the tests; keep them small-input only.  The dense
 references keep a plainer algorithm that the package replaced, to pin
-behaviour that no rank can show, or every row of an elimination.
+behaviour that no rank can show, or every row of an elimination.  Two
+scalar helpers stand in for the field arithmetic the package does not
+keep: `residue` reduces a rational mod p, `scaled` multiplies a
+polynomial by a constant.
 """
 
 from fractions import Fraction
@@ -21,13 +24,25 @@ X, Y, Z = sympy.symbols("x y z")
 _GENS = (X, Y, Z)
 
 
+def residue(q, p: int) -> int:
+    """The rational (or integer) q mod p; ValueError if p divides its
+    denominator."""
+    q = Fraction(q)
+    return q.numerator * pow(q.denominator, -1, p) % p
+
+
+def scaled(f: HomogPoly, c) -> HomogPoly:
+    """The polynomial c*f."""
+    return HomogPoly(f.degree, {m: c * v for m, v in f.terms.items()})
+
+
 def euler_check(f: HomogPoly) -> bool:
     """Whether x*f_x + y*f_y + z*f_z equals deg(f) * f exactly."""
     if f.degree == 0 or f.is_zero():
         return True
     fx, fy, fz = partials(f)
     lhs = fx.mul_monomial((1, 0, 0)) + fy.mul_monomial((0, 1, 0)) + fz.mul_monomial((0, 0, 1))
-    return lhs == f.scale(f.field.from_int(f.degree))
+    return lhs == scaled(f, f.degree)
 
 
 def to_sympy(f):
@@ -171,8 +186,9 @@ def dense_certificate_kernel_degrees(f, ranks, prime: int) -> list[int]:
     condition or the plateau's (`persistence_stop`)."""
     P = GF(prime)
     f = syzygy.primitive_form(f)
-    fx, fy, fz = (g.map_field(P) for g in partials(f))
-    zero = HomogPoly.zero(P, f.degree - 1)
+    # integer generators, which `multiples` reduces mod p
+    fx, fy, fz = partials(f)
+    zero = HomogPoly.zero(f.degree - 1)
     gens = [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy)]
     degrees = []
     stop = persistence_stop(f, ranks)
@@ -187,7 +203,7 @@ def dense_certificate_kernel_degrees(f, ranks, prime: int) -> list[int]:
                 # over Q
                 m = dim_S(k)
                 basis = integer_kernel_basis(syzygy.jacobian_matrix(f, k, QQ)).row_lists()
-                new = [tuple(HomogPoly.from_vector(P, k, [c % prime for c in v[i * m : (i + 1) * m]]) for i in range(3)) for v in basis]
+                new = [tuple(HomogPoly.from_vector(k, [c % prime for c in v[i * m : (i + 1) * m]]) for i in range(3)) for v in basis]
                 gens = gens + [new[i] for i in syzygy.outside_span(V, syzygy.multiples(new, k, P))]
     return degrees
 

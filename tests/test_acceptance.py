@@ -221,8 +221,8 @@ def test_criterion_08_saito_verification(corpus_results):
     from freecurve.poly import HomogPoly
 
     triangle = parse_poly("x*y*z")
-    rho1 = Syzygy(parse_poly("x"), parse_poly("-y"), HomogPoly.zero(QQ, 1))
-    rho2 = Syzygy(parse_poly("x"), HomogPoly.zero(QQ, 1), parse_poly("-z"))
+    rho1 = Syzygy(parse_poly("x"), parse_poly("-y"), HomogPoly.zero(1))
+    rho2 = Syzygy(parse_poly("x"), HomogPoly.zero(1), parse_poly("-z"))
     cx = cross_product(rho1, rho2)
     grad = partials(triangle)
     assert (cx[0], cx[1], cx[2]) == (grad.fx, grad.fy, grad.fz)

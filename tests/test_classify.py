@@ -29,13 +29,14 @@ from freecurve.classify import (
 from freecurve.corpus import load_case
 from freecurve.data import shipped_corpus_dir
 from freecurve.errors import InternalInconsistencyError, NotReducedError
-from freecurve.fields import QQ, FieldPlan
+from freecurve.fields import GF, QQ, FieldPlan
 from freecurve.invariants import compute_bundle, n_dim, tau_max, tjurina
 from freecurve.linalg import ExactMatrix, kernel_basis
 from freecurve.parser import parse_poly
 from freecurve.poly import HomogPoly, choose2, dim_S, partials, poly_str
 from freecurve.report import analyze
 from freecurve.syzygy import (
+    CERT_FIELD,
     Reducedness,
     Syzygy,
     jacobian_matrix,
@@ -45,6 +46,7 @@ from freecurve.syzygy import (
     reducedness_check,
     syzygy_basis,
 )
+from oracles import residue, scaled
 
 TRIANGLE = parse_poly("x*y*z")
 CUSP = parse_poly("x^3-y^2*z")
@@ -57,7 +59,7 @@ def classify_curve(f, field=QQ):
 def syz(a, b, c):
     def to_poly(text_or_zero, degree):
         if text_or_zero == "0":
-            return HomogPoly.zero(QQ, degree)
+            return HomogPoly.zero(degree)
         return parse_poly(text_or_zero)
 
     parts = [p for p in (a, b, c) if p != "0"]
@@ -101,8 +103,8 @@ def test_delta_test_examples():
 
 
 def test_cross_product_unit_vectors():
-    one = HomogPoly(QQ, 0, {(0, 0, 0): __import__("fractions").Fraction(1)})
-    zero = HomogPoly.zero(QQ, 0)
+    one = HomogPoly(0, {(0, 0, 0): __import__("fractions").Fraction(1)})
+    zero = HomogPoly.zero(0)
     e1, e2 = (one, zero, zero), (zero, one, zero)
     cx = cross_product(e1, e2)
     assert cx[0].is_zero() and cx[1].is_zero() and poly_str(cx[2]) == "1"
@@ -142,14 +144,9 @@ def test_pairing_bilinear_on_random_syzygy_combinations():
     r1, r2 = basis
     for _ in range(5):
         a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-        combo = Syzygy(
-            *(
-                p.scale(QQ.from_int(a)) + q.scale(QQ.from_int(b))
-                for p, q in zip(r1, r2)
-            )
-        )
+        combo = Syzygy(*(scaled(p, a) + scaled(q, b) for p, q in zip(r1, r2)))
         lhs = pairing(combo, r2, partials(TRIANGLE))
-        rhs = pairing(r1, r2, partials(TRIANGLE)).scale(QQ.from_int(a))
+        rhs = scaled(pairing(r1, r2, partials(TRIANGLE)), a)
         assert lhs == rhs  # the r2-component drops out by antisymmetry
 
 
@@ -164,7 +161,7 @@ def test_saito_verify_rejects_dependent_pair():
     rho1 = syz("x", "-y", "0")
     assert not saito_verify(partials(TRIANGLE), rho1, rho1)
     rho2 = syz("x", "0", "-z")
-    combo = Syzygy(*(p + q.scale(QQ.from_int(2)) for p, q in zip(rho2, rho1)))
+    combo = Syzygy(*(p + scaled(q, 2) for p, q in zip(rho2, rho1)))
     assert saito_verify(partials(TRIANGLE), rho1, combo)  # combos off the line still work
 
 
@@ -382,47 +379,6 @@ def test_one_gradient_per_analysis(monkeypatch):
             assert lifted == (certificate + on_demand if mode == "qq" else []), (expr, mode)
 
 
-def test_only_saitos_pairing_maps_the_gradient_to_a_prime(monkeypatch):
-    # Each array over a prime is reduced once, inside it: the sweeps, the
-    # kernels mod p and the checks of their syzygies read the profile's
-    # integer gradient, and `rank_profile` maps no polynomial to a prime
-    # field in any mode.  In an analysis only Saito's pairing maps the
-    # gradient, as its product check h * grad needs one field: the
-    # triangle reads Free and maps each partial once per prime of the
-    # plan; the cusp reads NearlyFree and maps none.
-    maps, inside = [], []
-    classify_module = sys.modules[classify.__module__]
-    map_field = HomogPoly.map_field
-
-    def counted(self, field):
-        if field.char:
-            maps.append((str(self), field.char, bool(inside)))
-        return map_field(self, field)
-
-    def in_pairing(*args):
-        inside.append(True)
-        try:
-            return pairing(*args)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(HomogPoly, "map_field", counted)
-    monkeypatch.setattr(classify_module, "pairing", in_pairing)
-    for mode in ("auto", "pp", "qq"):
-        for f in (TRIANGLE, CUSP):
-            maps.clear()
-            rank_profile(f, FieldPlan.from_mode(mode, 0))
-            assert maps == [], (mode, str(f))
-    for f, verdict in ((TRIANGLE, "Free"), (CUSP, "NearlyFree")):
-        grad = partials(syzygy.primitive_form(f))
-        plan = FieldPlan.from_mode("auto", 0)
-        maps.clear()
-        report = analyze(f, plan)
-        assert report["classification"]["verdict"] == verdict and report["classification"]["verified"] is True, str(f)
-        pairings = plan.fields if verdict == "Free" else ()
-        assert sorted(maps) == sorted((str(g), F.char, True) for F in pairings for g in grad), str(f)
-
-
 def _curves_over_q_with_generators():
     # the Free and NearlyFree curves of the corpus and of the families, the
     # families up to the degree their qq cases run at
@@ -452,7 +408,10 @@ def test_generators_over_q_span_the_lines_of_the_canonical_kernel_vectors():
     # (leading-1) kernel vector that Bareiss gives: rho1 first at degree r,
     # then the vectors at d-1-r or d-r outside S * rho1.  On the canonical
     # pair, with f's own gradient, the Saito check reads the same truth
-    # value as on the integer pair with the profile's gradient.
+    # value as on the integer pair with the profile's gradient, and the
+    # pairing of the integer pair over a prime is its pairing over Q
+    # reduced mod p: over CERT_FIELD in int64 arrays, over 2^61 - 1 in
+    # object ones.
     seen = set()
     for expr, profile, r, verdict in _curves_over_q_with_generators():
         degree = profile.d - r - (verdict == FREE)
@@ -460,12 +419,16 @@ def test_generators_over_q_span_the_lines_of_the_canonical_kernel_vectors():
         assert all(type(c) is int for triple in got for part in triple for c in part.terms.values()), expr
         rho1 = kernel_basis(jacobian_matrix(profile.f, r, QQ))[0]
         kernel = kernel_basis(jacobian_matrix(profile.f, degree, QQ))
-        picked = outside_span(multiples([Syzygy.from_vector(r, rho1, QQ)], degree, QQ), ExactMatrix.from_rows(QQ, kernel))
+        picked = outside_span(multiples([Syzygy.from_vector(r, rho1)], degree, QQ), ExactMatrix.from_rows(QQ, kernel))
         canonical = [rho1, *(kernel[i] for i in picked)]
         assert [_leading_one(triple) for triple in got] == canonical, expr
         if verdict == FREE:
             f = parse_poly(expr)
-            pair = [Syzygy.from_vector(k, v, QQ) for k, v in zip((r, degree), canonical)]
+            pair = [Syzygy.from_vector(k, v) for k, v in zip((r, degree), canonical)]
             assert saito_verify(profile.grad, *got) is saito_verify(partials(f), *pair) is True, expr
+            h = pairing(*got, profile.grad)
+            for F in (CERT_FIELD, GF(2**61 - 1)):
+                reduced = HomogPoly(h.degree, {m: residue(c, F.p) for m, c in h.terms.items()})
+                assert pairing(*got, profile.grad, F) == reduced, (expr, F)
         seen.add(verdict)
     assert seen == {FREE, NEARLY_FREE}

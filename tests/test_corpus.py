@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from freecurve.corpus import load_case, run_case, run_corpus
 from freecurve.data import shipped_corpus_dir
 from freecurve.fields import QQ, FieldPlan
@@ -15,16 +17,20 @@ def test_shipped_corpus_all_pass(corpus_results):
     assert not failures, failures
 
 
-def test_shipped_corpus_in_qq_passes_and_matches_auto(corpus_results):
-    # every rank proved over Q, every structural check over Q: the reports
-    # may differ from the two-prime ones only in how the field was chosen
-    rational = run_corpus(shipped_corpus_dir(), mode="qq")
-    assert [r.name for r in rational] == [r.name for r in corpus_results]
-    failures = {r.name: r.failures for r in rational if not r.passed}
+@pytest.mark.parametrize("mode", ["qq", "pp"])
+def test_shipped_corpus_passes_and_matches_auto(corpus_results, mode):
+    # qq: every rank proved over Q, every structural check over Q; pp: the
+    # two primes without the rational fallback, so every Free and
+    # NearlyFree verdict is verified by the structural checks over the
+    # primes alone.  The reports may differ from the auto ones only in how
+    # the field was chosen.
+    results = run_corpus(shipped_corpus_dir(), mode=mode)
+    assert [r.name for r in results] == [r.name for r in corpus_results]
+    failures = {r.name: r.failures for r in results if not r.passed}
     assert not failures, failures
-    for q, a in zip(rational, corpus_results):
-        assert q.report["field"]["mode"] == "qq"
-        assert {**q.report, "field": None} == {**a.report, "field": None}, q.name
+    for m, a in zip(results, corpus_results):
+        assert m.report["field"]["mode"] == mode
+        assert {**m.report, "field": None} == {**a.report, "field": None}, m.name
 
 
 def test_corpus_covers_all_verdicts(corpus_results):

@@ -5,11 +5,12 @@ from math import gcd
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from freecurve.corpus import load_case
 from freecurve.data import shipped_corpus_dir
-from freecurve.fields import GF, QQ, random_prime
+from freecurve.fields import GF, QQ, is_probable_prime, random_prime
 from freecurve.linalg import (
     LIMB_INNER_BOUND,
     ExactMatrix,
@@ -26,11 +27,11 @@ from freecurve.linalg import (
     solve_exact,
 )
 from freecurve.parser import parse_poly
-from freecurve.syzygy import CERT_PRIME, jacobian_matrix
+from freecurve.syzygy import CERT_PRIME, jacobian_matrix, multiples
 
 import random
 
-from oracles import dense_bareiss_echelon, dense_mod_p_echelon, fraction_rref, jacobian_matrix_oracle, kernel_oracle
+from oracles import dense_bareiss_echelon, dense_mod_p_echelon, fraction_rref, jacobian_matrix_oracle, kernel_oracle, residue
 
 # p^2 > 2^63: these matrices are numpy object arrays of Python ints
 P63 = GF(random_prime(random.Random(63), 2**62, 2**63 - 1))
@@ -47,6 +48,12 @@ def zeros(field, m, n):
 
 def identity(field, n):
     return ExactMatrix.from_rows(field, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def element(field, q):
+    """The rational q as an element of `field` as stored: a Fraction over
+    Q, its residue in [0, p) over a prime."""
+    return Fraction(q) if field is QQ else residue(q, field.p)
 
 
 def qmat(rows):
@@ -88,8 +95,8 @@ def assert_field_entries(M):
 
 def test_stack_appends_rows():
     for field in THREE_FIELDS:
-        top = ExactMatrix.from_rows(field, [[field.from_int(1), field.from_int(2)]])
-        stacked = top.stack(ExactMatrix.from_rows(field, [[field.from_int(v) for v in r] for r in ([3, 4], [5, 6])]))
+        top = ExactMatrix.from_rows(field, [[element(field, 1), element(field, 2)]])
+        stacked = top.stack(ExactMatrix.from_rows(field, [[element(field, v) for v in r] for r in ([3, 4], [5, 6])]))
         assert (stacked.rows, stacked.cols) == (3, 2)
         assert stacked.row_lists() == [[1, 2], [3, 4], [5, 6]]
         assert zeros(field, 0, 2).stack(top).row_lists() == [[1, 2]]
@@ -98,7 +105,7 @@ def test_stack_appends_rows():
 
 def test_constructors_and_views_hold_field_elements():
     for field in THREE_FIELDS:
-        minus_one, o = field.from_int(-1), field.zero
+        minus_one, o = element(field, -1), field.zero
         sparse = ExactMatrix.from_rows(field, [[o, o, field.one], [minus_one, o, o]])
         assert sparse.row_lists() == [[0, 0, 1], [minus_one, 0, 0]]
         zero = zeros(field, 2, 2)
@@ -127,11 +134,27 @@ def test_constructors_and_views_hold_field_elements():
 
 
 def test_prime_field_refuses_a_denominator_it_divides():
+    # a rational is reduced mod p in one place, inside the arrays of the
+    # multiplication-matrix builder
     F = GF(7)
-    assert F.from_fraction(Fraction(3, 2)) == 5
-    assert F.from_fraction(Fraction(-1, 2)) == 3
+    assert multiples([(parse_poly("3/2*x - 1/2*y"),)], 1, F).row_lists() == [[5, 3, 0]]
     with pytest.raises(ValueError):
-        F.from_fraction(Fraction(1, 7))
+        multiples([(parse_poly("1/7*x"),)], 1, F)
+
+
+def test_miller_rabin_is_deterministic_below_its_bound():
+    # psi_12, the least strong pseudoprime to every prime base through 37,
+    # is below the documented bound 3.3e24 (psi_13, with base 41 too)
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_probable_prime(psi12)
+    with pytest.raises(ValueError):
+        GF(psi12)
+    # the least strong pseudoprimes to the prime bases through 2, 7, 11,
+    # 13, 17 and 31, each next to a prime
+    pseudoprimes = [2047, 3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051, psi12]
+    for n in pseudoprimes + [sympy.nextprime(n) for n in pseudoprimes] + list(range(2000)):
+        assert is_probable_prime(n) is sympy.isprime(n), n
 
 
 def test_kernel_injective_map():
@@ -198,12 +221,8 @@ def field_matrices(draw):
     field = draw(st.sampled_from(THREE_FIELDS))
     rows = draw(fraction_matrices())
     if field is not QQ:
-        rows = [[field.from_fraction(v) for v in r] for r in rows]
+        rows = [[element(field, v) for v in r] for r in rows]
     return field, rows
-
-
-def residue(field, v):
-    return v if field is QQ else v % field.p
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,7 +233,7 @@ def test_solve_exact_or_certified_inconsistent(case, seed):
         return
     M = ExactMatrix.from_rows(field, rows)
     rng = random.Random(seed)
-    b = [field.from_int(rng.randint(-9, 9)) for _ in range(M.rows)]
+    b = [element(field, rng.randint(-9, 9)) for _ in range(M.rows)]
     x = solve_exact(M, b)
     if x is None:
         aug = ExactMatrix.from_rows(field, [list(r) + [bv] for r, bv in zip(rows, b)])
@@ -222,7 +241,7 @@ def test_solve_exact_or_certified_inconsistent(case, seed):
     else:
         assert len(x) == M.cols
         for i in range(M.rows):
-            assert residue(field, sum(rows[i][j] * x[j] for j in range(M.cols))) == b[i]
+            assert element(field, sum(rows[i][j] * x[j] for j in range(M.cols))) == b[i]
         assert_field_elements(field, x)
 
 
@@ -234,7 +253,7 @@ def test_prime_field_rank_matches_rational(rows):
         return
     M = ExactMatrix.from_rows(QQ, rows)
     field = GF(2_147_483_659)
-    Mp = ExactMatrix.from_rows(field, [[field.from_fraction(v) for v in r] for r in rows])
+    Mp = ExactMatrix.from_rows(field, [[element(field, v) for v in r] for r in rows])
     assert rank(Mp) == rank(M)
 
 
@@ -386,7 +405,7 @@ def test_rank_agrees_over_random_63bit_prime():
     assert not field.fits_int64()  # exercises the object-array path
     for rows in shipped_test_matrices():
         M = ExactMatrix.from_rows(QQ, rows)
-        Mp = ExactMatrix.from_rows(field, [[field.from_fraction(v) for v in r] for r in rows])
+        Mp = ExactMatrix.from_rows(field, [[element(field, v) for v in r] for r in rows])
         assert rank(Mp) == rank(M)
 
 
@@ -407,14 +426,14 @@ def test_kernel_and_solve_over_random_63bit_prime():
     field = P63
     for rows in shipped_test_matrices():
         M = ExactMatrix.from_rows(QQ, rows)
-        Mp = ExactMatrix.from_rows(field, [[field.from_fraction(v) for v in r] for r in rows])
+        Mp = ExactMatrix.from_rows(field, [[element(field, v) for v in r] for r in rows])
         assert Mp._data.dtype == object
-        assert kernel_basis(Mp) == [tuple(field.from_fraction(v) for v in vec) for vec in kernel_basis(M)]
+        assert kernel_basis(Mp) == [tuple(element(field, v) for v in vec) for vec in kernel_basis(M)]
         x = [Fraction(j + 1) for j in range(M.cols)]
         for b in ([sum(a * v for a, v in zip(r, x)) for r in rows], [Fraction(1)] + [Fraction(0)] * (M.rows - 1)):
             over_q = solve_exact(M, b)
-            over_p = solve_exact(Mp, [field.from_fraction(v) for v in b])
-            assert over_p == (None if over_q is None else tuple(field.from_fraction(v) for v in over_q))
+            over_p = solve_exact(Mp, [element(field, v) for v in b])
+            assert over_p == (None if over_q is None else tuple(element(field, v) for v in over_q))
     assert solve_exact(ExactMatrix.from_rows(field, [[1, 1], [2, 2]]), [1, 3]) is None
 
 
@@ -529,7 +548,7 @@ def test_kernel_basis_is_the_reduced_echelon_kernel_in_every_field(case):
         assert vec[lead] == 1
         leads.append(lead)
         for row in rows:
-            assert residue(field, sum(a * v for a, v in zip(row, vec))) == 0
+            assert element(field, sum(a * v for a, v in zip(row, vec))) == 0
     assert leads == sorted(set(leads))
     for i, lead in enumerate(leads):
         assert all(other[lead] == 0 for k, other in enumerate(basis) if k != i)

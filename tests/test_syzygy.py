@@ -40,6 +40,8 @@ from oracles import (
     lex_segment_bound,
     milnor_dim_oracle,
     persistence_stop,
+    residue,
+    scaled,
 )
 
 TRIANGLE = parse_poly("x*y*z")
@@ -89,7 +91,7 @@ def test_jacobian_matrix_matches_independent_layout():
             oracle = jacobian_matrix_oracle(f, k).tolist()
             over_q = [[Fraction(int(v.p), int(v.q)) for v in row] for row in oracle]
             assert jacobian_matrix(f, k, QQ).row_lists() == over_q, (path.name, k)
-            assert jacobian_matrix(f, k, P).row_lists() == [[P.from_fraction(v) for v in row] for row in over_q]
+            assert jacobian_matrix(f, k, P).row_lists() == [[residue(v, P.p) for v in row] for row in over_q]
 
 
 # a rational quartic; its denominators avoid the builder test's primes
@@ -123,7 +125,7 @@ def jacobian_references():
 def test_jacobian_builder_matches_multiples_and_the_sympy_layout(jacobian_references, field):
     # GF(2^61 - 1) holds its entries in an object array
     for name, f, k, over_q in jacobian_references:
-        expected = over_q if field is QQ else [[field.from_fraction(v) for v in row] for row in over_q]
+        expected = over_q if field is QQ else [[residue(v, field.p) for v in row] for row in over_q]
         # the public matrix is J of f itself, whether f is integral or not
         J = jacobian_matrix(f, k, field)
         assert J.field is field and J.row_lists() == expected, (name, k)
@@ -132,7 +134,7 @@ def test_jacobian_builder_matches_multiples_and_the_sympy_layout(jacobian_refere
         F = syzygy.primitive_form(f)
         c = next(F.terms[m] / v for m, v in f.terms.items())
         ints = syzygy._multiples_array([(g,) for g in partials(F)], k + f.degree - 1).T
-        over_F = [[field.from_fraction(c * v) for v in row] for row in over_q]
+        over_F = [[c * v if field is QQ else residue(c * v, field.p) for v in row] for row in over_q]
         assert syzygy._field_entries(ints, field).tolist() == over_F, (name, k)
         if field is QQ:
             assert all(type(v) is int for row in jacobian_matrix(F, k, QQ).row_lists() for v in row)
@@ -147,17 +149,17 @@ def test_jacobian_matrix_refuses_a_prime_that_divides_a_denominator():
 
 def test_multiples_lay_out_each_monomial_multiple_as_one_row():
     rho1 = syzygy_basis(rank_profile(CUSP), 1)[0]
-    halves = tuple(part.scale(Fraction(1, 2)) for part in rho1)
+    halves = tuple(scaled(part, Fraction(1, 2)) for part in rho1)
     # a coefficient past int64: the builder's object array
-    big = tuple(part.scale(Fraction(2**70 + 1)) for part in rho1)
+    big = tuple(scaled(part, 2**70 + 1) for part in rho1)
     for field in (QQ, GF(7)):
-        for g in (rho1, halves, big):
-            rho = [part.map_field(field) for part in g]
+        for rho in (rho1, halves, big):
             M = multiples([rho, rho], 3, field)
             expected = [
-                [v for part in rho for v in part.mul_monomial(nu).coeff_vector()]
+                [v if field is QQ else residue(v, field.p) for part in rho for v in part.mul_monomial(nu).coeff_vector()]
                 for nu in syzygy.monomial_basis(2)
             ]
+            # over a prime the rows of the rational triple too are reduced
             assert M.row_lists() == expected + expected
             if field is QQ:
                 # all Python ints when every coefficient is integral, all
@@ -223,7 +225,7 @@ def test_syzygy_basis_verifies_and_is_canonical():
         basis = syzygy_basis(rank_profile(TRIANGLE, field), 1, field)
         assert len(basis) == 2
         for syz in basis:
-            assert syz.holds_for(partials(TRIANGLE.map_field(field)))
+            assert syz.holds_for(partials(TRIANGLE), field)
         again = syzygy_basis(rank_profile(TRIANGLE, field), 1, field)
         assert again == basis
 
@@ -234,45 +236,54 @@ def test_holds_for_checks_rational_syzygies_with_denominators():
     # the profile's integer gradient is a nonzero multiple of f's
     profile = rank_profile(f)
     eleventh = Fraction(1, 11)
-    koszul = Syzygy(fy.scale(eleventh), (-fx).scale(eleventh), HomogPoly.zero(QQ, 2))
+    koszul = Syzygy(scaled(fy, eleventh), scaled(-fx, eleventh), HomogPoly.zero(2))
     assert koszul.holds_for(grad)
     assert koszul.holds_for(profile.grad)
-    bump = HomogPoly(QQ, 2, {(0, 1, 1): Fraction(1, 13)})
+    bump = HomogPoly(2, {(0, 1, 1): Fraction(1, 13)})
     assert not Syzygy(koszul.a + bump, koszul.b, koszul.c).holds_for(grad)
     # the zero triple holds over Q, as it does over a prime
-    assert Syzygy(*[HomogPoly.zero(QQ, 2)] * 3).holds_for(grad)
+    assert Syzygy(*[HomogPoly.zero(2)] * 3).holds_for(grad)
     for syz in syzygy_basis(profile, 2):
         # the primitive integer triple, scaled to a leading 1
         lead = next(c for part in syz for c in part.coeff_vector() if c)
-        syz = Syzygy(*(part.scale(Fraction(1, lead)) for part in syz))
+        syz = Syzygy(*(scaled(part, Fraction(1, lead)) for part in syz))
         assert any(c.denominator > 1 for part in syz for c in part.terms.values())
         assert syz.holds_for(grad) and syz.holds_for(profile.grad)
         assert not Syzygy(syz.a, syz.b, syz.c + bump).holds_for(grad)
 
 
 def test_holds_for_reduces_the_integer_sums_mod_p():
-    # f_x = 2x and f_y = 2y over GF(7): 3y*2x + 4x*2y = 14xy, a nonzero
-    # integer multiple of 7, while 3y*2x + 5x*2y = 16xy is not
+    # f_x = 2x and f_y = 2y: the triple (a*y, b*x, 0) sums to 2(a+b)xy,
+    # which vanishes over GF(7) exactly when 7 divides a+b: 3y*2x + 4x*2y
+    # = 14xy holds, 3y*2x + 5x*2y = 16xy does not
     field = GF(7)
     f = parse_poly("x^2+y^2")
-    zero = HomogPoly.zero(field, 1)
-    good = Syzygy(HomogPoly(field, 1, {(0, 1, 0): 3}), HomogPoly(field, 1, {(1, 0, 0): 4}), zero)
-    bad = Syzygy(good.a, HomogPoly(field, 1, {(1, 0, 0): 5}), zero)
-    grad = partials(f.map_field(field))
-    assert good.holds_for(grad)
-    assert not bad.holds_for(grad)
-    assert Syzygy(zero, zero, zero).holds_for(grad)
-    # blocks a, b, c on the monomials x, y, z, field elements as given
-    assert Syzygy.from_vector(1, [0, 3, 0, 4, 0, 0, 0, 0, 0], field) == good
-    # over a prime the integer gradient is accepted, summed and reduced once
+    zero = HomogPoly.zero(1)
+
+    def triple(a, b):
+        return Syzygy(HomogPoly(1, {(0, 1, 0): a}), HomogPoly(1, {(1, 0, 0): b}), zero)
+
+    good, bad = triple(3, 4), triple(3, 5)
+    grad = partials(f)
+    assert good.holds_for(grad, field)
+    assert not bad.holds_for(grad, field)
+    assert Syzygy(zero, zero, zero).holds_for(grad, field)
+    # negative coefficients and ones >= p are summed as integers and
+    # reduced once; over Q only a+b = 0 is a relation
+    for a, b in ((-4, 11), (10, -3), (3, 7 * 10**30 + 4), (-5, 5), (-4, 12), (10, -2), (7, 7 * 10**30 + 1)):
+        assert triple(a, b).holds_for(grad, field) is ((a + b) % 7 == 0), (a, b)
+        assert triple(a, b).holds_for(grad) is (a + b == 0), (a, b)
+    # blocks a, b, c on the monomials x, y, z, integers as given
+    assert Syzygy.from_vector(1, [0, 3, 0, 4, 0, 0, 0, 0, 0]) == good
+    # the profile's integer gradient is f's, and the profile verifies
+    # what it lays out over a prime
     profile = rank_profile(f, field)
-    assert good.holds_for(profile.grad) and not bad.holds_for(profile.grad)
-    # the profile verifies what it lays out over a prime
+    assert good.holds_for(profile.grad, field) and not bad.holds_for(profile.grad, field)
     assert profile.syzygy(1, [0, 3, 0, 4, 0, 0, 0, 0, 0], field) == good
     with pytest.raises(InternalInconsistencyError, match="fails the defining relation"):
         profile.syzygy(1, [0, 3, 0, 5, 0, 0, 0, 0, 0], field)
     # over Q the integer sum 14xy is no relation
-    over_q = Syzygy.from_vector(1, [Fraction(v) for v in (0, 3, 0, 4, 0, 0, 0, 0, 0)], QQ)
+    over_q = Syzygy.from_vector(1, [Fraction(v) for v in (0, 3, 0, 4, 0, 0, 0, 0, 0)])
     assert not over_q.holds_for(partials(f))
 
 
@@ -296,11 +307,10 @@ def test_rational_syzygy_basis_is_the_bareiss_kernel_entry_by_entry():
 def test_from_vector_refuses_a_vector_of_the_wrong_length():
     # a degree-1 triple has 3 * dim S_1 = 9 coefficients: a longer vector
     # must not lose its extra entries silently, nor a shorter one be padded
-    for field in (QQ, GF(7)):
-        assert Syzygy.from_vector(1, [0, 3, 0, 4, 0, 0, 0, 0, 0], field).degree == 1
-        for vec in ([0, 3, 0, 4, 0, 0, 0, 0, 0, 99, 5], [0, 3, 0, 4, 0, 0, 0, 0]):
-            with pytest.raises(ValueError, match="9 coefficients"):
-                Syzygy.from_vector(1, vec, field)
+    assert Syzygy.from_vector(1, [0, 3, 0, 4, 0, 0, 0, 0, 0]).degree == 1
+    for vec in ([0, 3, 0, 4, 0, 0, 0, 0, 0, 99, 5], [0, 3, 0, 4, 0, 0, 0, 0]):
+        with pytest.raises(ValueError, match="9 coefficients"):
+            Syzygy.from_vector(1, vec)
     profile = rank_profile(CUSP, GF(7))
     with pytest.raises(ValueError, match="9 coefficients"):
         profile.syzygy(1, [0, 1, 0, 0, 0, 5, 0, 0, 0, 0], GF(7))
@@ -427,7 +437,7 @@ def test_reducedness_reads_one_window(monkeypatch):
 
 
 def _dense_curve(rng, d):
-    return HomogPoly(QQ, d, {mono: Fraction(rng.randint(-9, 9) or 1) for mono in monomial_basis(d)})
+    return HomogPoly(d, {mono: Fraction(rng.randint(-9, 9) or 1) for mono in monomial_basis(d)})
 
 
 def _assert_sweep_matches_per_degree(f, top, field):
@@ -604,7 +614,7 @@ def _sparse_form(rng, p, e):
     """A form of degree e with 1 to 4 terms, coefficients in [1, p)."""
     basis = monomial_basis(e)
     terms = rng.sample(basis, rng.randint(1, min(4, len(basis))))
-    return HomogPoly(QQ, e, {mono: rng.randrange(1, p) for mono in terms})
+    return HomogPoly(e, {mono: rng.randrange(1, p) for mono in terms})
 
 
 @pytest.mark.parametrize("p", [2, 3, 7])
@@ -638,22 +648,20 @@ def test_plateau_lemma_holds_on_random_ideals(p):
 
 
 def _module_generators(p):
-    """A submodule of S^3 over GF(p): the Koszul relations of a dense
-    quartic (degree 3), a tuple of degree 1 below them, one of degree 5
-    above them, and one of degree 2 that vanishes mod p, so it joins
-    nothing."""
-    field = GF(p)
+    """Integer generators of a submodule of S^3 over GF(p): the Koszul
+    relations of a dense quartic (degree 3), a tuple of degree 1 below
+    them, one of degree 5 above them, and one of degree 2 that vanishes
+    mod p, so it joins nothing."""
     rng = random.Random(p)
     f = _dense_curve(rng, 4)
-    fx, fy, fz = partials(f.map_field(field))
-    zero = HomogPoly.zero(field, 3)
+    fx, fy, fz = partials(f)
+    zero = HomogPoly.zero(3)
 
     def triple(e, scale=1):
-        parts = (HomogPoly(QQ, e, {mono: Fraction(scale * rng.randint(1, 9)) for mono in monomial_basis(e)}) for _ in range(3))
-        return tuple(part.map_field(field) for part in parts)
+        return tuple(HomogPoly(e, {mono: scale * rng.randint(1, 9) for mono in monomial_basis(e)}) for _ in range(3))
 
     vanishing = triple(2, p)
-    assert all(part.is_zero() for part in vanishing)
+    assert all(c % p == 0 for part in vanishing for c in part.terms.values())
     return [(fy, -fx, zero), (fz, zero, -fx), (zero, fz, -fy), triple(1), triple(5), vanishing]
 
 
@@ -697,7 +705,7 @@ def test_module_sweep_state_is_the_reduced_echelon_basis(p):
     # gradient collapses mod 7, keeping every row and retiring the ones no
     # later step reads; t = 3: the submodule of S^3 above
     cases = [
-        (1, f.degree - 2, [(part,) for part in partials(f.map_field(field))], retire)
+        (1, f.degree - 2, [(part,) for part in partials(f)], retire)
         for f in (_dense_curve(random.Random(p), 6), parse_poly(DEGENERATE_MOD_3_5_7))
         for retire in (False, True)
     ]
@@ -723,11 +731,11 @@ def test_module_sweep_reduces_integer_tuples_once(p):
     # with retiring, and integer triples of degrees 1, 2 and 4 in S^3.
     field = GF(p)
     rng = random.Random(p)
-    f = _dense_curve(rng, 6) + HomogPoly(QQ, 6, {(6, 0, 0): 2**64})
-    big = HomogPoly(QQ, 2, {(0, 2, 0): -(2**63) - 5, (1, 1, 0): 2**63 + 1})
+    f = _dense_curve(rng, 6) + HomogPoly(6, {(6, 0, 0): 2**64})
+    big = HomogPoly(2, {(0, 2, 0): -(2**63) - 5, (1, 1, 0): 2**63 + 1})
 
     def triple(e):
-        return tuple(HomogPoly(QQ, e, {mono: rng.randint(-9, 9) for mono in monomial_basis(e)}) for _ in range(3))
+        return tuple(HomogPoly(e, {mono: rng.randint(-9, 9) for mono in monomial_basis(e)}) for _ in range(3))
 
     triples = [triple(1), triple(2), triple(4)]
     triples[1] = (triples[1][0] + big, triples[1][1], big)
@@ -735,7 +743,7 @@ def test_module_sweep_reduces_integer_tuples_once(p):
     for t, D, ints, retire in ((1, 4, [(part,) for part in _gradient(f)], True), (3, -1, triples, False)):
         assert any(c < 0 for g in ints for part in g for c in part.terms.values())
         assert any(abs(c) >= 2**63 for g in ints for part in g for c in part.terms.values())
-        residues = [tuple(part.map_field(field) for part in g) for g in ints]
+        residues = [tuple(HomogPoly(part.degree, {m: c % p for m, c in part.terms.items()}) for part in g) for g in ints]
         sweeps = [syzygy._ModuleSweep(field, t, D, retire=retire) for _ in range(2)]
         for _ in range(9):
             dims = [sweep.step([g for g in gens if g[0].degree == sweep.D + 1]) for sweep, gens in zip(sweeps, (ints, residues))]
@@ -763,7 +771,7 @@ def test_rank_sweep_matches_per_degree_ranks_at_degree_12():
 def _jacobian_sweep(f, field, top):
     """The sweep of J_f that `_swept_ranks` runs, after its top step."""
     sweep = syzygy._ModuleSweep(field, 1, f.degree - 2, retire=True)
-    sweep.step([(part,) for part in partials(f.map_field(field))])
+    sweep.step([(part,) for part in partials(f)])
     for _ in range(top):
         sweep.step([])
     return sweep
@@ -790,7 +798,7 @@ def test_rank_sweep_refuses_a_joining_row_at_a_retired_pivot():
     assert 0 in sweep.gone.tolist()
     D = sweep.D
     with pytest.raises(InternalInconsistencyError, match="retired pivot"):
-        sweep.step([(HomogPoly(field, D + 1, {(D + 1, 0, 0): 1}),)])
+        sweep.step([(HomogPoly(D + 1, {(D + 1, 0, 0): 1}),)])
 
 
 def test_retiring_sweep_matches_a_keeping_sweep_on_random_ideals(monkeypatch):
@@ -806,7 +814,7 @@ def test_retiring_sweep_matches_a_keeping_sweep_on_random_ideals(monkeypatch):
         field = GF(rng.choice([3, 5, 7, 11]))
         degrees = [rng.randint(1, 4) for _ in range(rng.randint(1, 4))]
         gens = [
-            (HomogPoly(field, e, {mono: rng.randrange(field.char) for mono in monomial_basis(e) if rng.random() < 0.5}),)
+            (HomogPoly(e, {mono: rng.randrange(field.char) for mono in monomial_basis(e) if rng.random() < 0.5}),)
             for e in degrees
         ]
         e = max(degrees)
@@ -834,7 +842,7 @@ def test_retiring_sweep_keeps_every_retired_pivot_off_the_kept_rows(monkeypatch)
     field = GF(3)
 
     def form(expr, e):
-        return parse_poly(expr).map_field(field) if expr else HomogPoly.zero(field, e)
+        return parse_poly(expr) if expr else HomogPoly.zero(e)
 
     gens = [(form("2*x^2", 2), form("", 2), form("x*y", 2)), (form("z", 1), form("2*y", 1), form("2*z", 1)), (form("", 1), form("y+2*z", 1), form("z", 1))]
     retiring = syzygy._ModuleSweep(field, 3, 1, retire=True)
@@ -868,11 +876,11 @@ def test_profile_holds_the_per_degree_ranks():
 def test_profile_keeps_the_primitive_integer_form(field):
     f = parse_poly("1/2*x^3+3/4*y^2*z-6*x*y*z")
     profile = rank_profile(f, field)
-    assert profile.f == f.scale(Fraction(4))
+    assert profile.f == scaled(f, 4)
     coeffs = profile.f.terms.values()
     assert all(c.denominator == 1 for c in coeffs) and gcd(*(c.numerator for c in coeffs)) == 1
     for c in (Fraction(7, 3), Fraction(-2)):
-        assert rank_profile(f.scale(c), field).ranks == profile.ranks, c
+        assert rank_profile(scaled(f, c), field).ranks == profile.ranks, c
 
 
 @pytest.mark.parametrize("mode", ["auto", "pp"])
@@ -897,7 +905,7 @@ def _smooth_curve(rng, d):
         terms = {mono: Fraction(rng.randint(-3, 3) or 1) for mono in monomial_basis(d) if rng.random() < 0.3}
         for mono in ((d, 0, 0), (0, d, 0), (0, 0, d)):
             terms[mono] = Fraction(1)
-        f = HomogPoly(QQ, d, terms)
+        f = HomogPoly(d, terms)
         ranks = jacobian_ranks(f, 2 * d, QQ)
         if ranks[2 * d - 4] == dim_S(3 * d - 5):
             return f, ranks
@@ -916,13 +924,13 @@ def test_one_prime_profile_of_a_smooth_curve_is_the_rational_one(monkeypatch):
 
 
 def test_profile_refuses_what_defines_no_curve():
-    for f in (HomogPoly.zero(QQ, 3), parse_poly("2")):
+    for f in (HomogPoly.zero(3), parse_poly("2")):
         for field in (QQ, FieldPlan.from_mode("auto", 0)):
             with pytest.raises(InputError, match="no curve"):
                 rank_profile(f, field)
     # the saturation oracle refuses the zero form the same way
     with pytest.raises(InputError, match="no curve"):
-        n_dim_saturation_oracle(HomogPoly.zero(QQ, 3))
+        n_dim_saturation_oracle(HomogPoly.zero(3))
 
 
 def test_profile_guard_admits_degree_32():
